@@ -1,9 +1,9 @@
 """Exact Gaussian elimination over any field type supporting +,-,*,/ and
 truthiness (Fraction, cyclotomic numbers).
 
-Vectors and matrices are plain lists; pivoting is deterministic (first
-nonzero column, first available row), so echelon forms and kernel bases are
-reproducible.
+Vectors and matrices are plain lists, except SpanTracker's sparse dicts;
+pivoting is deterministic (first nonzero column, first available row), so
+echelon forms and kernel bases are reproducible.
 """
 
 from __future__ import annotations
@@ -62,67 +62,66 @@ def kernel_basis(rows: Sequence[Sequence], ncols: int, zero, one) -> list[list]:
 class SpanTracker:
     """Incremental row space with bookkeeping over the inserted generators.
 
-    `insert` adds a vector as a new generator when it enlarges the span;
-    `express` rewrites any vector of the span as exact coordinates over the
-    inserted generators.
+    Vectors are sparse: dicts from column to nonzero entry.  `insert` adds a
+    vector as a new generator when it enlarges the span; `express` rewrites
+    any vector of the span as exact coordinates over the inserted generators,
+    again as a dict (generator index -> nonzero coefficient).
     """
 
-    def __init__(self, ncols: int, zero, one):
-        self.ncols = ncols
-        self.zero = zero
-        self.one = one
-        self.ngens = 0
-        # pivot column -> (normalized vector, combination over generators)
-        self._rows: dict[int, tuple[list, list]] = {}
+    def __init__(self):
+        # pivot column -> (echelon row, 1 at the pivot and zero before it;
+        #                  its combination over the generators)
+        self._rows: dict[int, tuple[dict, dict]] = {}
 
     @property
     def dim(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, vec: Sequence) -> tuple[list, list]:
-        w = list(vec)
-        combo = [self.zero] * self.ngens
-        for c in range(self.ncols):
-            if not w[c]:
-                continue
+    def _reduce(self, vec: dict) -> tuple[dict, dict, int | None]:
+        """Eliminate vec's pivot columns, smallest first.
+
+        Returns (w, combo, c) with vec = w + sum combo[k] * gen_k and c the
+        first nonzero column of w without an echelon row (None if w is 0).
+        A row only touches columns from its pivot on, so min(w) is always
+        the next column to eliminate.
+        """
+        w = {c: v for c, v in vec.items() if v}
+        combo: dict = {}
+        while w:
+            c = min(w)
             row = self._rows.get(c)
             if row is None:
-                break
-            rvec, rcombo = row
+                return w, combo, c
             f = w[c]
-            w = [a - f * b for a, b in zip(w, rvec)]
-            for k in range(len(rcombo)):
-                combo[k] = combo[k] - f * rcombo[k]
-        return w, combo
+            _axpy(w, -f, row[0])
+            _axpy(combo, f, row[1])
+        return w, combo, None
 
-    def insert(self, vec: Sequence) -> bool:
+    def insert(self, vec: dict) -> bool:
         """Insert as a generator; False when already in the span."""
-        w, combo = self._reduce(vec)
-        pc = next((c for c in range(self.ncols) if w[c]), None)
+        w, combo, pc = self._reduce(vec)
         if pc is None:
             return False
-        combo.append(self.one)
-        self.ngens += 1
         pinv = w[pc] ** (-1)
-        self._rows[pc] = ([v * pinv for v in w], [v * pinv for v in combo])
+        row_combo = {k: -v * pinv for k, v in combo.items()}
+        row_combo[len(self._rows)] = pinv
+        self._rows[pc] = ({c: v * pinv for c, v in w.items()}, row_combo)
         return True
 
-    def express(self, vec: Sequence) -> list | None:
+    def express(self, vec: dict) -> dict | None:
         """Coordinates of vec over the generators, or None if outside."""
-        w = list(vec)
-        out = [self.zero] * self.ngens
-        for c in range(self.ncols):
-            if not w[c]:
-                continue
-            row = self._rows.get(c)
-            if row is None:
-                return None
-            rvec, rcombo = row
-            f = w[c]
-            w = [a - f * b for a, b in zip(w, rvec)]
-            for k in range(len(rcombo)):
-                out[k] = out[k] + f * rcombo[k]
-        return out
+        _, combo, pc = self._reduce(vec)
+        return combo if pc is None else None
+
+
+def _axpy(y: dict, f, x: dict) -> None:
+    """y += f * x in place on sparse vectors, dropping cancelled entries."""
+    for j, v in x.items():
+        new = y[j] + f * v if j in y else f * v
+        if new:
+            y[j] = new
+        else:
+            del y[j]
 
 
 def mat_identity(n: int, zero, one) -> list[list]:

@@ -137,12 +137,6 @@ class CrystalGraph:
     edges: tuple[tuple[Multipartition, int, Multipartition], ...]
     boundary: tuple[tuple[Multipartition, int, Multipartition], ...]
 
-    def out_edge(self, mp: Multipartition, i: int) -> Multipartition | None:
-        for a, j, b in self.edges:
-            if a == mp and j == i:
-                return b
-        return None
-
     def to_json(self) -> dict:
         return {
             "nodes": [

@@ -245,24 +245,41 @@ def _reduce(conv: list, e: int, d: int) -> tuple:
     return tuple(out)
 
 
-def cyc_dot(xs, ys) -> Cyc:
-    """Exact dot product of two Cyc sequences with one field reduction."""
-    e = xs[0].e
-    d = len(xs[0].coeffs)
-    acc = [0] * (2 * d - 1)
-    for x, y in zip(xs, ys):
-        for i, a in enumerate(x.coeffs):
-            if a:
-                for j, b in enumerate(y.coeffs):
-                    if b:
-                        acc[i + j] += a * b
-    return Cyc(e, _reduce(acc, e, d))
-
-
 def mat_mul_cyc(a: list, b: list) -> list:
-    """Matrix product over Q(zeta_e), specialised for speed."""
-    cols = [[row[j] for row in b] for j in range(len(b[0]))]
-    return [[cyc_dot(row, col) for col in cols] for row in a]
+    """Matrix product over Q(zeta_e), skipping zero entries of both factors.
+
+    Each output entry accumulates unreduced coefficient products and is
+    folded through the cyclotomic relation once.
+    """
+    e = b[0][0].e
+    d = len(b[0][0].coeffs)
+    zero = Cyc.zero(e)
+    b_rows = [
+        [(j, _nonzero_coeffs(y)) for j, y in enumerate(row) if y] for row in b
+    ]
+    out = []
+    for row in a:
+        acc: dict[int, list] = {}
+        for x, b_row in zip(row, b_rows):
+            if not x:
+                continue
+            xs = _nonzero_coeffs(x)
+            for j, ys in b_row:
+                conv = acc.get(j)
+                if conv is None:
+                    conv = acc[j] = [0] * (2 * d - 1)
+                for i, u in xs:
+                    for k, v in ys:
+                        conv[i + k] += u * v
+        out_row = [zero] * len(b[0])
+        for j, conv in acc.items():
+            out_row[j] = Cyc(e, _reduce(conv, e, d))
+        out.append(out_row)
+    return out
+
+
+def _nonzero_coeffs(x: Cyc) -> list[tuple]:
+    return [(i, c) for i, c in enumerate(x.coeffs) if c]
 
 
 def matrix_rank_cyc(rows: list, ncols: int) -> int:
@@ -292,21 +309,6 @@ def matrix_rank_cyc(rows: list, ncols: int) -> int:
         for r in range(d):
             blown.append([blocks[c][s][r] for c in range(ncols) for s in range(d)])
     return _linalg.matrix_rank(blown, ncols * d) // d
-
-
-def _poly_mod(a: list, b: list) -> list:
-    a = list(a)
-    while len(a) > 0 and a[-1] == 0:
-        a.pop()
-    db = len(b) - 1
-    while len(a) - 1 >= db:
-        f = a[-1] / b[-1]
-        shift = len(a) - 1 - db
-        for j in range(len(b)):
-            a[shift + j] -= f * b[j]
-        while a and a[-1] == 0:
-            a.pop()
-    return a
 
 
 def _ext_gcd_mod(a: list, modulus: list) -> tuple:

@@ -3,8 +3,9 @@
 The algebra on generators T_0..T_{n-1} is realized through its left regular
 representation.  Products against a normal-form coordinate space (exponent
 vectors of the commuting Jucys-Murphy elements times symmetric-group words)
-provide the ambient coordinates; a spanning-set saturation from the identity
-word then certifies the construction: the closure must reach dimension
+provide the ambient coordinates; a single-pass spanning-set saturation from
+the identity word, over sparse exact rows, both finds the word basis and
+reads off every generator matrix column.  The closure must reach dimension
 l^n * n! exactly, and every defining relation must vanish as a matrix.
 Nothing is trusted to the straightening rules alone.
 
@@ -207,10 +208,11 @@ def build_algebra(
 ) -> FinDimAlgebraRep:
     """Saturate words from the identity into a certified regular representation.
 
-    Left-multiplies known basis words by generators breadth-first, reduces
-    each product against the current row space by exact elimination, and
-    stops at closure.  The closure dimension must equal l^n * n!; any other
-    outcome signals an inconsistency and raises.
+    Left-multiplies known basis words by generators breadth-first and
+    reduces each product once, by sparse exact elimination, against the
+    current row space: a product inside it yields its column of the
+    generator matrix, one outside it joins the basis as a unit column.  The
+    closure dimension must equal l^n * n!; any other outcome raises.
     """
     if l != charge.level:
         raise ValueError(f"level mismatch: l={l} but charge has {charge.level}")
@@ -225,28 +227,31 @@ def build_algebra(
         )
 
     engine = _Engine(l, n, charge)
-    labels = _all_labels(l, n)
-    index = {lab: k for k, lab in enumerate(labels)}
+    index = {lab: k for k, lab in enumerate(_all_labels(l, n))}
     zero, one = Cyc.zero(charge.e), Cyc.one(charge.e)
+    gens = [[[zero] * target for _ in range(target)] for _ in range(n)]
 
-    def dense(element: dict) -> list:
-        vec = [zero] * len(labels)
-        for lab, c in element.items():
-            vec[index[lab]] = c
-        return vec
+    def sparse(element: dict) -> dict:
+        return {index[lab]: c for lab, c in element.items()}
 
-    tracker = _linalg.SpanTracker(len(labels), zero, one)
-    basis_words: list[tuple[int, ...]] = []
-    basis_elements: list[dict] = []
-    queue: deque = deque([((), engine.identity_element())])
+    tracker = _linalg.SpanTracker()
+    words: list[tuple[int, ...]] = [()]
+    elements = [engine.identity_element()]
+    tracker.insert(sparse(elements[0]))
+    queue: deque = deque((g, 0) for g in range(n))
     while queue:
-        word, element = queue.popleft()
-        if not tracker.insert(dense(element)):
-            continue
-        basis_words.append(word)
-        basis_elements.append(element)
-        for g in range(n):
-            queue.append(((g,) + word, engine.mult_gen(g, element)))
+        g, k = queue.popleft()
+        product = engine.mult_gen(g, elements[k])
+        vec = sparse(product)
+        coords = tracker.express(vec)
+        if coords is None:
+            tracker.insert(vec)
+            coords = {len(words): one}
+            queue.extend((h, len(words)) for h in range(n))
+            words.append((g,) + words[k])
+            elements.append(product)
+        for r, c in coords.items():
+            gens[g][r][k] = c
 
     if tracker.dim != target:
         raise RuntimeError(
@@ -254,24 +259,13 @@ def build_algebra(
             "generator rules and presentation are inconsistent"
         )
 
-    gens = []
-    for g in range(n):
-        mat = [[zero] * target for _ in range(target)]
-        for k, element in enumerate(basis_elements):
-            coords = tracker.express(dense(engine.mult_gen(g, element)))
-            if coords is None:
-                raise RuntimeError("product escaped the saturated span")
-            for r in range(target):
-                mat[r][k] = coords[r]
-        gens.append(mat)
-
     return FinDimAlgebraRep(
         l=l,
         n=n,
         charge=charge,
         params=params_from_charge(charge),
         dimension=target,
-        words=tuple(basis_words),
+        words=tuple(words),
         gens=gens,
     )
 

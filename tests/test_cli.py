@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -165,3 +166,42 @@ def test_dim_bound_env(capsys, monkeypatch):
     monkeypatch.setenv("FOCK_MAX_DIM", "8")
     assert main(["--e", "2", "--s", "0,1", "--n", "2", "hecke-build"]) == 0
     capsys.readouterr()
+
+
+# `hecke-build` stdout pinned byte for byte: sha256 of the JSON document and
+# its BFS word basis, as produced by the original dense two-pass saturation.
+HECKE_BUILD_PINS = [
+    (("--e", "2", "--s", "0,1", "--n", "2"),
+     "3703d68c2fc20a3403ed25c8ad9a2918af79663aed1fe780b7e84708088135bc",
+     "Id T0 T1 T1*T0 T0*T1 T0*T1*T0 T1*T0*T1 T1*T0*T1*T0"),
+    (("--e", "3", "--s", "0,1", "--n", "2"),
+     "c525fb16726c0cdbf4195dfcb7ce2904df3e8eb96a070bc3aa58c6ba6696661d",
+     "Id T0 T1 T1*T0 T0*T1 T0*T1*T0 T1*T0*T1 T1*T0*T1*T0"),
+    (("--e", "3", "--s", "0,1,2", "--n", "2"),
+     "cf0d54fb71a96ed15b5a31b8b8e2e1c9a5dd770db17da9afa6b50439f3a4079f",
+     "Id T0 T1 T0*T0 T1*T0 T0*T1 T1*T0*T0 T0*T1*T0 T0*T0*T1 T1*T0*T1 "
+     "T0*T1*T0*T0 T0*T0*T1*T0 T1*T0*T1*T0 T1*T0*T0*T1 T0*T0*T1*T0*T0 "
+     "T1*T0*T1*T0*T0 T1*T0*T0*T1*T0 T1*T0*T0*T1*T0*T0"),
+    (("--e", "2", "--s", "0,1", "--n", "3"),
+     "b6e215ec79895717bfb628e79ae5cff3067070de0733cd64505fa69841163111",
+     "Id T0 T1 T2 T1*T0 T2*T0 T0*T1 T2*T1 T1*T2 T0*T1*T0 T2*T1*T0 T1*T2*T0 "
+     "T1*T0*T1 T2*T0*T1 T1*T2*T1 T0*T1*T2 T1*T0*T1*T0 T2*T0*T1*T0 "
+     "T1*T2*T1*T0 T0*T1*T2*T0 T2*T1*T0*T1 T1*T2*T0*T1 T0*T1*T2*T1 "
+     "T1*T0*T1*T2 T2*T1*T0*T1*T0 T1*T2*T0*T1*T0 T0*T1*T2*T1*T0 "
+     "T1*T0*T1*T2*T0 T1*T2*T1*T0*T1 T0*T1*T2*T0*T1 T1*T0*T1*T2*T1 "
+     "T2*T1*T0*T1*T2 T1*T2*T1*T0*T1*T0 T0*T1*T2*T0*T1*T0 "
+     "T1*T0*T1*T2*T1*T0 T2*T1*T0*T1*T2*T0 T0*T1*T2*T1*T0*T1 "
+     "T1*T0*T1*T2*T0*T1 T2*T1*T0*T1*T2*T1 T0*T1*T2*T1*T0*T1*T0 "
+     "T1*T0*T1*T2*T0*T1*T0 T2*T1*T0*T1*T2*T1*T0 T1*T0*T1*T2*T1*T0*T1 "
+     "T2*T1*T0*T1*T2*T0*T1 T1*T0*T1*T2*T1*T0*T1*T0 "
+     "T2*T1*T0*T1*T2*T0*T1*T0 T2*T1*T0*T1*T2*T1*T0*T1 "
+     "T2*T1*T0*T1*T2*T1*T0*T1*T0"),
+]
+
+
+@pytest.mark.parametrize("argv,digest,words", HECKE_BUILD_PINS)
+def test_hecke_build_byte_identity(capsys, argv, digest, words):
+    code, out = run(capsys, *argv, "hecke-build")
+    assert code == 0
+    assert json.loads(out)["words"] == words.split()
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -196,3 +196,10 @@ def test_to_json_shape(hecke_reps):
     assert doc["dimension"] == 2
     assert len(doc["generators"]) == 2
     assert doc["generators"][0][0][0] == ["1"]  # T_0 = identity scalar here
+
+
+def test_build_reaches_dim_384():
+    # above the default FOCK_MAX_DIM bound; the relations are left to slower runs
+    rep = build_algebra(2, 4, Multicharge(2, (0, 1)), max_dim=384)
+    assert rep.dimension == 384
+    assert len(set(rep.words)) == 384
