@@ -1,9 +1,10 @@
 """Exact Gaussian elimination over any field type supporting +,-,*,/ and
 truthiness (Fraction, cyclotomic numbers).
 
-Vectors and matrices are plain lists, except SpanTracker's sparse dicts;
-pivoting is deterministic (first nonzero column, first available row), so
-echelon forms and kernel bases are reproducible.
+Vectors and matrices are plain lists, except that elimination works on
+sparse dicts (column -> nonzero entry) and touches only nonzero entries.
+Reduced row echelon forms are canonical, so `rref`, ranks and kernel bases
+do not depend on the order in which rows are eliminated.
 """
 
 from __future__ import annotations
@@ -12,28 +13,26 @@ from typing import Sequence
 
 
 def rref(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    rows = [list(r) for r in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pick = None
-        for k in range(r, len(rows)):
-            if rows[k][c]:
-                pick = k
-                break
-        if pick is None:
-            continue
-        rows[r], rows[pick] = rows[pick], rows[r]
-        pinv = rows[r][c] ** (-1)  # one field inversion per pivot row
-        rows[r] = [v * pinv for v in rows[r]]
-        for k in range(len(rows)):
-            if k != r and rows[k][c]:
-                f = rows[k][c]
-                rows[k] = [a - f * b for a, b in zip(rows[k], rows[r])]
-        pivots.append(c)
-        r += 1
-    return rows[:r], pivots
+    """Reduced row echelon form; returns (rows, pivot column indices).
+
+    Each row is reduced against the echelon rows found so far and, unless it
+    vanishes, kept scaled to 1 on its first column; back-substitution from
+    the last pivot to the first then clears the entries above every pivot.
+    """
+    echelon: dict[int, dict] = {}
+    for row in rows:
+        w = {c: v for c, v in enumerate(row) if v}
+        pc = _reduce(echelon, w)[0]
+        if pc is not None:
+            pinv = w[pc] ** (-1)  # one field inversion per pivot row
+            echelon[pc] = {c: v * pinv for c, v in w.items()}
+    pivots = sorted(echelon)
+    for pc in reversed(pivots):
+        row = echelon[pc]
+        for c in [c for c in row if c != pc and c in echelon]:
+            _axpy(row, -row[c], echelon[c])
+    zero = echelon[pivots[0]][pivots[0]] * 0 if pivots else None
+    return [[echelon[pc].get(c, zero) for c in range(ncols)] for pc in pivots], pivots
 
 
 def matrix_rank(rows: Sequence[Sequence], ncols: int) -> int:
@@ -69,49 +68,55 @@ class SpanTracker:
     """
 
     def __init__(self):
-        # pivot column -> (echelon row, 1 at the pivot and zero before it;
-        #                  its combination over the generators)
-        self._rows: dict[int, tuple[dict, dict]] = {}
+        # pivot column -> echelon row (1 at the pivot and zero before it),
+        # and its combination over the generators
+        self._rows: dict[int, dict] = {}
+        self._combos: dict[int, dict] = {}
 
     @property
     def dim(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, vec: dict) -> tuple[dict, dict, int | None]:
-        """Eliminate vec's pivot columns, smallest first.
-
-        Returns (w, combo, c) with vec = w + sum combo[k] * gen_k and c the
-        first nonzero column of w without an echelon row (None if w is 0).
-        A row only touches columns from its pivot on, so min(w) is always
-        the next column to eliminate.
-        """
-        w = {c: v for c, v in vec.items() if v}
-        combo: dict = {}
-        while w:
-            c = min(w)
-            row = self._rows.get(c)
-            if row is None:
-                return w, combo, c
-            f = w[c]
-            _axpy(w, -f, row[0])
-            _axpy(combo, f, row[1])
-        return w, combo, None
-
     def insert(self, vec: dict) -> bool:
         """Insert as a generator; False when already in the span."""
-        w, combo, pc = self._reduce(vec)
+        w = {c: v for c, v in vec.items() if v}
+        pc, combo = _reduce(self._rows, w, self._combos)
         if pc is None:
             return False
         pinv = w[pc] ** (-1)
         row_combo = {k: -v * pinv for k, v in combo.items()}
         row_combo[len(self._rows)] = pinv
-        self._rows[pc] = ({c: v * pinv for c, v in w.items()}, row_combo)
+        self._rows[pc] = {c: v * pinv for c, v in w.items()}
+        self._combos[pc] = row_combo
         return True
 
     def express(self, vec: dict) -> dict | None:
         """Coordinates of vec over the generators, or None if outside."""
-        _, combo, pc = self._reduce(vec)
+        w = {c: v for c, v in vec.items() if v}
+        pc, combo = _reduce(self._rows, w, self._combos)
         return combo if pc is None else None
+
+
+def _reduce(echelon: dict[int, dict], w: dict, combos: dict[int, dict] | None = None):
+    """Eliminate the echelon rows' pivot columns from w in place, smallest first.
+
+    Returns (c, combo): c is the first nonzero column of w without an echelon
+    row (None once w is 0).  With `combos` (pivot column -> combination over
+    some generators), combo collects the same steps, so that the input equals
+    w + sum combo[k] * gen_k.  An echelon row only touches columns from its
+    pivot on, so min(w) is always the next column to eliminate.
+    """
+    combo: dict = {}
+    while w:
+        c = min(w)
+        row = echelon.get(c)
+        if row is None:
+            return c, combo
+        f = w[c]
+        _axpy(w, -f, row)
+        if combos is not None:
+            _axpy(combo, f, combos[c])
+    return None, combo
 
 
 def _axpy(y: dict, f, x: dict) -> None:
@@ -129,20 +134,16 @@ def mat_identity(n: int, zero, one) -> list[list]:
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence], zero) -> list[list]:
-    n, m, p = len(a), len(b), len(b[0])
-    bt = [[b[k][j] for k in range(m)] for j in range(p)]
+    """Matrix product, skipping zero entries of both factors."""
+    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
     out = []
-    for i in range(n):
-        ai = a[i]
-        row = []
-        for j in range(p):
-            bj = bt[j]
-            acc = zero
-            for k in range(m):
-                if ai[k] and bj[k]:
-                    acc = acc + ai[k] * bj[k]
-            row.append(acc)
-        out.append(row)
+    for row in a:
+        acc: dict = {}
+        for x, b_row in zip(row, b_rows):
+            if x:
+                for j, y in b_row:
+                    acc[j] = acc[j] + x * y if j in acc else x * y
+        out.append([acc.get(j, zero) for j in range(len(b[0]))])
     return out
 
 

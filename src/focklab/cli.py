@@ -230,9 +230,9 @@ def _suite_fock(charge, max_rank, failures) -> None:
     for mp in basis:
         v = fock_space.FockVector.basis(mp)
         weight = wt(mp, charge)
-        for i in range(charge.e):
-            up = fock_space.apply_f(i, v, charge)
-            down = fock_space.apply_e(i, v, charge)
+        ups = [fock_space.apply_f(i, v, charge) for i in range(charge.e)]
+        downs = [fock_space.apply_e(i, v, charge) for i in range(charge.e)]
+        for i, (up, down) in enumerate(zip(ups, downs)):
             for target in up.terms:
                 if wt(target, charge) != weight - alphas[i]:
                     weight_bad.append({"mp": mp.to_lists(), "i": i, "op": "f"})
@@ -246,11 +246,9 @@ def _suite_fock(charge, max_rank, failures) -> None:
             d = fock_space.depth(i, v, charge)
             if d > mp.rank:
                 depth_bad.append({"mp": mp.to_lists(), "i": i, "depth": d})
-            for j in range(charge.e):
-                fj = fock_space.apply_f(j, v, charge)
-                ei = fock_space.apply_e(i, v, charge)
+            for j, fj in enumerate(ups):
                 bracket = fock_space.apply_e(i, fj, charge) - fock_space.apply_f(
-                    j, ei, charge
+                    j, down, charge
                 )
                 expected = (
                     v.scaled(pair_coroot(i, weight))

@@ -60,6 +60,21 @@ def report(number: int, label: str, started: float) -> None:
     print(f"[criterion {number}] PASS {label} ({time.time() - started:.1f}s)")
 
 
+def specht_dimension(mp) -> int:
+    """dim S^lambda = n!/prod |lambda^(j)|! * prod f^(lambda^(j)), f by hook lengths."""
+    out = factorial(mp.rank)
+    for part in mp.components:
+        size = sum(part)
+        width = max(part, default=0)
+        columns = [sum(1 for row in part if row > c) for c in range(width)]
+        hooks = 1
+        for r, row in enumerate(part):
+            for c in range(row):
+                hooks *= row - c + columns[c] - r - 1
+        out = out // factorial(size) * (factorial(size) // hooks)
+    return out
+
+
 def all_shapes(charge: Multicharge, bound: int):
     for n in range(bound + 1):
         yield from enumerate_multipartitions(n, charge.level)
@@ -253,6 +268,9 @@ def test_criterion_8_block_correspondence(hecke_reps):
         assert sum(a.dimension for a in spectrum.attained) == rep.dimension
         weights = {wt(mp, charge) for mp in enumerate_multipartitions(n, l)}
         assert len(spectrum.attained) == len(weights), (l, n, e)
+        for block in spectrum.attained:
+            cellular = sum(specht_dimension(mp) ** 2 for mp in block.members)
+            assert block.dimension == cellular, (l, n, e, block.dimension, cellular)
 
     for l in (1, 2, 3):
         for e in (2, 3):

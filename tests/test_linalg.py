@@ -5,7 +5,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from focklab._linalg import SpanTracker, matrix_rank
+from focklab._linalg import SpanTracker, kernel_basis, matrix_rank, rref
 from focklab.cyclotomic import Cyc, matrix_rank_cyc
 
 small = st.integers(-2, 2)
@@ -60,3 +60,72 @@ def test_span_tracker_over_q(run):
 def test_span_tracker_over_q_zeta3(run):
     ncols, vectors = run
     _check_run(ncols, vectors, Cyc.zero(3), matrix_rank_cyc)
+
+
+def dense_rref(rows, ncols):
+    """Dense Gauss-Jordan oracle: first nonzero column, first available row."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pick = next((k for k in range(r, len(rows)) if rows[k][c]), None)
+        if pick is None:
+            continue
+        rows[r], rows[pick] = rows[pick], rows[r]
+        pinv = rows[r][c] ** (-1)
+        rows[r] = [v * pinv for v in rows[r]]
+        for k in range(len(rows)):
+            if k != r and rows[k][c]:
+                f = rows[k][c]
+                rows[k] = [a - f * b for a, b in zip(rows[k], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows[:r], pivots
+
+
+@st.composite
+def matrices(draw, entries, zero):
+    """Wide, tall or square; sparse rows, zero rows and repeated rows."""
+    ncols = draw(st.integers(1, 6))
+    rows: list[list] = []
+    for _ in range(draw(st.integers(0, 8))):
+        kinds = ("sparse", "zero", "repeat") if rows else ("sparse",)
+        kind = draw(st.sampled_from(kinds))
+        if kind == "zero":
+            rows.append([zero] * ncols)
+        elif kind == "repeat":
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            row = st.one_of(st.just(zero), entries)
+            rows.append(draw(st.lists(row, min_size=ncols, max_size=ncols)))
+    return ncols, rows
+
+
+def _check_elimination(ncols, rows, zero, one):
+    red, pivots = rref(rows, ncols)
+    assert (red, pivots) == dense_rref(rows, ncols)
+    assert rref(rows[::-1], ncols) == (red, pivots)
+    rank = matrix_rank(rows, ncols)
+    assert rank == len(pivots)
+    kernel = kernel_basis(rows, ncols, zero, one)
+    assert len(kernel) == ncols - rank
+    for x in kernel:
+        for row in rows:
+            total = zero
+            for a, b in zip(row, x):
+                total = total + a * b
+            assert not total
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(rationals, Fraction(0)))
+def test_rref_matches_dense_oracle_over_q(matrix):
+    ncols, rows = matrix
+    _check_elimination(ncols, rows, Fraction(0), Fraction(1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(cyclotomics, Cyc.zero(3)))
+def test_rref_matches_dense_oracle_over_q_zeta3(matrix):
+    ncols, rows = matrix
+    _check_elimination(ncols, rows, Cyc.zero(3), Cyc.one(3))
