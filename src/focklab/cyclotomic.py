@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from . import _linalg
 from ._rat import RAT
 
 _SCALARS = (int, Fraction, type(RAT(0)))
@@ -282,33 +283,28 @@ def _nonzero_coeffs(x: Cyc) -> list[tuple]:
     return [(i, c) for i, c in enumerate(x.coeffs) if c]
 
 
-def matrix_rank_cyc(rows: list, ncols: int) -> int:
-    """Rank over Q(zeta_e) via the rational regular-representation blowup.
+def realify(m: list) -> list:
+    """Rational realification Q(zeta_e)^{n x m} -> Q^{nd x md}.
 
-    Each entry becomes the d x d matrix of multiplication on the power
-    basis; the rational rank of the blowup is d times the cyclotomic rank.
+    Each entry becomes the d x d matrix of multiplication by it on the power
+    basis.  A ring homomorphism, so products, powers and kernels transfer;
+    rational ranks are exactly d times the cyclotomic ones.
     """
-    from . import _linalg
+    e = m[0][0].e
+    d = len(m[0][0].coeffs)
+    out = []
+    for row in m:
+        cols = [_reduce([0] * s + list(x.coeffs), e, d) for x in row for s in range(d)]
+        out.extend([col[r] for col in cols] for r in range(d))
+    return out
 
+
+def matrix_rank_cyc(rows: list, ncols: int) -> int:
+    """Rank over Q(zeta_e): the rational rank of the realification over d."""
     if not rows:
         return 0
-    e = rows[0][0].e
     d = len(rows[0][0].coeffs)
-    if d == 1:
-        flat = [[entry.coeffs[0] for entry in row] for row in rows]
-        return _linalg.matrix_rank(flat, ncols)
-    blown = []
-    for row in rows:
-        blocks = []
-        for entry in row:
-            cols = []
-            for s in range(d):
-                shifted = [0] * s + list(entry.coeffs)
-                cols.append(_reduce(shifted, e, d))
-            blocks.append(cols)
-        for r in range(d):
-            blown.append([blocks[c][s][r] for c in range(ncols) for s in range(d)])
-    return _linalg.matrix_rank(blown, ncols * d) // d
+    return _linalg.matrix_rank(realify(rows), ncols * d) // d
 
 
 def _ext_gcd_mod(a: list, modulus: list) -> tuple:

@@ -9,6 +9,12 @@ reads off every generator matrix column.  The closure must reach dimension
 l^n * n! exactly, and every defining relation must vanish as a matrix.
 Nothing is trusted to the straightening rules alone.
 
+Each check returns `AxiomReport`s: `check_relations` for the presentation,
+`check_jm` for the Jucys-Murphy twist, commutation and centrality,
+`central_characters` for the block spectrum (`spectral_mass`,
+`spectral_support`), and `check_block_weights` for the match between
+attained characters and affine weights of the rank-n shapes.
+
 Derived product rules, writing x = J_{i-1}, y = J_i, T = T_i:
     T x^a y^b = x^b y^a T - (q-1) * sum_{k=1..a-b} x^(a-k) y^(b+k)   (a >= b)
     T x^a y^b = x^b y^a T + (q-1) * sum_{k=1..b-a} x^(b-k) y^(a+k)   (a < b)
@@ -26,7 +32,7 @@ from math import factorial
 
 from . import _linalg
 from ._rat import RAT
-from .cyclotomic import Cyc, mat_mul_cyc, matrix_rank_cyc
+from .cyclotomic import Cyc, mat_mul_cyc, matrix_rank_cyc, realify
 from .multipartition import (
     Multicharge,
     Multipartition,
@@ -35,6 +41,7 @@ from .multipartition import (
     residue,
 )
 from .structure_analysis import AxiomReport
+from .weight_lattice import wt
 
 DEFAULT_DIM_BOUND = 200
 
@@ -378,6 +385,43 @@ def _matrix_add(a: Matrix, b: Matrix) -> Matrix:
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
+def _commutes(a: Matrix, b: Matrix) -> bool:
+    return mat_mul_cyc(a, b) == mat_mul_cyc(b, a)
+
+
+def check_jm(rep: FinDimAlgebraRep) -> list[AxiomReport]:
+    """The Jucys-Murphy structure as matrix identities.
+
+    `jm_twist`: T_i J_{i-1} T_i = q J_i; `jm_commute`: the J_i commute
+    pairwise; `jm_centrality`: every symmetric JM element commutes with
+    every generator.
+    """
+    jms = jm_elements(rep)
+    twist_bad = [
+        {"i": i}
+        for i in range(1, rep.n)
+        if mat_mul_cyc(mat_mul_cyc(rep.gens[i], jms[i - 1]), rep.gens[i])
+        != _linalg.mat_scale(jms[i], rep.params.q)
+    ]
+    commute_bad = [
+        {"i": i, "j": j}
+        for i in range(rep.n)
+        for j in range(i + 1, rep.n)
+        if not _commutes(jms[i], jms[j])
+    ]
+    central_bad = [
+        {"k": k, "generator": g}
+        for k in range(1, rep.n + 1)
+        for g, gen in enumerate(rep.gens)
+        if not _commutes(symmetric_jm(rep, k), gen)
+    ]
+    return [
+        AxiomReport("jm_twist", tuple(twist_bad)),
+        AxiomReport("jm_commute", tuple(commute_bad)),
+        AxiomReport("jm_centrality", tuple(central_bad)),
+    ]
+
+
 @dataclass(frozen=True)
 class CentralCharacter:
     """Elementary symmetric values of the residue exponentials of a shape.
@@ -433,37 +477,6 @@ class CharacterSpectrum:
     reports: tuple[AxiomReport, ...]
 
 
-def _entry_blocks(entry: Cyc, e: int, d: int) -> list[tuple]:
-    """Columns of the d x d rational matrix of multiplication by entry."""
-    from .cyclotomic import _reduce
-
-    cols = []
-    for s in range(d):
-        shifted = [0] * s + list(entry.coeffs)
-        cols.append(_reduce(shifted, e, d))
-    return cols
-
-
-def _blow_matrix(m: Matrix, e: int) -> list:
-    """Rational realification: every entry becomes its multiplication block.
-
-    Ring homomorphism, so products, powers and kernel dimensions transfer;
-    rational dimensions are exactly deg(Phi_e) times the cyclotomic ones.
-    """
-    d = Cyc.degree(e)
-    if d == 1:
-        return [[RAT(entry.coeffs[0]) for entry in row] for row in m]
-    n = len(m)
-    blocks = [[_entry_blocks(entry, e, d) for entry in row] for row in m]
-    out = []
-    for r in range(n):
-        for rr in range(d):
-            out.append(
-                [blocks[r][c][s][rr] for c in range(len(m[r])) for s in range(d)]
-            )
-    return out
-
-
 def _stabilized_power_rat(m: list, ncols: int) -> list:
     """First power of a rational matrix whose rank has stabilized."""
     zero = RAT(0)
@@ -491,8 +504,7 @@ def central_characters(
     if n != rep.n:
         raise ValueError(f"rep was built for n={rep.n}, asked for n={n}")
     dim = rep.dimension
-    e = charge.e
-    d = Cyc.degree(e)
+    d = Cyc.degree(charge.e)
     dim_r = dim * d
     zero, one = RAT(0), RAT(1)
 
@@ -500,13 +512,9 @@ def central_characters(
     for mp in enumerate_multipartitions(n, rep.l):
         candidates.setdefault(a_poly(mp, charge), []).append(mp)
 
-    sym_r = [
-        _blow_matrix(symmetric_jm(rep, k), e) for k in range(1, n + 1)
-    ]
+    sym_r = [realify(symmetric_jm(rep, k)) for k in range(1, n + 1)]
     scalar_blocks = {
-        char: [
-            _blow_matrix(_scale_id(rep, char.values[k]), e) for k in range(n)
-        ]
+        char: [realify(_scale_id(rep, char.values[k])) for k in range(n)]
         for char in candidates
     }
 
@@ -536,18 +544,9 @@ def central_characters(
             prod = _linalg.mat_mul(
                 prod, _linalg.mat_sub(sym_r[k], scalar_blocks[char][k]), zero
             )
-        power = prod
-        while True:
-            if _linalg.mat_is_zero(power):
-                nilpotent = True
-                break
-            nxt = _linalg.mat_mul(power, prod, zero)
-            # rank stalls strictly above zero only for non-nilpotent matrices
-            if _linalg.matrix_rank(nxt, dim_r) == _linalg.matrix_rank(power, dim_r):
-                nilpotent = False
-                break
-            power = nxt
-        if not nilpotent:
+        # ranks of powers fall strictly until they stabilize, at zero exactly
+        # when the product is nilpotent
+        if not _linalg.mat_is_zero(_stabilized_power_rat(prod, dim_r)):
             support_witnesses.append({"k": k + 1, "nilpotent": False})
     support_report = AxiomReport("spectral_support", tuple(support_witnesses))
 
@@ -556,3 +555,32 @@ def central_characters(
         attained=tuple(attained),
         reports=(mass_report, support_report),
     )
+
+
+def check_block_weights(
+    spectrum: CharacterSpectrum, n: int, charge: Multicharge
+) -> list[AxiomReport]:
+    """Blocks against affine weights: one attained character per distinct
+    weight of the rank-n shapes, and two shapes share a character exactly
+    when they share a weight.
+    """
+    shapes = enumerate_multipartitions(n, charge.level)
+    chars = [a_poly(mp, charge) for mp in shapes]
+    weights = [wt(mp, charge) for mp in shapes]
+    distinct = len(set(weights))
+    witnesses = []
+    if len(spectrum.attained) != distinct:
+        witnesses.append(
+            {"attained_characters": len(spectrum.attained),
+             "distinct_weights": distinct}
+        )
+    for a in range(len(shapes)):
+        for b in range(a + 1, len(shapes)):
+            same_char = chars[a] == chars[b]
+            same_wt = weights[a] == weights[b]
+            if same_char != same_wt:
+                witnesses.append(
+                    {"mp1": shapes[a].to_lists(), "mp2": shapes[b].to_lists(),
+                     "same_character": same_char, "same_weight": same_wt}
+                )
+    return [AxiomReport("block_weights", tuple(witnesses))]

@@ -1,5 +1,6 @@
-"""Verifiers: crystal-axiom checker, perfect-basis checker, and the
-comparison between crystal-primitive nodes and exact kernel dimensions.
+"""Verifiers: Fock-space relation checker, crystal-axiom checker,
+perfect-basis checker, and the comparison between crystal-primitive nodes
+and exact kernel dimensions.
 
 Every check returns witness lists rather than booleans; a check passes iff
 its witness list is empty.  Two checks are measurements expected to produce
@@ -12,12 +13,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from . import _linalg
 from .crystal import BoxOrder, CrystalGraph, build_graph, crystal_e, crystal_f, hw_elements
-from .fock_space import FockVector, apply_e, depth, operator_matrix, slice_basis
+from .fock_space import (
+    FockVector,
+    apply_e,
+    apply_f,
+    depth,
+    operator_matrix,
+    slice_basis,
+    verify_pieri,
+)
 from .multipartition import Multicharge, Multipartition, enumerate_multipartitions
-from .weight_lattice import pair_coroot, simple_root, wt
+from .weight_lattice import cartan_entry, pair_coroot, simple_root, wt
 
 #: Axioms whose findings are reported but never fail a verification run.
 INFORMATIONAL_AXIOMS = frozenset({"support_iff", "residual_strict"})
@@ -49,6 +59,85 @@ class AxiomReport:
 def reports_ok(reports: list[AxiomReport]) -> bool:
     """True when every non-informational check passed."""
     return all(r.status == "pass" for r in reports if not r.informational)
+
+
+def check_fock_relations(charge: Multicharge, max_rank: int) -> list[AxiomReport]:
+    """Chevalley relations on every basis vector up to `max_rank`.
+
+    `weight_step`: e_i and f_i move weights by +-alpha_i; `sl2_commutators`:
+    [e_i, f_j] = delta_ij h_i; `serre`: the Serre relations among the e_i
+    and among the f_i; `pieri`: summed over residues, e_i and f_i remove and
+    add every box once; `depth_bound`: the e_i-depth is at most the rank;
+    `positivity`: no negative coefficients.  Raises ValueError on a negative
+    `max_rank`.
+    """
+    if max_rank < 0:
+        raise ValueError("max_rank must be nonnegative")
+    weight_bad, comm_bad, serre_bad, pieri_bad, depth_bad, positive_bad = (
+        [], [], [], [], [], [])
+    alphas = [simple_root(i, charge.e) for i in range(charge.e)]
+    for n in range(max_rank + 1):
+        for mp in enumerate_multipartitions(n, charge.level):
+            v = FockVector.basis(mp)
+            weight = wt(mp, charge)
+            ups = [apply_f(i, v, charge) for i in range(charge.e)]
+            downs = [apply_e(i, v, charge) for i in range(charge.e)]
+            for i, (up, down) in enumerate(zip(ups, downs)):
+                for target in up.terms:
+                    if wt(target, charge) != weight - alphas[i]:
+                        weight_bad.append({"mp": mp.to_lists(), "i": i, "op": "f"})
+                for target in down.terms:
+                    if wt(target, charge) != weight + alphas[i]:
+                        weight_bad.append({"mp": mp.to_lists(), "i": i, "op": "e"})
+                if any(c < 0 for c in up.terms.values()) or any(
+                    c < 0 for c in down.terms.values()
+                ):
+                    positive_bad.append({"mp": mp.to_lists(), "i": i})
+                d = depth(i, v, charge)
+                if d > mp.rank:
+                    depth_bad.append({"mp": mp.to_lists(), "i": i, "depth": d})
+                for j, fj in enumerate(ups):
+                    bracket = apply_e(i, fj, charge) - apply_f(j, down, charge)
+                    expected = (
+                        v.scaled(pair_coroot(i, weight))
+                        if i == j
+                        else FockVector.zero()
+                    )
+                    if bracket != expected:
+                        comm_bad.append({"mp": mp.to_lists(), "i": i, "j": j})
+            if not verify_pieri(mp, charge):
+                pieri_bad.append({"mp": mp.to_lists()})
+            for i in range(charge.e):
+                for j in range(charge.e):
+                    if i != j and not all(
+                        _serre_sum(op, i, j, v, charge).is_zero()
+                        for op in (apply_e, apply_f)
+                    ):
+                        serre_bad.append({"mp": mp.to_lists(), "i": i, "j": j})
+
+    return [
+        AxiomReport("weight_step", tuple(weight_bad)),
+        AxiomReport("sl2_commutators", tuple(comm_bad)),
+        AxiomReport("serre", tuple(serre_bad)),
+        AxiomReport("pieri", tuple(pieri_bad)),
+        AxiomReport("depth_bound", tuple(depth_bad)),
+        AxiomReport("positivity", tuple(positive_bad)),
+    ]
+
+
+def _serre_sum(op, i: int, j: int, v: FockVector, charge: Multicharge) -> FockVector:
+    """sum_k (-1)^k C(m, k) op_i^(m-k) op_j op_i^k v, with m = 1 - a_ij."""
+    m = 1 - cartan_entry(i, j, charge.e)
+    total = FockVector.zero()
+    for k in range(m + 1):
+        term = v
+        for _ in range(k):
+            term = op(i, term, charge)
+        term = op(j, term, charge)
+        for _ in range(m - k):
+            term = op(i, term, charge)
+        total = total + term.scaled(Fraction((-1) ** k * comb(m, k)))
+    return total
 
 
 def check_crystal_axioms(graph: CrystalGraph) -> list[AxiomReport]:
@@ -156,7 +245,10 @@ def check_perfect_basis(
     known to produce findings there, which are reported with witnesses and
     must never be silently aggregated away.  `residual_within` asserts the
     weaker bound that subtracting the leading term never reaches depth.
+    Raises ValueError on a negative `max_rank`.
     """
+    if max_rank < 0:
+        raise ValueError("max_rank must be nonnegative")
     mutual_bad = []
     iff_bad = []
     leading_bad = []

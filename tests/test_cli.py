@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -106,6 +108,14 @@ def test_verify_fock(capsys):
     assert {doc["axiom"] for doc in lines} >= {"fock.pieri", "fock.serre"}
 
 
+@pytest.mark.parametrize("suite", ["fock", "perfect"])
+def test_verify_negative_rank_is_usage_error(capsys, suite):
+    code = main(["--e", "2", "--s", "0", "verify", suite, "--max-rank", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert "max_rank must be nonnegative" in captured.err
+
+
 def test_verify_hecke(capsys):
     code, out = run(capsys, "verify", "hecke", "--e", "2", "--s", "0,1",
                     "--n", "2")
@@ -205,3 +215,37 @@ def test_hecke_build_byte_identity(capsys, argv, digest, words):
     assert code == 0
     assert json.loads(out)["words"] == words.split()
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# `verify all` stdout pinned byte for byte, as streamed when the fock and
+# Hecke suites were still implemented inside the CLI.
+VERIFY_ALL_PINS = [
+    (("--e", "2", "--s", "0", "--max-rank", "5", "--n", "2"),
+     "aedfbabc37becfd284fd1adbca3eda1183f4e500bbed00526255abd5ab55a1e8"),
+    (("--e", "3", "--s", "0,1", "--max-rank", "6", "--n", "2"),
+     "9b253297d18a94c1e9f3a11abb703c6b462eb250b5c00b04c89a9e6671932673"),
+    (("--e", "3", "--s", "0,1,2", "--max-rank", "4", "--n", "2"),
+     "3d03000f45a1e06cc212d2a7d8837fc90785dd5622062855375bde965c897cba"),
+    (("--e", "2", "--s", "0,1", "--max-rank", "4", "--n", "3"),
+     "ee8e45bfa36df3738217b092d86f16bb30746396b743fd6127551e172abac54c"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", VERIFY_ALL_PINS)
+def test_verify_all_byte_identity(capsys, argv, digest):
+    code, out = run(capsys, "verify", "all", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_cli_holds_no_linear_algebra():
+    # checks belong in the library; the CLI parses and streams their reports
+    source = Path(__file__).parents[1] / "src" / "focklab" / "cli.py"
+    imported = set()
+    for node in ast.walk(ast.parse(source.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").rpartition(".")[2])
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(a.name.rpartition(".")[2] for a in node.names)
+    assert not imported & {"_linalg", "cyclotomic"}

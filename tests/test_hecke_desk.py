@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,8 @@ from focklab import (
     a_poly,
     build_algebra,
     central_characters,
+    check_block_weights,
+    check_jm,
     check_relations,
     enumerate_multipartitions,
     jm_elements,
@@ -19,6 +22,7 @@ from focklab import (
 )
 from focklab._linalg import mat_is_zero, mat_scale, mat_sub
 from focklab.cyclotomic import Cyc, mat_mul_cyc, matrix_rank_cyc
+from focklab.hecke_desk import _stabilized_power_rat
 
 
 def test_params_examples():
@@ -189,6 +193,50 @@ def test_spectrum_reports_pass(hecke_reps):
         assert sum(a.dimension for a in spectrum.attained) == spectrum.dimension
         weights = {wt(m, charge) for m in enumerate_multipartitions(n, l)}
         assert len(spectrum.attained) == len(weights)
+
+
+def test_library_checks_pass(hecke_reps):
+    for l, n, e in [(1, 3, 2), (2, 2, 3), (3, 2, 2)]:
+        charge = Multicharge(e, tuple(range(l)))
+        rep = hecke_reps(l, n, e)
+        jm = check_jm(rep)
+        assert [r.axiom for r in jm] == ["jm_twist", "jm_commute", "jm_centrality"]
+        spectrum = central_characters(rep, n, charge)
+        blocks = check_block_weights(spectrum, n, charge)
+        assert all(r.status == "pass" for r in jm + blocks), (l, n, e)
+
+
+def test_check_jm_witnesses_scaled_generator(hecke_reps):
+    # JM matrices of the true algebra against a generator scaled by 2
+    rep = hecke_reps(2, 2, 2)
+    gens = list(rep.gens)
+    gens[1] = mat_scale(gens[1], 2)
+    bad = dataclasses.replace(rep, gens=gens, _jm_cache=jm_elements(rep))
+    by_axiom = {r.axiom: r for r in check_jm(bad)}
+    assert by_axiom["jm_twist"].witnesses == ({"i": 1},)
+    assert by_axiom["jm_commute"].status == "pass"
+
+
+def test_check_block_weights_witnesses_dropped_block(hecke_reps):
+    charge = Multicharge(2, (0, 1))
+    spectrum = central_characters(hecke_reps(2, 2, 2), 2, charge)
+    k = len(spectrum.attained)
+    dropped = dataclasses.replace(spectrum, attained=spectrum.attained[1:])
+    (report,) = check_block_weights(dropped, 2, charge)
+    assert report.witnesses == (
+        {"attained_characters": k - 1, "distinct_weights": k},
+    )
+
+
+def test_stabilized_power_detects_nilpotency():
+    f = Fraction
+    jordan = [[f(0), f(1), f(0)], [f(0), f(0), f(1)], [f(0), f(0), f(0)]]
+    assert mat_is_zero(_stabilized_power_rat(jordan, 3))
+    # a nilpotent block plus an invertible one: the power stabilizes at rank 1
+    mixed = [[f(0), f(1), f(0)], [f(0), f(0), f(0)], [f(0), f(0), f(3)]]
+    assert _stabilized_power_rat(mixed, 3) == [
+        [0, 0, 0], [0, 0, 0], [0, 0, 9]
+    ]
 
 
 def test_to_json_shape(hecke_reps):

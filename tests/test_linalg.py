@@ -5,8 +5,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from focklab._linalg import SpanTracker, kernel_basis, matrix_rank, rref
-from focklab.cyclotomic import Cyc, matrix_rank_cyc
+from focklab._linalg import SpanTracker, kernel_basis, mat_mul, matrix_rank, rref
+from focklab.cyclotomic import Cyc, mat_mul_cyc, matrix_rank_cyc, realify
 
 small = st.integers(-2, 2)
 rationals = small.map(Fraction)
@@ -129,3 +129,31 @@ def test_rref_matches_dense_oracle_over_q(matrix):
 def test_rref_matches_dense_oracle_over_q_zeta3(matrix):
     ncols, rows = matrix
     _check_elimination(ncols, rows, Cyc.zero(3), Cyc.one(3))
+
+
+def cyc_matrices(rows, cols):
+    return st.lists(
+        st.lists(cyclotomics, min_size=cols, max_size=cols),
+        min_size=rows, max_size=rows,
+    )
+
+
+@st.composite
+def cyc_factors(draw):
+    n, k, m = (draw(st.integers(1, 4)) for _ in range(3))
+    return draw(cyc_matrices(n, k)), draw(cyc_matrices(k, m))
+
+
+@settings(max_examples=100, deadline=None)
+@given(cyc_factors())
+def test_realify_is_multiplicative(factors):
+    a, b = factors
+    assert realify(mat_mul_cyc(a, b)) == mat_mul(realify(a), realify(b), 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(cyclotomics, Cyc.zero(3)))
+def test_realified_rank_matches_direct_rank(matrix):
+    # the direct rank eliminates over Q(zeta_3) itself, the dense-oracle path
+    ncols, rows = matrix
+    assert matrix_rank_cyc(rows, ncols) == matrix_rank(rows, ncols)

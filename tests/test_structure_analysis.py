@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+from fractions import Fraction
 
 from focklab import (
     BoxOrder,
@@ -8,12 +9,14 @@ from focklab import (
     Multipartition,
     build_graph,
     check_crystal_axioms,
+    check_fock_relations,
     check_perfect_basis,
     compare_components,
     parse_multipartition,
     primitive_basis,
     reports_ok,
 )
+from focklab import structure_analysis
 from focklab.structure_analysis import kernel_dimension_by_weight
 
 CONFIGS = (
@@ -182,3 +185,29 @@ def test_compare_components_detects_mismatch():
     assert hw_count == sum(
         len(primitive_basis(n, charge)) for n in range(5)
     )
+
+
+def test_fock_relations_pass():
+    for charge in CONFIGS:
+        reports = check_fock_relations(charge, 3)
+        assert [r.axiom for r in reports] == [
+            "weight_step", "sl2_commutators", "serre", "pieri", "depth_bound",
+            "positivity",
+        ]
+        assert all(r.status == "pass" for r in reports), charge
+
+
+def test_fock_relations_witness_sign_flipped_e0(monkeypatch):
+    true_e = structure_analysis.apply_e
+
+    def flipped(i, v, charge):
+        image = true_e(i, v, charge)
+        return image.scaled(Fraction(-1)) if i == 0 else image
+
+    monkeypatch.setattr(structure_analysis, "apply_e", flipped)
+    reports = by_axiom(check_fock_relations(Multicharge(2, (0,)), 3))
+    # [e_0, f_0] = -h_0 now: caught on the vacuum, and only for i = j = 0
+    comm = reports["sl2_commutators"].witnesses
+    assert comm[0] == {"mp": [[]], "i": 0, "j": 0}
+    assert all(w["i"] == w["j"] == 0 for w in comm)
+    assert reports["weight_step"].status == "pass"
