@@ -180,18 +180,14 @@ def operator_matrix(
     charge: Multicharge,
     domain: tuple[Multipartition, ...],
     codomain: tuple[Multipartition, ...],
-    lowering: bool = True,
 ) -> list[list[Fraction]]:
-    """Matrix rows indexed by codomain, columns by domain, of e_i (or f_i)."""
-    index = {mp: k for k, mp in enumerate(codomain)}
-    cols = []
-    for mp in domain:
-        image = (apply_e if lowering else apply_f)(i, FockVector.basis(mp), charge)
-        col = [Fraction(0)] * len(codomain)
-        for target, c in image.terms.items():
-            col[index[target]] = c
-        cols.append(col)
-    return [[cols[c][r] for c in range(len(domain))] for r in range(len(codomain))]
+    """Matrix of e_i, rows indexed by codomain, columns by domain."""
+    index = {mp: r for r, mp in enumerate(codomain)}
+    rows = [[Fraction(0)] * len(domain) for _ in codomain]
+    for c, mp in enumerate(domain):
+        for target, coeff in apply_e(i, FockVector.basis(mp), charge).terms.items():
+            rows[index[target]][c] = coeff
+    return rows
 
 
 def primitive_basis(n: int, charge: Multicharge) -> list[FockVector]:

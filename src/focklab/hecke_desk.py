@@ -11,9 +11,12 @@ Nothing is trusted to the straightening rules alone.
 
 Each check returns `AxiomReport`s: `check_relations` for the presentation,
 `check_jm` for the Jucys-Murphy twist, commutation and centrality,
-`central_characters` for the block spectrum (`spectral_mass`,
-`spectral_support`), and `check_block_weights` for the match between
-attained characters and affine weights of the rank-n shapes.
+`central_characters` for the block spectrum, and `check_block_weights` for
+the match between attained characters and affine weights of the rank-n
+shapes.  Both spectrum reports read one table of generalized eigenspaces,
+one per symmetric JM element e_k and candidate value c: `spectral_mass`
+sums the candidates' joint eigenspaces, and `spectral_support` asks the
+e_k-eigenspaces to fill the algebra, i.e. prod_c (e_k - c) to be nilpotent.
 
 Derived product rules, writing x = J_{i-1}, y = J_i, T = T_i:
     T x^a y^b = x^b y^a T - (q-1) * sum_{k=1..a-b} x^(a-k) y^(b+k)   (a >= b)
@@ -368,16 +371,11 @@ def symmetric_jm(rep: FinDimAlgebraRep, k: int) -> Matrix:
 def _elementary_symmetric_matrices(
     rep: FinDimAlgebraRep, mats: list[Matrix]
 ) -> list[Matrix]:
-    zero = rep.zero()
-    zero_mat = [[zero] * rep.dimension for _ in range(rep.dimension)]
-    table = [rep.identity_matrix()] + [zero_mat] * len(mats)
+    table = [rep.identity_matrix()]
     for m in mats:
-        new = [table[0]]
-        for k in range(1, len(table)):
-            new.append(
-                _matrix_add(table[k], mat_mul_cyc(table[k - 1], m))
-            )
-        table = new
+        table.append(mat_mul_cyc(table[-1], m))
+        for k in range(len(table) - 2, 0, -1):
+            table[k] = _matrix_add(table[k], mat_mul_cyc(table[k - 1], m))
     return table
 
 
@@ -477,8 +475,8 @@ class CharacterSpectrum:
     reports: tuple[AxiomReport, ...]
 
 
-def _stabilized_power_rat(m: list, ncols: int) -> list:
-    """First power of a rational matrix whose rank has stabilized."""
+def _stabilized_power_rat(m: list, ncols: int) -> tuple[list, int]:
+    """The first rank-stabilized power of a rational matrix, and its rank."""
     zero = RAT(0)
     power = m
     rank = _linalg.matrix_rank(power, ncols)
@@ -486,7 +484,7 @@ def _stabilized_power_rat(m: list, ncols: int) -> list:
         nxt = _linalg.mat_mul(power, m, zero)
         nxt_rank = _linalg.matrix_rank(nxt, ncols)
         if nxt_rank == rank:
-            return power
+            return power, rank
         power, rank = nxt, nxt_rank
 
 
@@ -495,36 +493,40 @@ def central_characters(
 ) -> CharacterSpectrum:
     """Joint generalized eigenspaces of the symmetric Jucys-Murphy elements.
 
-    Candidate characters are read off the rank-n shapes; for every distinct
-    candidate the exact generalized-eigenspace dimension is computed (with
-    the nilpotency exponent capped by the algebra dimension, reached through
-    rank stabilization), and the spectrum is certified to carry total mass
-    l^n * n! with nothing outside the candidate set.
+    Candidate characters are read off the rank-n shapes.  One table holds,
+    for each k and distinct candidate value c of e_k, the realified
+    (e_k - c)^N and its rank, N found by rank stabilization; its kernel is
+    the generalized c-eigenspace of e_k, d times over.  A candidate's block
+    dimension is the nullity of its n powers stacked, and `spectral_mass`
+    requires these to sum to l^n * n!.  `spectral_support` requires, per k,
+    the nullities over the values of e_k to sum to the whole space: as the
+    eigenspaces of distinct eigenvalues are independent, that is every
+    eigenvalue of e_k being a candidate value, i.e. prod_c (e_k - c) nilpotent.
     """
     if n != rep.n:
         raise ValueError(f"rep was built for n={rep.n}, asked for n={n}")
     dim = rep.dimension
     d = Cyc.degree(charge.e)
     dim_r = dim * d
-    zero, one = RAT(0), RAT(1)
 
     candidates: dict[CentralCharacter, list[Multipartition]] = {}
     for mp in enumerate_multipartitions(n, rep.l):
         candidates.setdefault(a_poly(mp, charge), []).append(mp)
 
-    sym_r = [realify(symmetric_jm(rep, k)) for k in range(1, n + 1)]
-    scalar_blocks = {
-        char: [realify(_scale_id(rep, char.values[k])) for k in range(n)]
-        for char in candidates
-    }
+    table = []  # table[k][c] = (power, rank)
+    for k in range(n):
+        sym = symmetric_jm(rep, k + 1)
+        table.append({
+            c: _stabilized_power_rat(
+                realify(_linalg.mat_sub(sym, _scale_id(rep, c))), dim_r
+            )
+            for c in dict.fromkeys(char.values[k] for char in candidates)
+        })
 
     attained = []
     total = 0
     for char, members in candidates.items():
-        stacked: list = []
-        for k in range(n):
-            shifted = _linalg.mat_sub(sym_r[k], scalar_blocks[char][k])
-            stacked.extend(_stabilized_power_rat(shifted, dim_r))
+        stacked = [row for k in range(n) for row in table[k][char.values[k]][0]]
         nullity = dim_r - _linalg.matrix_rank(stacked, dim_r)
         assert nullity % d == 0
         d_chi = nullity // d
@@ -537,17 +539,11 @@ def central_characters(
         witnesses.append({"total_generalized_dim": total, "expected": dim})
     mass_report = AxiomReport("spectral_mass", tuple(witnesses))
 
-    support_witnesses = []
-    for k in range(n):
-        prod = _linalg.mat_identity(dim_r, zero, one)
-        for char in candidates:
-            prod = _linalg.mat_mul(
-                prod, _linalg.mat_sub(sym_r[k], scalar_blocks[char][k]), zero
-            )
-        # ranks of powers fall strictly until they stabilize, at zero exactly
-        # when the product is nilpotent
-        if not _linalg.mat_is_zero(_stabilized_power_rat(prod, dim_r)):
-            support_witnesses.append({"k": k + 1, "nilpotent": False})
+    support_witnesses = [
+        {"k": k + 1, "nilpotent": False}
+        for k, powers in enumerate(table)
+        if sum(dim_r - rank for _, rank in powers.values()) != dim_r
+    ]
     support_report = AxiomReport("spectral_support", tuple(support_witnesses))
 
     return CharacterSpectrum(

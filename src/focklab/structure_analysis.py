@@ -319,8 +319,7 @@ def kernel_dimension_by_weight(
         rows: list[list[Fraction]] = []
         for i in range(charge.e):
             rows.extend(operator_matrix(i, charge, domain, codomain))
-        kernel = _linalg.kernel_basis(rows, len(domain), Fraction(0), Fraction(1))
-        out[(n, tau)] = len(kernel)
+        out[(n, tau)] = len(domain) - _linalg.matrix_rank(rows, len(domain))
     return out
 
 

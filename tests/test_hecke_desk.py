@@ -228,15 +228,32 @@ def test_check_block_weights_witnesses_dropped_block(hecke_reps):
     )
 
 
+def test_spectrum_reports_witness_foreign_charge(hecke_reps):
+    # reps built on s = (0, 1) and (0,), against another charge's candidates
+    spectrum = central_characters(hecke_reps(2, 2, 3), 2, Multicharge(3, (0, 0)))
+    mass, support = spectrum.reports
+    assert mass.axiom == "spectral_mass" and support.axiom == "spectral_support"
+    assert mass.witnesses == ({"total_generalized_dim": 7, "expected": 8},)
+    # k = 2 passes while the mass fails: support is not read off the mass
+    assert support.witnesses == ({"k": 1, "nilpotent": False},)
+
+    spectrum = central_characters(hecke_reps(1, 2, 3), 2, Multicharge(3, (1,)))
+    assert spectrum.reports[1].witnesses == (
+        {"k": 1, "nilpotent": False},
+        {"k": 2, "nilpotent": False},
+    )
+
+
 def test_stabilized_power_detects_nilpotency():
     f = Fraction
     jordan = [[f(0), f(1), f(0)], [f(0), f(0), f(1)], [f(0), f(0), f(0)]]
-    assert mat_is_zero(_stabilized_power_rat(jordan, 3))
+    power, rank = _stabilized_power_rat(jordan, 3)
+    assert mat_is_zero(power) and rank == 0
     # a nilpotent block plus an invertible one: the power stabilizes at rank 1
     mixed = [[f(0), f(1), f(0)], [f(0), f(0), f(0)], [f(0), f(0), f(3)]]
-    assert _stabilized_power_rat(mixed, 3) == [
-        [0, 0, 0], [0, 0, 0], [0, 0, 9]
-    ]
+    power, rank = _stabilized_power_rat(mixed, 3)
+    assert power == [[0, 0, 0], [0, 0, 0], [0, 0, 9]]
+    assert rank == 1
 
 
 def test_to_json_shape(hecke_reps):
