@@ -4,7 +4,8 @@ truthiness (Fraction, cyclotomic numbers).
 Vectors and matrices are plain lists, except that elimination works on
 sparse dicts (column -> nonzero entry) and touches only nonzero entries.
 Reduced row echelon forms are canonical, so `rref`, ranks and kernel bases
-do not depend on the order in which rows are eliminated.
+do not depend on the order in which rows are eliminated.  `rank_mod_p` and
+`mat_mul_mod_p` work over F_p on plain ints, any representatives.
 """
 
 from __future__ import annotations
@@ -37,6 +38,21 @@ def rref(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
 
 def matrix_rank(rows: Sequence[Sequence], ncols: int) -> int:
     return len(rref(list(rows), ncols)[0])
+
+
+def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
+    """Rank over F_p by dense elimination; each row is reduced on arrival."""
+    echelon: list[tuple[int, list[int]]] = []  # (pivot column, row scaled to 1)
+    for row in rows:
+        w = [x % p for x in row]
+        for c, prow in echelon:
+            if f := w[c]:
+                w = [(x - f * y) % p for x, y in zip(w, prow)]
+        c = next((c for c, x in enumerate(w) if x), None)
+        if c is not None:
+            inv = pow(w[c], -1, p)
+            echelon.append((c, [x * inv % p for x in w]))
+    return len(echelon)
 
 
 def kernel_basis(rows: Sequence[Sequence], ncols: int, zero, one) -> list[list]:
@@ -145,6 +161,10 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence], zero) -> list[list]:
                     acc[j] = acc[j] + x * y if j in acc else x * y
         out.append([acc.get(j, zero) for j in range(len(b[0]))])
     return out
+
+
+def mat_mul_mod_p(a: Sequence[Sequence], b: Sequence[Sequence], p: int) -> list[list]:
+    return [[x % p for x in row] for row in mat_mul(a, b, 0)]
 
 
 def mat_sub(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:

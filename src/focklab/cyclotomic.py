@@ -3,7 +3,7 @@
 A number is a rational-coefficient polynomial in zeta_e reduced modulo the
 e-th cyclotomic polynomial, so the degree is phi(e) and equality is
 decidable.  All scalars appearing in the Hecke presentation are powers of
-zeta_e, so this field suffices.
+zeta_e, so this field suffices; `mod_p` reduces it into F_p, p = 1 mod e.
 """
 
 from __future__ import annotations
@@ -283,28 +283,45 @@ def _nonzero_coeffs(x: Cyc) -> list[tuple]:
     return [(i, c) for i, c in enumerate(x.coeffs) if c]
 
 
-def realify(m: list) -> list:
-    """Rational realification Q(zeta_e)^{n x m} -> Q^{nd x md}.
-
-    Each entry becomes the d x d matrix of multiplication by it on the power
-    basis.  A ring homomorphism, so products, powers and kernels transfer;
-    rational ranks are exactly d times the cyclotomic ones.
-    """
-    e = m[0][0].e
-    d = len(m[0][0].coeffs)
-    out = []
-    for row in m:
-        cols = [_reduce([0] * s + list(x.coeffs), e, d) for x in row for s in range(d)]
-        out.extend([col[r] for col in cols] for r in range(d))
-    return out
-
-
 def matrix_rank_cyc(rows: list, ncols: int) -> int:
-    """Rank over Q(zeta_e): the rational rank of the realification over d."""
-    if not rows:
-        return 0
-    d = len(rows[0][0].coeffs)
-    return _linalg.matrix_rank(realify(rows), ncols * d) // d
+    """Rank over Q(zeta_e), eliminating on the cyclotomic entries themselves."""
+    return _linalg.matrix_rank(rows, ncols)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on the first twelve prime bases: deterministic below 3.1e23."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or n in bases:
+        return n in bases
+    r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^r, d odd
+    d = (n - 1) >> r
+    for a in bases:
+        x = pow(a, d, n)
+        if x not in (1, n - 1) and all((x := x * x % n) != n - 1 for _ in range(r - 1)):
+            return False
+    return True
+
+
+def reduction_primes(e: int):
+    """Pairs (p, w): the primes p < 2^61 with p = 1 (mod e), descending, and
+    the first g^((p-1)/e), g = 2, 3, ..., of exact order e in F_p.
+    """
+    for p in range((2**61 - 2) // e * e + 1, e, -e):
+        if _is_prime(p):
+            roots = (pow(g, (p - 1) // e, p) for g in range(2, p))
+            yield p, next(w for w in roots if 1 not in (pow(w, k, p) for k in range(1, e)))
+
+
+def mod_p(x: Cyc, p: int, omega: int) -> int:
+    """Image of x under the ring homomorphism Z_(p)[zeta_e] -> F_p sending
+    zeta_e to omega, a root of Phi_e mod p; ZeroDivisionError off Z_(p)[zeta_e].
+    """
+    out = 0
+    for c in reversed(x.coeffs):
+        if c.denominator % p == 0:
+            raise ZeroDivisionError(f"{p} divides the denominator of {x}")
+        out = (out * omega + c.numerator * pow(c.denominator, -1, p)) % p
+    return out
 
 
 def _ext_gcd_mod(a: list, modulus: list) -> tuple:

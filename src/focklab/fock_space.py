@@ -180,10 +180,10 @@ def operator_matrix(
     charge: Multicharge,
     domain: tuple[Multipartition, ...],
     codomain: tuple[Multipartition, ...],
-) -> list[list[Fraction]]:
+) -> list[list[Fraction | int]]:
     """Matrix of e_i, rows indexed by codomain, columns by domain."""
     index = {mp: r for r, mp in enumerate(codomain)}
-    rows = [[Fraction(0)] * len(domain) for _ in codomain]
+    rows = [[0] * len(domain) for _ in codomain]  # int zeros: cheap truth tests
     for c, mp in enumerate(domain):
         for target, coeff in apply_e(i, FockVector.basis(mp), charge).terms.items():
             rows[index[target]][c] = coeff
@@ -198,7 +198,7 @@ def primitive_basis(n: int, charge: Multicharge) -> list[FockVector]:
     if n == 0:
         return [FockVector.basis(domain[0])]
     codomain = slice_basis(n - 1, charge)
-    rows: list[list[Fraction]] = []
+    rows: list[list[Fraction | int]] = []
     for i in range(charge.e):
         rows.extend(operator_matrix(i, charge, domain, codomain))
     kernel = _linalg.kernel_basis(rows, len(domain), Fraction(0), Fraction(1))

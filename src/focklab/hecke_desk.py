@@ -13,10 +13,12 @@ Each check returns `AxiomReport`s: `check_relations` for the presentation,
 `check_jm` for the Jucys-Murphy twist, commutation and centrality,
 `central_characters` for the block spectrum, and `check_block_weights` for
 the match between attained characters and affine weights of the rank-n
-shapes.  Both spectrum reports read one table of generalized eigenspaces,
-one per symmetric JM element e_k and candidate value c: `spectral_mass`
-sums the candidates' joint eigenspaces, and `spectral_support` asks the
-e_k-eigenspaces to fill the algebra, i.e. prod_c (e_k - c) to be nilpotent.
+shapes.  The spectrum's only exact work is the minimal polynomial of each
+symmetric JM element e_k; each block dimension d is pinned between two ranks
+over F_p, L <= d <= U, which hold as reduction mod p cannot raise a rank:
+U is a nullity whose exact kernel is the block's joint generalized
+eigenspace, and L the rank of a polynomial in the e_k whose exact image is
+that space.  L = U certifies d, or the next prime is tried.
 
 Derived product rules, writing x = J_{i-1}, y = J_i, T = T_i:
     T x^a y^b = x^b y^a T - (q-1) * sum_{k=1..a-b} x^(a-k) y^(b+k)   (a >= b)
@@ -31,11 +33,13 @@ import os
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from functools import partial, reduce
+from itertools import count, islice
+from math import comb, factorial
 
 from . import _linalg
-from ._rat import RAT
-from .cyclotomic import Cyc, mat_mul_cyc, matrix_rank_cyc, realify
+from ._linalg import mat_mul_mod_p, rank_mod_p
+from .cyclotomic import Cyc, mat_mul_cyc, matrix_rank_cyc, mod_p, reduction_primes
 from .multipartition import (
     Multicharge,
     Multipartition,
@@ -475,17 +479,70 @@ class CharacterSpectrum:
     reports: tuple[AxiomReport, ...]
 
 
-def _stabilized_power_rat(m: list, ncols: int) -> tuple[list, int]:
-    """The first rank-stabilized power of a rational matrix, and its rank."""
-    zero = RAT(0)
-    power = m
-    rank = _linalg.matrix_rank(power, ncols)
-    while True:
-        nxt = _linalg.mat_mul(power, m, zero)
-        nxt_rank = _linalg.matrix_rank(nxt, ncols)
-        if nxt_rank == rank:
-            return power, rank
-        power, rank = nxt, nxt_rank
+CERTIFY_PRIMES = 3  # primes tried before an uncertified spectrum raises
+
+
+def _minimal_polynomial(mat: Matrix, one: Cyc) -> list:
+    """Ascending minimal polynomial of z in A, where mat = L_z, by Krylov on the
+    identity word: f(L_z) e_0 = f(z), and A acts faithfully, so it is L_z's too."""
+    tracker, vec, zero = _linalg.SpanTracker(), {0: one}, one * 0
+    while (coords := tracker.express(vec)) is None:
+        tracker.insert(vec)
+        column = mat_mul_cyc(mat, [[vec.get(r, zero)] for r in range(len(mat))])
+        vec = {r: x for r, (x,) in enumerate(column) if x}
+    return [-coords.get(i, zero) for i in range(tracker.dim)] + [one]
+
+
+def _split_root(poly: list, c) -> tuple[int, list]:
+    """The multiplicity a of c as a root of poly, and poly / (x - c)^a."""
+    for a in count():
+        quotient = [poly[-1]]  # synthetic division; the last entry is poly(c)
+        for coeff in reversed(poly[:-1]):
+            quotient.append(coeff + c * quotient[-1])
+        if quotient.pop():
+            return a, poly
+        poly = quotient[::-1]
+
+
+def _poly_at_mod_p(coeffs: list[int], mat: list, p: int) -> list:
+    """Horner evaluation over F_p of an ascending polynomial at a matrix."""
+    out = [[0] * len(mat) for _ in mat]
+    for c in reversed(coeffs):
+        out = mat_mul_mod_p(out, mat, p)
+        for i, row in enumerate(out):
+            row[i] = (row[i] + c) % p
+    return out
+
+
+def _certified_dimensions(sym: list, splits: list, chars: list, e: int) -> list[int]:
+    """d_chi per candidate, all certified by L = U at one prime (see
+    `central_characters`); a prime that does not reduce the input is skipped.
+    """
+    for p, omega in islice(reduction_primes(e), CERTIFY_PRIMES):
+        kernels, images = {}, {}  # (k, c) -> (E_k - c)^a, Q_{k,c}(E_k) over F_p
+        try:
+            for k, split in enumerate(splits):
+                mat = [[mod_p(x, p, omega) for x in row] for row in sym[k]]
+                for c, (a, cofactor) in split.items():
+                    root = mod_p(c, p, omega)
+                    linear = [comb(a, j) * (-root) ** (a - j) for j in range(a + 1)]
+                    kernels[k, c] = _poly_at_mod_p(linear, mat, p)
+                    if a:
+                        cofactor = [mod_p(x, p, omega) for x in cofactor]
+                        images[k, c] = _poly_at_mod_p(cofactor, mat, p)
+        except ZeroDivisionError:
+            continue
+        dims = []
+        for keys in (list(enumerate(char.values)) for char in chars):
+            upper = len(sym[0]) - rank_mod_p([r for k in keys for r in kernels[k]], p)
+            if upper and upper != rank_mod_p(
+                reduce(partial(mat_mul_mod_p, p=p), [images[k] for k in keys]), p
+            ):
+                break
+            dims.append(upper)
+        else:
+            return dims
+    raise RuntimeError(f"block dimensions not certified by {CERTIFY_PRIMES} primes")
 
 
 def central_characters(
@@ -493,64 +550,50 @@ def central_characters(
 ) -> CharacterSpectrum:
     """Joint generalized eigenspaces of the symmetric Jucys-Murphy elements.
 
-    Candidate characters are read off the rank-n shapes.  One table holds,
-    for each k and distinct candidate value c of e_k, the realified
-    (e_k - c)^N and its rank, N found by rank stabilization; its kernel is
-    the generalized c-eigenspace of e_k, d times over.  A candidate's block
-    dimension is the nullity of its n powers stacked, and `spectral_mass`
-    requires these to sum to l^n * n!.  `spectral_support` requires, per k,
-    the nullities over the values of e_k to sum to the whole space: as the
-    eigenspaces of distinct eigenvalues are independent, that is every
-    eigenvalue of e_k being a candidate value, i.e. prod_c (e_k - c) nilpotent.
+    Candidate characters chi are read off the rank-n shapes.  Exactly over
+    Q(zeta_e), each e_k gets its minimal polynomial m_k, and each candidate
+    value c of e_k its multiplicity a_{k,c} in m_k and the cofactor
+    Q_{k,c} = m_k / (x - c)^{a_{k,c}}.  `spectral_support` fails at k when
+    deg m_k exceeds the sum of the a_{k,c}: e_k has a non-candidate eigenvalue.
+
+    Block dimensions d_chi are certified over F_p, p = 1 (mod e), zeta_e
+    sent to an element of order e.  Over Q(zeta_e), the kernel of M_chi,
+    the (e_k - chi_k)^{a_{k,chi_k}} stacked over k, is the joint generalized
+    eigenspace, and so is the image of Q_chi = prod_k Q_{k,chi_k}(e_k): the
+    e_k commute, and Q_{k,c}(e_k) is invertible on the generalized
+    c-eigenspace of e_k and zero on the others.  Reduction mod p cannot raise
+    a rank, so L = rank_p(Q_chi) <= d_chi <= nullity_p(M_chi) = U, and L = U
+    certifies d_chi (U = 0 needs no Q_chi).  If L != U, the next prime is
+    tried; after CERTIFY_PRIMES primes this raises RuntimeError.
+    `spectral_mass` requires the d_chi to sum to l^n * n!.
     """
     if n != rep.n:
         raise ValueError(f"rep was built for n={rep.n}, asked for n={n}")
-    dim = rep.dimension
-    d = Cyc.degree(charge.e)
-    dim_r = dim * d
-
     candidates: dict[CentralCharacter, list[Multipartition]] = {}
     for mp in enumerate_multipartitions(n, rep.l):
         candidates.setdefault(a_poly(mp, charge), []).append(mp)
 
-    table = []  # table[k][c] = (power, rank)
-    for k in range(n):
-        sym = symmetric_jm(rep, k + 1)
-        table.append({
-            c: _stabilized_power_rat(
-                realify(_linalg.mat_sub(sym, _scale_id(rep, c))), dim_r
-            )
-            for c in dict.fromkeys(char.values[k] for char in candidates)
-        })
+    sym = [symmetric_jm(rep, k + 1) for k in range(n)]
+    splits, support = [], []  # splits[k][c] = (a_{k,c}, Q_{k,c})
+    for k, mat in enumerate(sym):
+        minimal = _minimal_polynomial(mat, rep.one())
+        values = dict.fromkeys(char.values[k] for char in candidates)
+        splits.append({c: _split_root(minimal, c) for c in values})
+        if sum(a for a, _ in splits[k].values()) != len(minimal) - 1:
+            support.append({"k": k + 1, "nilpotent": False})
 
-    attained = []
-    total = 0
-    for char, members in candidates.items():
-        stacked = [row for k in range(n) for row in table[k][char.values[k]][0]]
-        nullity = dim_r - _linalg.matrix_rank(stacked, dim_r)
-        assert nullity % d == 0
-        d_chi = nullity // d
-        total += d_chi
-        if d_chi > 0:
-            attained.append(AttainedCharacter(char, d_chi, tuple(members)))
-
-    witnesses = []
-    if total != dim:
-        witnesses.append({"total_generalized_dim": total, "expected": dim})
-    mass_report = AxiomReport("spectral_mass", tuple(witnesses))
-
-    support_witnesses = [
-        {"k": k + 1, "nilpotent": False}
-        for k, powers in enumerate(table)
-        if sum(dim_r - rank for _, rank in powers.values()) != dim_r
-    ]
-    support_report = AxiomReport("spectral_support", tuple(support_witnesses))
-
-    return CharacterSpectrum(
-        dimension=dim,
-        attained=tuple(attained),
-        reports=(mass_report, support_report),
+    dims = _certified_dimensions(sym, splits, list(candidates), charge.e)
+    attained = tuple(
+        AttainedCharacter(char, d_chi, tuple(members))
+        for (char, members), d_chi in zip(candidates.items(), dims)
+        if d_chi
     )
+    total, dim = sum(dims), rep.dimension
+    mass = [] if total == dim else [{"total_generalized_dim": total, "expected": dim}]
+    return CharacterSpectrum(dim, attained, (
+        AxiomReport("spectral_mass", tuple(mass)),
+        AxiomReport("spectral_support", tuple(support)),
+    ))
 
 
 def check_block_weights(

@@ -1,10 +1,19 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
-from focklab.cyclotomic import Cyc, cyclotomic_polynomial, mat_mul_cyc, matrix_rank_cyc
+from focklab.cyclotomic import (
+    Cyc,
+    _is_prime,
+    cyclotomic_polynomial,
+    mat_mul_cyc,
+    matrix_rank_cyc,
+    mod_p,
+    reduction_primes,
+)
 
 KNOWN = {
     1: (-1, 1),
@@ -89,3 +98,22 @@ def test_mat_helpers():
     assert matrix_rank_cyc(m, 2) == 2
     singular = [[one, z], [z, z * z]]
     assert matrix_rank_cyc(singular, 2) == 1
+
+
+def test_reduction_primes():
+    # Miller-Rabin against trial division, and strong pseudoprimes to the
+    # bases 2..7 (3215031751) and 2..31 (3825123056546413051), caught by 37
+    trial = lambda n: n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
+    assert [n for n in range(3000) if _is_prime(n)] == [n for n in range(3000) if trial(n)]
+    assert not _is_prime(3215031751) and not _is_prime(3825123056546413051)
+    assert _is_prime(2**61 - 1) and not _is_prime(2**61 + 1)
+    for e in (1, 2, 3, 4, 5):
+        pairs = list(islice(reduction_primes(e), 3))
+        assert [p for p, _ in pairs] == sorted({p for p, _ in pairs}, reverse=True)
+        for p, omega in pairs:
+            assert p < 2**61 and p % e == 1 % e and _is_prime(p)
+            assert [k for k in range(1, e + 1) if pow(omega, k, p) == 1] == [e]
+            assert mod_p(Cyc.zeta(e), p, omega) == omega % p
+    assert next(reduction_primes(3))[0] == 2**61 - 1
+    with pytest.raises(ZeroDivisionError):
+        mod_p(Cyc.from_rational(Fraction(1, 7), 3), 7, 2)

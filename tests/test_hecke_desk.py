@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -14,15 +15,23 @@ from focklab import (
     check_jm,
     check_relations,
     enumerate_multipartitions,
+    hecke_desk,
     jm_elements,
     params_from_charge,
     parse_multipartition,
     symmetric_jm,
     wt,
 )
-from focklab._linalg import mat_is_zero, mat_scale, mat_sub
+from focklab._linalg import mat_is_zero, mat_mul, mat_scale, mat_sub, matrix_rank
 from focklab.cyclotomic import Cyc, mat_mul_cyc, matrix_rank_cyc
-from focklab.hecke_desk import _stabilized_power_rat
+from focklab.hecke_desk import (
+    AttainedCharacter,
+    CharacterSpectrum,
+    _minimal_polynomial,
+    _split_root,
+)
+from focklab.structure_analysis import AxiomReport
+from test_linalg import realify
 
 
 def test_params_examples():
@@ -244,16 +253,151 @@ def test_spectrum_reports_witness_foreign_charge(hecke_reps):
     )
 
 
-def test_stabilized_power_detects_nilpotency():
-    f = Fraction
-    jordan = [[f(0), f(1), f(0)], [f(0), f(0), f(1)], [f(0), f(0), f(0)]]
-    power, rank = _stabilized_power_rat(jordan, 3)
-    assert mat_is_zero(power) and rank == 0
-    # a nilpotent block plus an invertible one: the power stabilizes at rank 1
-    mixed = [[f(0), f(1), f(0)], [f(0), f(0), f(0)], [f(0), f(0), f(3)]]
-    power, rank = _stabilized_power_rat(mixed, 3)
-    assert power == [[0, 0, 0], [0, 0, 0], [0, 0, 9]]
-    assert rank == 1
+def _poly_at(coeffs, mat, ident):
+    """Exact Horner evaluation of an ascending polynomial at a matrix."""
+    out = mat_scale(ident, 0)
+    for c in reversed(coeffs):
+        out = mat_sub(mat_mul_cyc(out, mat), mat_scale(ident, -c))
+    return out
+
+
+def _times_power(poly, c, a):
+    """(x - c)^a * poly, ascending coefficients."""
+    for _ in range(a):
+        poly = [y - c * x for x, y in zip(poly + [0], [0] + poly)]
+    return poly
+
+
+def test_minimal_polynomial_annihilates_exactly(hecke_reps):
+    # the Krylov polynomial on the identity word, checked on whole matrices
+    for l, n, e in [(1, 3, 2), (2, 2, 3), (3, 2, 2)]:
+        rep = hecke_reps(l, n, e)
+        ident = rep.identity_matrix()
+        values = {
+            a_poly(mp, rep.charge).values for mp in enumerate_multipartitions(n, l)
+        }
+        for k in range(n):
+            mat = symmetric_jm(rep, k + 1)
+            minimal = _minimal_polynomial(mat, rep.one())
+            assert mat_is_zero(_poly_at(minimal, mat, ident)), (l, n, e, k)
+            degree = 0
+            for c in {v[k] for v in values}:
+                a, cofactor = _split_root(minimal, c)
+                degree += a
+                assert _times_power(cofactor, c, a) == minimal, (l, n, e, k, c)
+                if a:  # m_k / (x - c) does not annihilate e_k
+                    lower = _times_power(cofactor, c, a - 1)
+                    assert not mat_is_zero(_poly_at(lower, mat, ident)), (l, n, e, k, c)
+            assert degree == len(minimal) - 1, (l, n, e, k)
+
+
+def _stabilized_power(m, ncols):
+    power, rank = m, matrix_rank(m, ncols)
+    while True:
+        nxt = mat_mul(power, m, Fraction(0))
+        nxt_rank = matrix_rank(nxt, ncols)
+        if nxt_rank == rank:
+            return power, rank
+        power, rank = nxt, nxt_rank
+
+
+def realified_spectrum(rep, n, charge):
+    """The former exact path: stacked rank-stabilized powers of the realified
+    e_k - c over Q, and per k the nullities over the values of e_k."""
+    d = Cyc.degree(charge.e)
+    dim_r = rep.dimension * d
+    candidates = {}
+    for mp in enumerate_multipartitions(n, rep.l):
+        candidates.setdefault(a_poly(mp, charge), []).append(mp)
+    table = []
+    for k in range(n):
+        sym = symmetric_jm(rep, k + 1)
+        table.append({
+            c: _stabilized_power(
+                realify(mat_sub(sym, mat_scale(rep.identity_matrix(), c))), dim_r
+            )
+            for c in dict.fromkeys(char.values[k] for char in candidates)
+        })
+    attained, total = [], 0
+    for char, members in candidates.items():
+        stacked = [row for k in range(n) for row in table[k][char.values[k]][0]]
+        d_chi = (dim_r - matrix_rank(stacked, dim_r)) // d
+        total += d_chi
+        if d_chi:
+            attained.append(AttainedCharacter(char, d_chi, tuple(members)))
+    mass = [] if total == rep.dimension else [
+        {"total_generalized_dim": total, "expected": rep.dimension}
+    ]
+    support = [
+        {"k": k + 1, "nilpotent": False}
+        for k, powers in enumerate(table)
+        if sum(dim_r - rank for _, rank in powers.values()) != dim_r
+    ]
+    return CharacterSpectrum(
+        rep.dimension,
+        tuple(attained),
+        (AxiomReport("spectral_mass", tuple(mass)),
+         AxiomReport("spectral_support", tuple(support))),
+    )
+
+
+def test_spectrum_matches_realified_oracle():
+    # every configuration of dimension <= 18 at every shift, and foreign charges
+    cases = [
+        (l, n, Multicharge(e, tuple(c + j for j in range(l))), None)
+        for l in (1, 2, 3) for n in (1, 2, 3) for e in (2, 3) for c in range(e)
+        if l**n * [1, 1, 2, 6][n] <= 18
+    ]
+    cases += [(2, 2, Multicharge(3, (0, 1)), Multicharge(3, (0, 0))),
+              (1, 2, Multicharge(3, (0,)), Multicharge(3, (1,)))]
+    for l, n, built, charge in cases:
+        rep = build_algebra(l, n, built)
+        charge = charge or built
+        expected = realified_spectrum(rep, n, charge)
+        assert central_characters(rep, n, charge) == expected, (l, n, built, charge)
+
+
+def _companion_rep(hecke_reps):
+    """A rep whose e_1 has minimal polynomial (x - 1)(x - 6) on word 0's
+    cyclic span, conjugated by diag(1, 11, 1), plus a 6-eigenvector.
+
+    Mod 5 the eigenvalues 1 and 6 merge: U = 2 > d = 1 = L.  Mod 11 the
+    entry -6/11 does not reduce.  Mod 7 the certificate holds.
+    """
+    rep = hecke_reps(1, 1, 2)
+    c = lambda x: Cyc.from_rational(x, 2)
+    mat = [[c(0), c(Fraction(-6, 11)), c(0)], [c(11), c(7), c(0)], [c(0), c(0), c(6)]]
+    ident = [[c(int(i == j)) for j in range(3)] for i in range(3)]
+    return dataclasses.replace(
+        rep, dimension=3, words=((), (0,), (0, 0)), _sym_cache=[ident, mat]
+    )
+
+
+def test_certificate_moves_past_failing_primes(hecke_reps, monkeypatch):
+    rep, charge = _companion_rep(hecke_reps), Multicharge(2, (0,))
+    expected = central_characters(rep, 1, charge)
+    assert [a.dimension for a in expected.attained] == [1]
+    mass, support = expected.reports
+    assert mass.witnesses == ({"total_generalized_dim": 1, "expected": 3},)
+    assert support.witnesses == ({"k": 1, "nilpotent": False},)
+
+    tried = []
+
+    def primes(e):
+        for p in (11, 5, 7):
+            tried.append(p)
+            yield p, p - 1  # zeta_2 = -1
+
+    monkeypatch.setattr(hecke_desk, "reduction_primes", primes)
+    assert central_characters(rep, 1, charge) == expected
+    assert tried == [11, 5, 7]
+
+
+def test_certificate_failing_everywhere_raises(hecke_reps, monkeypatch):
+    rep = _companion_rep(hecke_reps)
+    monkeypatch.setattr(hecke_desk, "reduction_primes", lambda e: itertools.repeat((5, 4)))
+    with pytest.raises(RuntimeError, match="not certified"):
+        central_characters(rep, 1, Multicharge(2, (0,)))
 
 
 def test_to_json_shape(hecke_reps):

@@ -5,8 +5,16 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from focklab._linalg import SpanTracker, kernel_basis, mat_mul, matrix_rank, rref
-from focklab.cyclotomic import Cyc, mat_mul_cyc, matrix_rank_cyc, realify
+from focklab._linalg import (
+    SpanTracker,
+    kernel_basis,
+    mat_mul,
+    mat_mul_mod_p,
+    matrix_rank,
+    rank_mod_p,
+    rref,
+)
+from focklab.cyclotomic import Cyc, mat_mul_cyc, matrix_rank_cyc, mod_p, reduction_primes
 
 small = st.integers(-2, 2)
 rationals = small.map(Fraction)
@@ -144,6 +152,21 @@ def cyc_factors(draw):
     return draw(cyc_matrices(n, k)), draw(cyc_matrices(k, m))
 
 
+def realify(m):
+    """Rational realification oracle Q(zeta_e)^{n x m} -> Q^{nd x md}.
+
+    Each entry x becomes the d x d matrix of multiplication by x on the power
+    basis, whose column s is x * zeta^s: a ring homomorphism, so rational
+    ranks are d times the cyclotomic ones.
+    """
+    e, d = m[0][0].e, len(m[0][0].coeffs)
+    out = []
+    for row in m:
+        cols = [(x * Cyc.zeta(e, s)).coeffs for x in row for s in range(d)]
+        out.extend([col[r] for col in cols] for r in range(d))
+    return out
+
+
 @settings(max_examples=100, deadline=None)
 @given(cyc_factors())
 def test_realify_is_multiplicative(factors):
@@ -154,6 +177,35 @@ def test_realify_is_multiplicative(factors):
 @settings(max_examples=100, deadline=None)
 @given(matrices(cyclotomics, Cyc.zero(3)))
 def test_realified_rank_matches_direct_rank(matrix):
-    # the direct rank eliminates over Q(zeta_3) itself, the dense-oracle path
+    # matrix_rank_cyc eliminates over Q(zeta_3) itself; the oracle over Q
     ncols, rows = matrix
-    assert matrix_rank_cyc(rows, ncols) == matrix_rank(rows, ncols)
+    if rows:
+        assert matrix_rank_cyc(rows, ncols) == matrix_rank(realify(rows), ncols * 2) // 2
+
+
+# (p, omega): primes p = 1 (mod 3) and cube roots of unity omega != 1 in F_p
+SMALL, LARGE = (7, 2), next(reduction_primes(3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(cyc_factors(), st.sampled_from([SMALL, (13, 3), LARGE]))
+def test_reduction_mod_p_is_a_homomorphism(factors, prime):
+    a, b = factors
+    p, omega = prime
+    red = lambda m: [[mod_p(x, p, omega) for x in row] for row in m]
+    assert red(mat_mul_cyc(a, b)) == mat_mul_mod_p(red(a), red(b), p)
+    x, y = a[0][0], b[0][0]
+    assert mod_p(x + y, p, omega) == (mod_p(x, p, omega) + mod_p(y, p, omega)) % p
+    assert mod_p(Cyc.zeta(3), p, omega) == omega != 1 == pow(omega, 3, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(cyclotomics, Cyc.zero(3)))
+def test_rank_mod_p_bounds_exact_rank(matrix):
+    # reduction cannot raise a rank; at a large prime these small minors survive
+    ncols, rows = matrix
+    small, large = (
+        rank_mod_p([[mod_p(x, p, omega) for x in row] for row in rows], p)
+        for p, omega in (SMALL, LARGE)
+    )
+    assert small <= matrix_rank_cyc(rows, ncols) == large
