@@ -4,7 +4,9 @@ subspaces.
 
 Operators never truncate: applying a raising operator to a rank-n vector
 produces honest rank-(n+1) terms, so commutator and Serre sweeps on a finite
-slice are exact as long as the caller evaluates on basis vectors.
+slice are exact as long as the caller evaluates on basis vectors.  Nothing
+is memoized across calls; `structure_analysis` shares Serre words within
+one basis vector and looks `apply_e`/`apply_f` up at call time.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ class FockVector:
         clean: dict[Multipartition, Fraction] = {}
         level = None
         for mp, coeff in (terms or {}).items():
-            coeff = Fraction(coeff)
+            if not isinstance(coeff, Fraction):
+                coeff = Fraction(coeff)
             if coeff == 0:
                 continue
             if level is None:
@@ -71,13 +74,15 @@ class FockVector:
     def __add__(self, other: "FockVector") -> "FockVector":
         out = dict(self.terms)
         for mp, c in other.terms.items():
-            out[mp] = out.get(mp, Fraction(0)) + c
+            prev = out.get(mp)
+            out[mp] = c if prev is None else prev + c
         return FockVector(out)
 
     def __sub__(self, other: "FockVector") -> "FockVector":
         out = dict(self.terms)
         for mp, c in other.terms.items():
-            out[mp] = out.get(mp, Fraction(0)) - c
+            prev = out.get(mp)
+            out[mp] = -c if prev is None else prev - c
         return FockVector(out)
 
     def __neg__(self) -> "FockVector":
@@ -123,21 +128,21 @@ def parse_vector(text: str, level: int | None = None) -> FockVector:
 
 def apply_e(i: int, v: FockVector, charge: Multicharge) -> FockVector:
     """Remove one residue-i box in every admissible way, extended linearly."""
-    out: dict[Multipartition, Fraction] = {}
-    for mp, c in v.terms.items():
-        for box in removable_boxes(mp, charge, i):
-            target = remove_box(mp, box)
-            out[target] = out.get(target, Fraction(0)) + c
-    return FockVector(out)
+    return _move_boxes(removable_boxes, remove_box, i, v, charge)
 
 
 def apply_f(i: int, v: FockVector, charge: Multicharge) -> FockVector:
     """Add one residue-i box in every admissible way, extended linearly."""
+    return _move_boxes(addable_boxes, add_box, i, v, charge)
+
+
+def _move_boxes(listing, move, i: int, v: FockVector, charge: Multicharge):
     out: dict[Multipartition, Fraction] = {}
     for mp, c in v.terms.items():
-        for box in addable_boxes(mp, charge, i):
-            target = add_box(mp, box)
-            out[target] = out.get(target, Fraction(0)) + c
+        for box in listing(mp, charge, i):
+            target = move(mp, box)
+            prev = out.get(target)
+            out[target] = c if prev is None else prev + c
     return FockVector(out)
 
 

@@ -32,7 +32,6 @@ from __future__ import annotations
 import os
 from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import partial, reduce
 from itertools import count, islice
 from math import comb, factorial
@@ -57,23 +56,16 @@ Matrix = list  # list[list[Cyc]]
 
 @dataclass(frozen=True)
 class HeckeParams:
-    """Rational reflection parameters and their root-of-unity exponentials."""
+    """The Hecke parameters: q = zeta_e and the cyclotomic Q_j = zeta_e^(s_j)."""
 
-    h: Fraction
-    h_list: tuple[Fraction, ...]
     q: Cyc
     q_list: tuple[Cyc, ...]
 
 
 def params_from_charge(charge: Multicharge) -> HeckeParams:
-    e, s, l = charge.e, charge.s, charge.level
     return HeckeParams(
-        h=Fraction(-1, e),
-        h_list=tuple(
-            Fraction(s[p + 1] - s[p], e) - Fraction(1, l) for p in range(l - 1)
-        ),
-        q=Cyc.zeta(e),
-        q_list=tuple(Cyc.zeta(e, sp) for sp in s),
+        q=Cyc.zeta(charge.e),
+        q_list=tuple(Cyc.zeta(charge.e, sp) for sp in charge.s),
     )
 
 

@@ -147,25 +147,22 @@ def residue(box: BoxCoord, charge: Multicharge) -> int:
     return (box.col - box.row + charge.s[box.comp - 1]) % charge.e
 
 
-def _box_sort_key(box: BoxCoord) -> tuple[int, int, int]:
-    # Canonical listing order: component ascending, then row ascending.
-    return (box.comp, box.row, box.col)
-
-
 def removable_boxes(
     mp: Multipartition, charge: Multicharge, i: int | None = None
 ) -> list[BoxCoord]:
     """Boxes whose removal leaves a valid multipartition, optionally filtered
-    to residue i, in canonical order."""
+    to residue i, in canonical (comp, row, col) order.  A component's s_comp
+    is read, through `residue` of its box (1, 1), only where it has a
+    candidate box, so a level mismatch raises exactly as `residue` would."""
     found = []
     for j, comp in enumerate(mp.components, start=1):
+        if i is not None and comp:
+            base = residue(BoxCoord(1, 1, j), charge)
         for a, width in enumerate(comp, start=1):
             below = comp[a] if a < len(comp) else 0
-            if width > below:
-                box = BoxCoord(a, width, j)
-                if i is None or residue(box, charge) == i:
-                    found.append(box)
-    return sorted(found, key=_box_sort_key)
+            if width > below and (i is None or (base + width - a) % charge.e == i):
+                found.append(BoxCoord(a, width, j))
+    return found
 
 
 def addable_boxes(
@@ -175,15 +172,16 @@ def addable_boxes(
     removable_boxes."""
     found = []
     for j, comp in enumerate(mp.components, start=1):
-        for a in range(1, len(comp) + 2):
-            width = comp[a - 1] if a <= len(comp) else 0
-            above = comp[a - 2] if a >= 2 else None
-            if above is not None and above < width + 1:
-                continue
-            box = BoxCoord(a, width + 1, j)
-            if i is None or residue(box, charge) == i:
-                found.append(box)
-    return sorted(found, key=_box_sort_key)
+        if i is not None:
+            base = residue(BoxCoord(1, 1, j), charge)
+        above = None
+        for a, width in enumerate(comp + (0,), start=1):
+            if (above is None or above > width) and (
+                i is None or (base + width + 1 - a) % charge.e == i
+            ):
+                found.append(BoxCoord(a, width + 1, j))
+            above = width
+    return found
 
 
 def add_box(mp: Multipartition, box: BoxCoord) -> Multipartition:

@@ -7,12 +7,17 @@ its witness list is empty.  Two checks are measurements expected to produce
 findings on the standard multipartition basis (`support_iff` and
 `residual_strict`) and are treated as informational by the verification
 drivers, never as failures.
+
+`check_fock_relations` builds each Serre word once per basis vector and
+shares it between sums; it looks `apply_e`/`apply_f` up at call time, so
+rebinding them (a tracer, a fault-injection test) changes what is checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 from math import comb
 
 from . import _linalg
@@ -98,22 +103,15 @@ def check_fock_relations(charge: Multicharge, max_rank: int) -> list[AxiomReport
                     depth_bad.append({"mp": mp.to_lists(), "i": i, "depth": d})
                 for j, fj in enumerate(ups):
                     bracket = apply_e(i, fj, charge) - apply_f(j, down, charge)
-                    expected = (
-                        v.scaled(pair_coroot(i, weight))
-                        if i == j
-                        else FockVector.zero()
-                    )
-                    if bracket != expected:
+                    if bracket != v.scaled(pair_coroot(i, weight) if i == j else 0):
                         comm_bad.append({"mp": mp.to_lists(), "i": i, "j": j})
             if not verify_pieri(mp, charge):
                 pieri_bad.append({"mp": mp.to_lists()})
-            for i in range(charge.e):
-                for j in range(charge.e):
-                    if i != j and not all(
-                        _serre_sum(op, i, j, v, charge).is_zero()
-                        for op in (apply_e, apply_f)
-                    ):
-                        serre_bad.append({"mp": mp.to_lists(), "i": i, "j": j})
+            sums = [_serre_sums(apply_e, downs, charge),
+                    _serre_sums(apply_f, ups, charge)]
+            for i, j in sums[0]:
+                if not all(s[i, j].is_zero() for s in sums):
+                    serre_bad.append({"mp": mp.to_lists(), "i": i, "j": j})
 
     return [
         AxiomReport("weight_step", tuple(weight_bad)),
@@ -125,19 +123,29 @@ def check_fock_relations(charge: Multicharge, max_rank: int) -> list[AxiomReport
     ]
 
 
-def _serre_sum(op, i: int, j: int, v: FockVector, charge: Multicharge) -> FockVector:
-    """sum_k (-1)^k C(m, k) op_i^(m-k) op_j op_i^k v, with m = 1 - a_ij."""
-    m = 1 - cartan_entry(i, j, charge.e)
-    total = FockVector.zero()
-    for k in range(m + 1):
-        term = v
-        for _ in range(k):
-            term = op(i, term, charge)
-        term = op(j, term, charge)
-        for _ in range(m - k):
-            term = op(i, term, charge)
-        total = total + term.scaled(Fraction((-1) ** k * comb(m, k)))
-    return total
+def _serre_sums(
+    op, ones: list[FockVector], charge: Multicharge
+) -> dict[tuple[int, int], FockVector]:
+    """{(i, j): sum_k (-1)^k C(m, k) op_i^(m-k) op_j op_i^k v} over i != j,
+    m = 1 - a_ij.  Each word op_{a_1}...op_{a_k} v is built once, right to
+    left from the words `ones[i]` = op_i v, and shared by the sums it is in."""
+    words = {(i,): one for i, one in enumerate(ones)}
+
+    def word(letters: tuple[int, ...]) -> FockVector:
+        if letters not in words:
+            words[letters] = op(letters[0], word(letters[1:]), charge)
+        return words[letters]
+
+    sums = {}
+    for i, j in permutations(range(charge.e), 2):
+        m = 1 - cartan_entry(i, j, charge.e)
+        total: dict[Multipartition, Fraction] = {}
+        for k in range(m + 1):
+            sign = (-1) ** k * comb(m, k)
+            for mp, c in word((i,) * (m - k) + (j,) + (i,) * k).terms.items():
+                total[mp] = total.get(mp, 0) + sign * c
+        sums[i, j] = FockVector(total)
+    return sums
 
 
 def check_crystal_axioms(graph: CrystalGraph) -> list[AxiomReport]:

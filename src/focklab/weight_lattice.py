@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .multipartition import Multicharge, Multipartition, boxes, residue
+from .multipartition import Multicharge, Multipartition
 
 
 @dataclass(frozen=True)
@@ -63,10 +63,6 @@ class AffineWeight:
         return f"({','.join(str(a) for a in self.lam)};{self.delta})"
 
 
-def zero_weight(e: int) -> AffineWeight:
-    return AffineWeight((0,) * e, 0)
-
-
 def fundamental(i: int, e: int) -> AffineWeight:
     """The fundamental weight L_i."""
     if not 0 <= i < e:
@@ -114,29 +110,30 @@ def pair_coroot(i: int, w: AffineWeight) -> int:
 
 def lambda_s(charge: Multicharge) -> AffineWeight:
     """L_{s_1} + ... + L_{s_l}; its level is the number of components."""
-    w = zero_weight(charge.e)
+    lam = [0] * charge.e
     for s in charge.s:
-        w = w + fundamental_of_integer(s, charge.e)
-    return w
-
-
-def residue_counts(mp: Multipartition, charge: Multicharge) -> tuple[int, ...]:
-    """Number of boxes of each residue 0..e-1."""
-    counts = [0] * charge.e
-    for box in boxes(mp):
-        counts[residue(box, charge)] += 1
-    return tuple(counts)
+        lam[s % charge.e] += 1
+    return AffineWeight(tuple(lam), 0)
 
 
 def wt(mp: Multipartition, charge: Multicharge) -> AffineWeight:
     """Lambda_s minus the residue-counted sum of simple roots."""
     if mp.level != charge.level:
         raise ValueError(f"level mismatch: {mp.level} vs {charge.level}")
-    w = lambda_s(charge)
-    for i, n_i in enumerate(residue_counts(mp, charge)):
-        if n_i:
-            w = w - simple_root(i, charge.e).scaled(n_i)
-    return w
+    e = charge.e
+    counts = [0] * e  # boxes of each residue, row by row
+    for comp, s in zip(mp.components, charge.s):
+        for row, width in enumerate(comp, start=1):
+            for r in range(s - row + 1, s - row + 1 + width):
+                counts[r % e] += 1
+    lam = list(lambda_s(charge).lam)
+    # alpha_i = 2 L_i - L_{i-1} - L_{i+1} (+ delta if i = 0); at e = 2 the
+    # two neighbours coincide, giving the -2 off-diagonal Cartan entry.
+    for i, n_i in enumerate(counts):
+        lam[i] -= 2 * n_i
+        lam[(i - 1) % e] += n_i
+        lam[(i + 1) % e] += n_i
+    return AffineWeight(tuple(lam), -counts[0])
 
 
 def level(w: AffineWeight) -> int:

@@ -36,18 +36,15 @@ from test_linalg import realify
 
 def test_params_examples():
     p = params_from_charge(Multicharge(2, (0, 1)))
-    assert p.h == Fraction(-1, 2)
-    assert p.h_list == (Fraction(0),)
     assert p.q == -1
     assert p.q_list == (Cyc.one(2), Cyc.from_rational(-1, 2))
 
     p3 = params_from_charge(Multicharge(3, (0,)))
-    assert p3.h == Fraction(-1, 3)
     assert p3.q == Cyc.zeta(3)
     assert p3.q_list == (Cyc.one(3),)
 
     p1 = params_from_charge(Multicharge(2, (0,)))
-    assert p1.h == Fraction(-1, 2) and p1.q == -1 and p1.q_list == (Cyc.one(2),)
+    assert p1.q == -1 and p1.q_list == (Cyc.one(2),)
 
 
 def test_dimensions(hecke_reps):

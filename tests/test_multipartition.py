@@ -203,3 +203,42 @@ def test_random_add_remove_roundtrip(components, e_shift):
     c = Multicharge(2 + e_shift, tuple(range(m.level)))
     for box in removable_boxes(m, c):
         assert add_box(remove_box(m, box), box) == m
+
+
+def canonical(box: BoxCoord) -> tuple[int, int, int]:
+    return (box.comp, box.row, box.col)
+
+
+@given(
+    st.lists(partitions, min_size=1, max_size=3),
+    st.integers(2, 5),
+    st.lists(st.integers(-4, 6), min_size=3, max_size=3),
+)
+def test_filtered_boxes_are_residue_filtered_in_canonical_order(components, e, s):
+    m = Multipartition(tuple(components))
+    c = Multicharge(e, tuple(s[: m.level]))
+    for listing in (addable_boxes, removable_boxes):
+        every = listing(m, c)
+        assert every == sorted(every, key=canonical)
+        for i in range(e):
+            filtered = listing(m, c, i)
+            assert filtered == [box for box in every if residue(box, c) == i]
+            assert filtered == sorted(filtered, key=canonical)
+
+
+def test_filtered_boxes_level_mismatch():
+    # a residue is asked for only where a component has a candidate box: a
+    # component beyond the charge's level raises then, and only then
+    short = Multicharge(2, (0,))
+    spilled = mp("[[1],[1]]")
+    for listing in (addable_boxes, removable_boxes):
+        with pytest.raises(ValueError, match=r"component 2 out of 1\.\.1"):
+            listing(spilled, short, 0)
+        assert len(listing(spilled, short)) == (4 if listing is addable_boxes else 2)
+    empty_tail = mp("[[1],[]]")
+    assert removable_boxes(empty_tail, short, 0) == [BoxCoord(1, 1, 1)]
+    with pytest.raises(ValueError, match=r"component 2 out of 1\.\.1"):
+        addable_boxes(empty_tail, short, 1)
+    long = Multicharge(2, (0, 1, 1))
+    assert addable_boxes(spilled, long, 0) == [BoxCoord(1, 2, 2), BoxCoord(2, 1, 2)]
+    assert removable_boxes(spilled, long, 0) == [BoxCoord(1, 1, 1)]

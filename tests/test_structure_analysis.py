@@ -2,22 +2,28 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
+from math import comb
 
 from focklab import (
     BoxOrder,
+    FockVector,
     Multicharge,
     Multipartition,
+    apply_e,
+    apply_f,
     build_graph,
     check_crystal_axioms,
     check_fock_relations,
     check_perfect_basis,
     compare_components,
+    enumerate_multipartitions,
     parse_multipartition,
     primitive_basis,
     reports_ok,
 )
 from focklab import structure_analysis
 from focklab.structure_analysis import kernel_dimension_by_weight
+from focklab.weight_lattice import cartan_entry
 
 CONFIGS = (
     Multicharge(2, (0,)),
@@ -211,3 +217,78 @@ def test_fock_relations_witness_sign_flipped_e0(monkeypatch):
     assert comm[0] == {"mp": [[]], "i": 0, "j": 0}
     assert all(w["i"] == w["j"] == 0 for w in comm)
     assert reports["weight_step"].status == "pass"
+
+
+def serre_sum_per_term(op, i, j, v, charge):
+    """Oracle: sum_k (-1)^k C(m, k) op_i^(m-k) op_j op_i^k v, m = 1 - a_ij,
+    each term built from v on its own."""
+    m = 1 - cartan_entry(i, j, charge.e)
+    total = FockVector.zero()
+    for k in range(m + 1):
+        term = v
+        for _ in range(k):
+            term = op(i, term, charge)
+        term = op(j, term, charge)
+        for _ in range(m - k):
+            term = op(i, term, charge)
+        total = total + term.scaled(Fraction((-1) ** k * comb(m, k)))
+    return total
+
+
+def shared_serre_sums(op, v, charge):
+    ones = [op(i, v, charge) for i in range(charge.e)]
+    return structure_analysis._serre_sums(op, ones, charge)
+
+
+SERRE_CHARGES = (
+    Multicharge(2, (0,)),  # m = 3
+    Multicharge(3, (0, 1)),  # m = 2
+    Multicharge(4, (0, 2)),  # m = 2 for neighbours, m = 1 otherwise
+)
+
+
+def test_shared_serre_sums_match_per_term_oracle():
+    assert {1 - cartan_entry(0, j, 4) for j in (1, 2, 3)} == {1, 2}
+    for charge in SERRE_CHARGES:
+        pairs = [(i, j) for i in range(charge.e) for j in range(charge.e) if i != j]
+        for n in range(5):
+            for mp in enumerate_multipartitions(n, charge.level):
+                v = FockVector.basis(mp)
+                for op in (apply_e, apply_f):
+                    sums = shared_serre_sums(op, v, charge)
+                    assert list(sums) == pairs
+                    for i, j in pairs:
+                        assert sums[i, j] == serre_sum_per_term(op, i, j, v, charge)
+
+
+def test_shared_serre_sums_witness_a_broken_f(monkeypatch):
+    # f_1 forgets the term [[2],[]] of f_1 [[1],[]]: still linear, but the
+    # Serre relations among the f_i now fail, and both evaluations agree
+    charge = Multicharge(3, (0, 1))
+    chosen = parse_multipartition("[[1],[]]")
+    lost = parse_multipartition("[[2],[]]")
+    assert apply_f(1, FockVector.basis(chosen), charge).coeff(lost) == 1
+
+    def broken_f(i, v, charge):
+        image = apply_f(i, v, charge)
+        if i != 1:
+            return image
+        return image - FockVector.basis(lost).scaled(v.coeff(chosen))
+
+    monkeypatch.setattr(structure_analysis, "apply_f", broken_f)
+    expected = []
+    nonzero = 0
+    for n in range(5):
+        for mp in enumerate_multipartitions(n, charge.level):
+            v = FockVector.basis(mp)
+            shared = shared_serre_sums(broken_f, v, charge)
+            for i, j in shared:
+                f_sum = serre_sum_per_term(broken_f, i, j, v, charge)
+                e_sum = serre_sum_per_term(apply_e, i, j, v, charge)
+                assert shared[i, j] == f_sum
+                nonzero += not f_sum.is_zero()
+                if not (e_sum.is_zero() and f_sum.is_zero()):
+                    expected.append({"mp": mp.to_lists(), "i": i, "j": j})
+    assert nonzero > 0
+    reports = by_axiom(check_fock_relations(charge, 4))
+    assert list(reports["serre"].witnesses) == expected

@@ -6,6 +6,7 @@ from focklab import (
     AffineWeight,
     Multicharge,
     addable_boxes,
+    boxes,
     enumerate_multipartitions,
     fundamental,
     fundamental_of_integer,
@@ -15,6 +16,7 @@ from focklab import (
     pair_coroot,
     parse_multipartition,
     removable_boxes,
+    residue,
     simple_root,
     wt,
 )
@@ -132,3 +134,30 @@ def test_weight_arithmetic_and_json():
     assert w.to_json() == {"lambda": [1, -2], "delta": 3}
     with pytest.raises(ValueError):
         w + AffineWeight((1, 0, 0), 0)
+
+
+def wt_by_roots(m, charge) -> AffineWeight:
+    """Oracle: Lambda_s - sum_i n_i alpha_i, counting residues box by box."""
+    counts = [0] * charge.e
+    for box in boxes(m):
+        counts[residue(box, charge)] += 1
+    w = AffineWeight((0,) * charge.e, 0)
+    for s in charge.s:
+        w = w + fundamental_of_integer(s, charge.e)
+    for i, n_i in enumerate(counts):
+        w = w - simple_root(i, charge.e).scaled(n_i)
+    return w
+
+
+def test_wt_matches_root_formula():
+    charges = [
+        Multicharge(e, s)
+        for e in (2, 3, 4)
+        for s in ((0,), (e - 1,), (0, 1), (-1, 2), (0, 2, 5), (1, 1, -3))
+    ]
+    for charge in charges:
+        for n in range(7):
+            for m in enumerate_multipartitions(n, charge.level):
+                assert wt(m, charge) == wt_by_roots(m, charge), (charge, m)
+    with pytest.raises(ValueError, match="level mismatch"):
+        wt(parse_multipartition("[[1]]"), Multicharge(3, (0, 1)))
