@@ -40,9 +40,17 @@ def matrix_rank(rows: Sequence[Sequence], ncols: int) -> int:
     return len(rref(list(rows), ncols)[0])
 
 
-def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
-    """Rank over F_p by dense elimination; each row is reduced on arrival."""
-    echelon: list[tuple[int, list[int]]] = []  # (pivot column, row scaled to 1)
+def rank_mod_p(
+    rows: Sequence[Sequence[int]], p: int, echelon: list | None = None
+) -> int:
+    """Rank over F_p by dense elimination; each row is reduced on arrival.
+
+    Given `echelon`, a list of (pivot column, row scaled to 1) from earlier
+    calls at the same p, the rows are stacked under it: it is extended in
+    place and the rank of the whole stack returned.
+    """
+    if echelon is None:
+        echelon = []
     for row in rows:
         w = [x % p for x in row]
         for c, prow in echelon:

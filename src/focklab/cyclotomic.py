@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from . import _linalg
 from ._rat import RAT
@@ -159,15 +160,20 @@ class Cyc:
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyc":
-        """Multiplicative inverse via the extended Euclidean algorithm."""
+        """Multiplicative inverse by the Galois norm: with c the product of the
+        conjugates sigma_k(x), k != 1 prime to e, x * c = N(x) is rational."""
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        phi = [RAT(c) for c in cyclotomic_polynomial(self.e)]
-        g, u = _ext_gcd_mod([RAT(c) for c in self.coeffs], phi)
-        inv = [c / g for c in u]
-        d = len(self.coeffs)
-        inv += [RAT(0)] * (2 * d - 1 - len(inv))
-        return Cyc(self.e, _reduce(inv, self.e, d))
+        e, d = self.e, len(self.coeffs)
+        conj = Cyc.one(e)
+        for k in range(2, e):
+            if gcd(k, e) == 1:
+                conv = [0] * e  # sigma_k(x): zeta_e -> zeta_e^k
+                for j, c in enumerate(self.coeffs):
+                    conv[j * k % e] += c
+                conj = conj * Cyc(e, _reduce(conv, e, d))
+        norm = RAT((self * conj).coeffs[0])
+        return Cyc(e, tuple(c / norm for c in conj.coeffs))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -322,56 +328,3 @@ def mod_p(x: Cyc, p: int, omega: int) -> int:
             raise ZeroDivisionError(f"{p} divides the denominator of {x}")
         out = (out * omega + c.numerator * pow(c.denominator, -1, p)) % p
     return out
-
-
-def _ext_gcd_mod(a: list, modulus: list) -> tuple:
-    """Return (g, u) with u*a = g (a nonzero constant) modulo the modulus.
-
-    The modulus is irreducible over Q, so the gcd of a nonzero element with
-    it is always a constant.
-    """
-    r0, r1 = list(modulus), list(a)
-    u0, u1 = [RAT(0)], [RAT(1)]
-    while True:
-        while r1 and r1[-1] == 0:
-            r1.pop()
-        if len(r1) == 1:
-            return r1[0], u1
-        assert r1, "gcd with an irreducible modulus cannot vanish"
-        q, rem = _poly_divmod(r0, r1)
-        r0, r1 = r1, rem
-        u0, u1 = u1, _poly_sub(u0, _poly_mul(q, u1))
-
-
-def _poly_divmod(a: list, b: list) -> tuple[list, list]:
-    a = list(a)
-    db = len(b) - 1
-    q = [RAT(0)] * max(len(a) - db, 1)
-    while len(a) - 1 >= db and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) - 1 < db:
-            break
-        f = a[-1] / b[-1]
-        shift = len(a) - 1 - db
-        q[shift] += f
-        for j in range(len(b)):
-            a[shift + j] -= f * b[j]
-    return q, a
-
-
-def _poly_mul(a: list, b: list) -> list:
-    out = [RAT(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    a = a + [RAT(0)] * (n - len(a))
-    b = b + [RAT(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]

@@ -13,12 +13,12 @@ Each check returns `AxiomReport`s: `check_relations` for the presentation,
 `check_jm` for the Jucys-Murphy twist, commutation and centrality,
 `central_characters` for the block spectrum, and `check_block_weights` for
 the match between attained characters and affine weights of the rank-n
-shapes.  The spectrum's only exact work is the minimal polynomial of each
-symmetric JM element e_k; each block dimension d is pinned between two ranks
-over F_p, L <= d <= U, which hold as reduction mod p cannot raise a rank:
-U is a nullity whose exact kernel is the block's joint generalized
-eigenspace, and L the rank of a polynomial in the e_k whose exact image is
-that space.  L = U certifies d, or the next prime is tried.
+shapes.  The spectrum is one call of `joint_eigenspaces` on the symmetric JM
+elements e_k.  Its only exact work is the minimal polynomial of each e_k,
+split at the target values; each joint generalized eigenspace dimension d is
+then bounded over F_p by a nullity U >= d, as reduction mod p cannot raise a
+rank.  The exact d sum to the dimension of the algebra, so U summing to it
+too certifies every U = d, or the next prime is tried.
 
 Derived product rules, writing x = J_{i-1}, y = J_i, T = T_i:
     T x^a y^b = x^b y^a T - (q-1) * sum_{k=1..a-b} x^(a-k) y^(b+k)   (a >= b)
@@ -32,7 +32,6 @@ from __future__ import annotations
 import os
 from collections import deque
 from dataclasses import dataclass, field
-from functools import partial, reduce
 from itertools import count, islice
 from math import comb, factorial
 
@@ -85,17 +84,12 @@ class _Engine:
         self.l = l
         self.n = n
         self.e = charge.e
-        params = params_from_charge(charge)
-        self.params = params
-        self.q = params.q
-        self.qm1 = params.q - 1
-        # signed elementary symmetric functions of q_1..q_l for J_0^l
-        sigma = [Cyc.one(charge.e)]
-        for qp in params.q_list:
-            sigma.append(Cyc.zero(charge.e))
-            for k in range(len(sigma) - 1, 0, -1):
-                sigma[k] = sigma[k] + sigma[k - 1] * qp
-        self.sigma = sigma  # sigma[k] = e_k(q_1..q_l)
+        self.q = params_from_charge(charge).q
+        self.qm1 = self.q - 1
+        # sigma[k - 1] = e_k(q_1..q_l), for J_0^l: q_j = zeta^(s_j) is the
+        # residue exponential of the box (1, 1) of component j, so these are
+        # the character values of the shape with one box per component
+        self.sigma = a_poly(Multipartition(((1,),) * l), charge).values
 
     def identity_element(self) -> dict:
         return {((0,) * self.n, _identity_perm(self.n)): Cyc.one(self.e)}
@@ -123,7 +117,7 @@ class _Engine:
                         sign = 1 if k % 2 == 1 else -1
                         emit(
                             ((self.l - k,) + exps[1:], w),
-                            c * self.sigma[k] * sign,
+                            c * self.sigma[k - 1] * sign,
                         )
                 continue
 
@@ -276,59 +270,50 @@ def build_algebra(
     )
 
 
-def _nonzero_witness(name: str, mat: Matrix) -> list[dict]:
-    for r, row in enumerate(mat):
-        for c, entry in enumerate(row):
-            if entry:
-                return [{"relation": name, "row": r, "col": c,
-                         "entry": str(entry)}]
+def _nonzero_witness(name: str, lhs: Matrix, rhs: Matrix | None = None) -> list[dict]:
+    """lhs - rhs at the first entry where lhs differs from rhs (zero by default)."""
+    for r, row in enumerate(lhs):
+        for c, (x, y) in enumerate(zip(row, rhs[r] if rhs else [0] * len(row))):
+            if x != y:
+                return [{"relation": name, "row": r, "col": c, "entry": str(x - y)}]
     return []
 
 
 def check_relations(rep: FinDimAlgebraRep) -> list[AxiomReport]:
     """Evaluate every defining relation as a matrix identity."""
-    ident = rep.identity_matrix()
     gens = rep.gens
     q = rep.params.q
     witnesses: list[dict] = []
 
-    acc = ident
-    for qp in rep.params.q_list:
-        acc = mat_mul_cyc(acc, _linalg.mat_sub(gens[0], _scale_id(rep, qp)))
+    def shifted(g: int, c: Cyc) -> Matrix:  # T_g - c, on the diagonal only
+        return [row[:r] + [row[r] - c] + row[r + 1:] for r, row in enumerate(gens[g])]
+
+    acc = shifted(0, rep.params.q_list[0])
+    for qp in rep.params.q_list[1:]:
+        acc = mat_mul_cyc(acc, shifted(0, qp))
     witnesses += _nonzero_witness("cyclotomic_T0", acc)
 
     for i in range(1, rep.n):
-        prod = mat_mul_cyc(
-            _linalg.mat_sub(gens[i], _scale_id(rep, -rep.one())),
-            _linalg.mat_sub(gens[i], _scale_id(rep, q)),
-        )
+        prod = mat_mul_cyc(shifted(i, -rep.one()), shifted(i, q))
         witnesses += _nonzero_witness(f"quadratic_T{i}", prod)
 
     if rep.n >= 2:
         lhs = _chain(rep, [0, 1, 0, 1])
         rhs = _chain(rep, [1, 0, 1, 0])
-        witnesses += _nonzero_witness("braid_T0T1", _linalg.mat_sub(lhs, rhs))
+        witnesses += _nonzero_witness("braid_T0T1", lhs, rhs)
 
     for i in range(1, rep.n - 1):
         lhs = _chain(rep, [i, i + 1, i])
         rhs = _chain(rep, [i + 1, i, i + 1])
-        witnesses += _nonzero_witness(
-            f"braid_T{i}T{i + 1}", _linalg.mat_sub(lhs, rhs)
-        )
+        witnesses += _nonzero_witness(f"braid_T{i}T{i + 1}", lhs, rhs)
 
     for i in range(rep.n):
         for j in range(i + 2, rep.n):
             lhs = mat_mul_cyc(gens[i], gens[j])
             rhs = mat_mul_cyc(gens[j], gens[i])
-            witnesses += _nonzero_witness(
-                f"commute_T{i}T{j}", _linalg.mat_sub(lhs, rhs)
-            )
+            witnesses += _nonzero_witness(f"commute_T{i}T{j}", lhs, rhs)
 
     return [AxiomReport("relations", tuple(witnesses))]
-
-
-def _scale_id(rep: FinDimAlgebraRep, f: Cyc) -> Matrix:
-    return _linalg.mat_scale(rep.identity_matrix(), f)
 
 
 def _chain(rep: FinDimAlgebraRep, indices: list[int]) -> Matrix:
@@ -506,35 +491,64 @@ def _poly_at_mod_p(coeffs: list[int], mat: list, p: int) -> list:
     return out
 
 
-def _certified_dimensions(sym: list, splits: list, chars: list, e: int) -> list[int]:
-    """d_chi per candidate, all certified by L = U at one prime (see
-    `central_characters`); a prime that does not reduce the input is skipped.
+def joint_eigenspaces(mats: list, targets: list) -> dict:
+    """Dimensions d_t > 0 of the joint generalized eigenspaces of commuting
+    left multiplications mats[k] = L_{z_k} on A, keyed by tuples t.
+
+    Exactly over Q(zeta_e), each mats[k] gets its minimal polynomial m_k
+    (`_minimal_polynomial`), each value c in targets[k] the factor
+    (x - c)^a of m_k, a the multiplicity of c, and R_k is m_k with all of
+    these divided out.  The factors are pairwise coprime, so A is the direct
+    sum of their kernels at mats[k] and, the mats commuting, of the V_t: the
+    intersections over k of those kernels, t_k a target value or None for
+    ker R_k.  The d_t = dim V_t sum to dim A.
+
+    Each d_t is certified over F_p, p = 1 (mod e), zeta_e sent to an element
+    of order e.  Reduction mod p cannot raise a rank, so U_t, the nullity of
+    the stacked factors of t at the mats, is at least d_t, and U_t summing to
+    dim A certifies every U_t = d_t.  The stacks share prefixes: each
+    prefix's echelon is extended one matrix at a time, and a prefix of
+    nullity 0 is dropped.  A prime whose U_t sum past dim A, or that does
+    not reduce the input, is replaced by the next; after CERTIFY_PRIMES
+    primes this raises RuntimeError.
     """
-    for p, omega in islice(reduction_primes(e), CERTIFY_PRIMES):
-        kernels, images = {}, {}  # (k, c) -> (E_k - c)^a, Q_{k,c}(E_k) over F_p
+    one, dim = Cyc.one(mats[0][0][0].e), len(mats[0])
+    factors = []  # per matrix: target value or None -> factor of degree >= 1
+    for mat, values in zip(mats, targets):
+        rest, kernel_of = _minimal_polynomial(mat, one), {}
+        for c in values:
+            a, rest = _split_root(rest, c)
+            if a:
+                kernel_of[c] = [comb(a, j) * (-c) ** (a - j) for j in range(a + 1)]
+        if len(rest) > 1:
+            kernel_of[None] = rest
+        factors.append(kernel_of)
+
+    for p, omega in islice(reduction_primes(one.e), CERTIFY_PRIMES):
         try:
-            for k, split in enumerate(splits):
-                mat = [[mod_p(x, p, omega) for x in row] for row in sym[k]]
-                for c, (a, cofactor) in split.items():
-                    root = mod_p(c, p, omega)
-                    linear = [comb(a, j) * (-root) ** (a - j) for j in range(a + 1)]
-                    kernels[k, c] = _poly_at_mod_p(linear, mat, p)
-                    if a:
-                        cofactor = [mod_p(x, p, omega) for x in cofactor]
-                        images[k, c] = _poly_at_mod_p(cofactor, mat, p)
+            reduced = [
+                ([[mod_p(x, p, omega) for x in row] for row in mat],
+                 {t: [mod_p(x, p, omega) for x in f] for t, f in kernel_of.items()})
+                for mat, kernel_of in zip(mats, factors)
+            ]
         except ZeroDivisionError:
             continue
-        dims = []
-        for keys in (list(enumerate(char.values)) for char in chars):
-            upper = len(sym[0]) - rank_mod_p([r for k in keys for r in kernels[k]], p)
-            if upper and upper != rank_mod_p(
-                reduce(partial(mat_mul_mod_p, p=p), [images[k] for k in keys]), p
-            ):
-                break
-            dims.append(upper)
-        else:
+        prefixes: dict = {(): []}  # prefix of t -> F_p echelon of its factors
+        for mat, kernel_of in reduced:
+            grown = {}
+            for t, factor in kernel_of.items():
+                rows = _poly_at_mod_p(factor, mat, p)
+                for prefix, echelon in prefixes.items():
+                    echelon = list(echelon)
+                    if rank_mod_p(rows, p, echelon) < dim:
+                        grown[prefix + (t,)] = echelon
+            prefixes = grown
+        dims = {t: dim - len(echelon) for t, echelon in prefixes.items()}
+        if sum(dims.values()) == dim:
             return dims
-    raise RuntimeError(f"block dimensions not certified by {CERTIFY_PRIMES} primes")
+    raise RuntimeError(
+        f"joint eigenspace dimensions not certified by {CERTIFY_PRIMES} primes"
+    )
 
 
 def central_characters(
@@ -542,21 +556,11 @@ def central_characters(
 ) -> CharacterSpectrum:
     """Joint generalized eigenspaces of the symmetric Jucys-Murphy elements.
 
-    Candidate characters chi are read off the rank-n shapes.  Exactly over
-    Q(zeta_e), each e_k gets its minimal polynomial m_k, and each candidate
-    value c of e_k its multiplicity a_{k,c} in m_k and the cofactor
-    Q_{k,c} = m_k / (x - c)^{a_{k,c}}.  `spectral_support` fails at k when
-    deg m_k exceeds the sum of the a_{k,c}: e_k has a non-candidate eigenvalue.
-
-    Block dimensions d_chi are certified over F_p, p = 1 (mod e), zeta_e
-    sent to an element of order e.  Over Q(zeta_e), the kernel of M_chi,
-    the (e_k - chi_k)^{a_{k,chi_k}} stacked over k, is the joint generalized
-    eigenspace, and so is the image of Q_chi = prod_k Q_{k,chi_k}(e_k): the
-    e_k commute, and Q_{k,c}(e_k) is invertible on the generalized
-    c-eigenspace of e_k and zero on the others.  Reduction mod p cannot raise
-    a rank, so L = rank_p(Q_chi) <= d_chi <= nullity_p(M_chi) = U, and L = U
-    certifies d_chi (U = 0 needs no Q_chi).  If L != U, the next prime is
-    tried; after CERTIFY_PRIMES primes this raises RuntimeError.
+    Candidate characters chi are read off the rank-n shapes, and
+    `joint_eigenspaces` takes e_1..e_n with the candidate values of each e_k
+    as targets: d_chi is the certified dimension at the tuple chi.
+    `spectral_support` fails at k when a tuple with None at k has positive
+    dimension: e_k has an eigenvalue that is no candidate's.
     `spectral_mass` requires the d_chi to sum to l^n * n!.
     """
     if n != rep.n:
@@ -565,22 +569,21 @@ def central_characters(
     for mp in enumerate_multipartitions(n, rep.l):
         candidates.setdefault(a_poly(mp, charge), []).append(mp)
 
-    sym = [symmetric_jm(rep, k + 1) for k in range(n)]
-    splits, support = [], []  # splits[k][c] = (a_{k,c}, Q_{k,c})
-    for k, mat in enumerate(sym):
-        minimal = _minimal_polynomial(mat, rep.one())
-        values = dict.fromkeys(char.values[k] for char in candidates)
-        splits.append({c: _split_root(minimal, c) for c in values})
-        if sum(a for a, _ in splits[k].values()) != len(minimal) - 1:
-            support.append({"k": k + 1, "nilpotent": False})
-
-    dims = _certified_dimensions(sym, splits, list(candidates), charge.e)
-    attained = tuple(
-        AttainedCharacter(char, d_chi, tuple(members))
-        for (char, members), d_chi in zip(candidates.items(), dims)
-        if d_chi
+    dims = joint_eigenspaces(
+        [symmetric_jm(rep, k + 1) for k in range(n)],
+        [list(dict.fromkeys(char.values[k] for char in candidates)) for k in range(n)],
     )
-    total, dim = sum(dims), rep.dimension
+    attained = tuple(
+        AttainedCharacter(char, dims[char.values], tuple(members))
+        for char, members in candidates.items()
+        if char.values in dims
+    )
+    support = [
+        {"k": k + 1, "nilpotent": False}
+        for k in range(n)
+        if any(t[k] is None for t in dims)
+    ]
+    total, dim = sum(a.dimension for a in attained), rep.dimension
     mass = [] if total == dim else [{"total_generalized_dim": total, "expected": dim}]
     return CharacterSpectrum(dim, attained, (
         AxiomReport("spectral_mass", tuple(mass)),

@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from focklab.cyclotomic import (
     Cyc,
@@ -63,6 +65,21 @@ def test_arithmetic():
     assert a ** (-2) == (a * a).inverse()
     with pytest.raises(ZeroDivisionError):
         Cyc.zero(5).inverse()
+
+
+@st.composite
+def cyclotomics(draw):
+    e = draw(st.integers(2, 12))
+    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+    size = Cyc.degree(e)
+    return Cyc(e, tuple(draw(st.lists(coeff, min_size=size, max_size=size))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cyclotomics())
+def test_inverse_by_galois_norm(x):
+    assume(x)
+    assert x * x.inverse() == 1
 
 
 def test_geometric_sum_vanishes():

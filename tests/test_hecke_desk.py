@@ -19,6 +19,8 @@ from focklab import (
     jm_elements,
     params_from_charge,
     parse_multipartition,
+    removable_boxes,
+    residue,
     symmetric_jm,
     wt,
 )
@@ -30,7 +32,9 @@ from focklab.hecke_desk import (
     _minimal_polynomial,
     _split_root,
 )
+from focklab.multipartition import remove_box
 from focklab.structure_analysis import AxiomReport
+from test_acceptance import specht_dimension
 from test_linalg import realify
 
 
@@ -65,6 +69,41 @@ def test_relations_pass(hecke_reps):
     for l, n, e in [(1, 2, 2), (1, 3, 2), (2, 2, 2), (3, 2, 3), (2, 3, 2)]:
         (report,) = check_relations(hecke_reps(l, n, e))
         assert report.status == "pass", (l, n, e, report.witnesses[:1])
+
+
+# check_relations witnesses with T_1 scaled by 2, and with 1 added to the
+# entry (0, 1) of T_0; taken when every relation was checked as a difference
+# of whole matrices, scalars included
+PERTURBED_WITNESSES = {
+    (2, 3, 2): (
+        ({"relation": "quadratic_T1", "row": 0, "col": 0, "entry": "-3"},
+         {"relation": "braid_T1T2", "row": 0, "col": 14, "entry": "-2"}),
+        ({"relation": "cyclotomic_T0", "row": 0, "col": 0, "entry": "1"},
+         {"relation": "braid_T0T1", "row": 0, "col": 16, "entry": "1"},
+         {"relation": "commute_T0T2", "row": 0, "col": 5, "entry": "-1"}),
+    ),
+    (2, 3, 3): (
+        ({"relation": "quadratic_T1", "row": 0, "col": 0, "entry": "3*z3"},
+         {"relation": "braid_T1T2", "row": 0, "col": 14, "entry": "2"}),
+        ({"relation": "cyclotomic_T0", "row": 0, "col": 0, "entry": "1"},
+         {"relation": "braid_T0T1", "row": 0, "col": 16, "entry": "-1"},
+         {"relation": "commute_T0T2", "row": 0, "col": 5, "entry": "z3"}),
+    ),
+}
+
+
+@pytest.mark.parametrize("config", PERTURBED_WITNESSES)
+def test_check_relations_witnesses_perturbed_generators(hecke_reps, config):
+    rep = hecke_reps(*config)
+    scaled, shifted = PERTURBED_WITNESSES[config]
+    gens = list(rep.gens)
+    gens[1] = mat_scale(gens[1], 2)
+    (report,) = check_relations(dataclasses.replace(rep, gens=gens))
+    assert report.witnesses == scaled
+    t0 = [list(row) for row in rep.gens[0]]
+    t0[0][1] = t0[0][1] + 1
+    (report,) = check_relations(dataclasses.replace(rep, gens=[t0, *rep.gens[1:]]))
+    assert report.witnesses == shifted
 
 
 def test_generators_invertible(hecke_reps):
@@ -354,12 +393,32 @@ def test_spectrum_matches_realified_oracle():
         assert central_characters(rep, n, charge) == expected, (l, n, built, charge)
 
 
+@pytest.mark.parametrize("l,n,e", [(1, 3, 2), (2, 2, 2), (2, 2, 3), (3, 2, 3)])
+def test_joint_eigenspaces_of_last_jm_restrict(hecke_reps, l, n, e):
+    # the generalized zeta^i-eigenspace of J_{n-1} is i-Res of the regular
+    # module: sum over lambda of dim S^lambda times the dimensions of the
+    # S^(lambda - gamma), gamma a removable node of residue i
+    rep = hecke_reps(l, n, e)
+    zetas = [Cyc.zeta(e, i) for i in range(e)]
+    dims = hecke_desk.joint_eigenspaces([jm_elements(rep)[-1]], [zetas])
+    expected = {}
+    for mp in enumerate_multipartitions(n, l):
+        for box in removable_boxes(mp, rep.charge):
+            key = (zetas[residue(box, rep.charge)],)
+            restricted = specht_dimension(mp) * specht_dimension(remove_box(mp, box))
+            expected[key] = expected.get(key, 0) + restricted
+    assert dims == expected
+    if (l, n, e) == (2, 2, 3):
+        assert [dims[(z,)] for z in zetas] == [3, 3, 2]
+
+
 def _companion_rep(hecke_reps):
     """A rep whose e_1 has minimal polynomial (x - 1)(x - 6) on word 0's
     cyclic span, conjugated by diag(1, 11, 1), plus a 6-eigenvector.
 
-    Mod 5 the eigenvalues 1 and 6 merge: U = 2 > d = 1 = L.  Mod 11 the
-    entry -6/11 does not reduce.  Mod 7 the certificate holds.
+    Mod 5 the eigenvalues 1 and 6 merge: the nullities of e_1 - 1 and of
+    R_1(e_1) = e_1 - 6 are 2 and 2, which sum past dim 3.  Mod 11 the entry
+    -6/11 does not reduce.  Mod 7 the certificate holds.
     """
     rep = hecke_reps(1, 1, 2)
     c = lambda x: Cyc.from_rational(x, 2)

@@ -209,3 +209,21 @@ def test_rank_mod_p_bounds_exact_rank(matrix):
         for p, omega in (SMALL, LARGE)
     )
     assert small <= matrix_rank_cyc(rows, ncols) == large
+
+
+@st.composite
+def stacked_int_matrices(draw):
+    """Two integer matrices of one width, entries small or up to 2^62."""
+    ncols = draw(st.integers(1, 5))
+    entries = st.integers(-3, 3) | st.integers(0, 2**62)
+    row = st.lists(entries, min_size=ncols, max_size=ncols)
+    return draw(st.lists(row, max_size=5)), draw(st.lists(row, max_size=5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(stacked_int_matrices(), st.sampled_from([7, 2**61 - 1]))
+def test_rank_mod_p_extends_an_echelon(pair, p):
+    a, b = pair
+    echelon: list = []
+    assert rank_mod_p(a, p, echelon) == rank_mod_p(a, p) == len(echelon)
+    assert rank_mod_p(b, p, echelon) == rank_mod_p(a + b, p) == len(echelon)
