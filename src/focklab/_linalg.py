@@ -4,8 +4,10 @@ truthiness (Fraction, cyclotomic numbers).
 Vectors and matrices are plain lists, except that elimination works on
 sparse dicts (column -> nonzero entry) and touches only nonzero entries.
 Reduced row echelon forms are canonical, so `rref`, ranks and kernel bases
-do not depend on the order in which rows are eliminated.  `rank_mod_p` and
-`mat_mul_mod_p` work over F_p on plain ints, any representatives.
+do not depend on the order in which rows are eliminated.  `rank_mod_p`,
+`mat_mul_mod_p` and `SpanTracker(p)` work over F_p on plain ints, any
+representatives; the tracker's F_p reduction is its own int loop,
+`_reduce_mod_p`, so the exact loop that `rref` runs carries no modulus.
 """
 
 from __future__ import annotations
@@ -88,10 +90,13 @@ class SpanTracker:
     Vectors are sparse: dicts from column to nonzero entry.  `insert` adds a
     vector as a new generator when it enlarges the span; `express` rewrites
     any vector of the span as exact coordinates over the inserted generators,
-    again as a dict (generator index -> nonzero coefficient).
+    again as a dict (generator index -> nonzero coefficient).  Given a prime
+    `p`, entries are ints, the span is taken over F_p and coordinates come
+    back in 1..p-1.
     """
 
-    def __init__(self):
+    def __init__(self, p: int | None = None):
+        self.p = p
         # pivot column -> echelon row (1 at the pivot and zero before it),
         # and its combination over the generators
         self._rows: dict[int, dict] = {}
@@ -103,22 +108,37 @@ class SpanTracker:
 
     def insert(self, vec: dict) -> bool:
         """Insert as a generator; False when already in the span."""
-        w = {c: v for c, v in vec.items() if v}
-        pc, combo = _reduce(self._rows, w, self._combos)
+        p = self.p
+        pc, w, combo = self._eliminate(vec)
         if pc is None:
             return False
-        pinv = w[pc] ** (-1)
-        row_combo = {k: -v * pinv for k, v in combo.items()}
+        if p is None:
+            pinv = w[pc] ** (-1)
+            row = {c: v * pinv for c, v in w.items()}
+            row_combo = {k: -v * pinv for k, v in combo.items()}
+        else:
+            pinv = pow(w[pc], -1, p)
+            row = {c: v * pinv % p for c, v in w.items()}
+            row_combo = {k: -v * pinv % p for k, v in combo.items()}
         row_combo[len(self._rows)] = pinv
-        self._rows[pc] = {c: v * pinv for c, v in w.items()}
-        self._combos[pc] = row_combo
+        self._rows[pc], self._combos[pc] = row, row_combo
         return True
 
     def express(self, vec: dict) -> dict | None:
         """Coordinates of vec over the generators, or None if outside."""
-        w = {c: v for c, v in vec.items() if v}
-        pc, combo = _reduce(self._rows, w, self._combos)
+        pc, _, combo = self._eliminate(vec)
         return combo if pc is None else None
+
+    def _eliminate(self, vec: dict) -> tuple:
+        """(c, w, combo): vec reduced to w by `_reduce` or `_reduce_mod_p`."""
+        p = self.p
+        if p is None:
+            w = {c: v for c, v in vec.items() if v}
+            pc, combo = _reduce(self._rows, w, self._combos)
+        else:
+            w = {c: x for c, v in vec.items() if (x := v % p)}
+            pc, combo = _reduce_mod_p(self._rows, w, self._combos, p)
+        return pc, w, combo
 
 
 def _reduce(echelon: dict[int, dict], w: dict, combos: dict[int, dict] | None = None):
@@ -151,6 +171,32 @@ def _axpy(y: dict, f, x: dict) -> None:
             y[j] = new
         else:
             del y[j]
+
+
+def _reduce_mod_p(echelon: dict[int, dict], w: dict, combos: dict[int, dict], p: int):
+    """`_reduce` over F_p, with every entry kept in 1..p-1.
+
+    An entry absent before an update cannot become 0 mod p, as f and the
+    row's entries are units, so a 0 result always deletes a present entry.
+    """
+    combo: dict = {}
+    while w:
+        c = min(w)
+        row = echelon.get(c)
+        if row is None:
+            return c, combo
+        f = w[c]
+        for j, v in row.items():
+            if new := (w.get(j, 0) - f * v) % p:
+                w[j] = new
+            else:
+                del w[j]
+        for j, v in combos[c].items():
+            if new := (combo.get(j, 0) + f * v) % p:
+                combo[j] = new
+            else:
+                del combo[j]
+    return None, combo
 
 
 def mat_identity(n: int, zero, one) -> list[list]:

@@ -215,15 +215,24 @@ def primitive_basis(n: int, charge: Multicharge) -> list[FockVector]:
 def verify_pieri(mp: Multipartition, charge: Multicharge) -> bool:
     """Residue-summed operators match the unfiltered one-box rules."""
     v = FockVector.basis(mp)
-    e_total = FockVector.zero()
-    f_total = FockVector.zero()
-    for i in range(charge.e):
-        e_total = e_total + apply_e(i, v, charge)
-        f_total = f_total + apply_f(i, v, charge)
+    return pieri_holds(
+        mp,
+        charge,
+        [apply_e(i, v, charge) for i in range(charge.e)],
+        [apply_f(i, v, charge) for i in range(charge.e)],
+    )
+
+
+def pieri_holds(
+    mp: Multipartition, charge: Multicharge, downs: list, ups: list
+) -> bool:
+    """The images downs[i] = e_i mp and ups[i] = f_i mp, summed over the
+    residues i, remove and add every box of mp once."""
     e_expected = FockVector(
         {remove_box(mp, box): Fraction(1) for box in removable_boxes(mp, charge)}
     )
     f_expected = FockVector(
         {add_box(mp, box): Fraction(1) for box in addable_boxes(mp, charge)}
     )
-    return e_total == e_expected and f_total == f_expected
+    zero = FockVector.zero()
+    return sum(downs, zero) == e_expected and sum(ups, zero) == f_expected

@@ -4,10 +4,12 @@ The algebra on generators T_0..T_{n-1} is realized through its left regular
 representation.  Products against a normal-form coordinate space (exponent
 vectors of the commuting Jucys-Murphy elements times symmetric-group words)
 provide the ambient coordinates; a single-pass spanning-set saturation from
-the identity word, over sparse exact rows, both finds the word basis and
-reads off every generator matrix column.  The closure must reach dimension
-l^n * n! exactly, and every defining relation must vanish as a matrix.
-Nothing is trusted to the straightening rules alone.
+the identity word both finds the word basis and reads off every generator
+matrix column.  It eliminates over F_p, p = 1 (mod e), and certifies each
+decision over Q(zeta_e): a new word by its independence mod p, a column by
+an exact solve on the few words of its F_p support.  The closure must reach
+dimension l^n * n! exactly, and every defining relation must vanish as a
+matrix.  Nothing is trusted to the straightening rules alone.
 
 Each check returns `AxiomReport`s: `check_relations` for the presentation,
 `check_jm` for the Jucys-Murphy twist, commutation and centrality,
@@ -49,6 +51,8 @@ from .structure_analysis import AxiomReport
 from .weight_lattice import wt
 
 DEFAULT_DIM_BOUND = 200
+# primes tried before an uncertified saturation or spectrum raises
+CERTIFY_PRIMES = 3
 
 Matrix = list  # list[list[Cyc]]
 
@@ -209,10 +213,13 @@ def build_algebra(
     """Saturate words from the identity into a certified regular representation.
 
     Left-multiplies known basis words by generators breadth-first and
-    reduces each product once, by sparse exact elimination, against the
-    current row space: a product inside it yields its column of the
-    generator matrix, one outside it joins the basis as a unit column.  The
-    closure dimension must equal l^n * n!; any other outcome raises.
+    reduces each product once against the current words, by sparse
+    elimination over F_p (`_saturate`), every decision certified over
+    Q(zeta_e): a product in the span yields its column of the generator
+    matrix, one outside it joins the basis as a unit column.  A prime whose
+    certificate fails is replaced by the next; after CERTIFY_PRIMES primes
+    this raises RuntimeError.  The closure dimension must equal l^n * n!;
+    any other outcome raises.
     """
     if l != charge.level:
         raise ValueError(f"level mismatch: l={l} but charge has {charge.level}")
@@ -227,35 +234,19 @@ def build_algebra(
         )
 
     engine = _Engine(l, n, charge)
-    index = {lab: k for k, lab in enumerate(_all_labels(l, n))}
-    zero, one = Cyc.zero(charge.e), Cyc.one(charge.e)
-    gens = [[[zero] * target for _ in range(target)] for _ in range(n)]
-
-    def sparse(element: dict) -> dict:
-        return {index[lab]: c for lab, c in element.items()}
-
-    tracker = _linalg.SpanTracker()
-    words: list[tuple[int, ...]] = [()]
-    elements = [engine.identity_element()]
-    tracker.insert(sparse(elements[0]))
-    queue: deque = deque((g, 0) for g in range(n))
-    while queue:
-        g, k = queue.popleft()
-        product = engine.mult_gen(g, elements[k])
-        vec = sparse(product)
-        coords = tracker.express(vec)
-        if coords is None:
-            tracker.insert(vec)
-            coords = {len(words): one}
-            queue.extend((h, len(words)) for h in range(n))
-            words.append((g,) + words[k])
-            elements.append(product)
-        for r, c in coords.items():
-            gens[g][r][k] = c
-
-    if tracker.dim != target:
+    for p, omega in islice(reduction_primes(charge.e), CERTIFY_PRIMES):
+        try:
+            saturated = _saturate(engine, target, p, omega)
+        except ZeroDivisionError:  # an entry off Z_(p)[zeta_e]
+            continue
+        if saturated is not None:
+            break
+    else:
+        raise RuntimeError(f"saturation not certified by {CERTIFY_PRIMES} primes")
+    words, gens = saturated
+    if len(words) != target:
         raise RuntimeError(
-            f"closure dimension {tracker.dim} != l^n*n! = {target}; "
+            f"closure dimension {len(words)} != l^n*n! = {target}; "
             "generator rules and presentation are inconsistent"
         )
 
@@ -268,6 +259,57 @@ def build_algebra(
         words=tuple(words),
         gens=gens,
     )
+
+
+def _saturate(engine: _Engine, target: int, p: int, omega: int):
+    """(words, gens) of the exact saturation, found over F_p, zeta_e -> omega,
+    or None when a certificate fails at p.
+
+    The engine's coefficients lie in Z[zeta_e], so every product reduces.  A
+    product outside the F_p span of the words joins them: the words stay
+    independent mod p, and reduction cannot raise a rank, so it is outside
+    their exact span too.  A product inside is solved exactly on the words
+    of its F_p support alone; those are independent, so a solution gives its
+    unique exact coordinates, and there is none when the product is outside
+    the exact span or a true coordinate vanished mod p.
+    """
+    index = {lab: k for k, lab in enumerate(_all_labels(engine.l, engine.n))}
+    zero, one = Cyc.zero(engine.e), Cyc.one(engine.e)
+    gens = [[[zero] * target for _ in range(target)] for _ in range(engine.n)]
+
+    def sparse(element: dict) -> dict:
+        return {index[lab]: c for lab, c in element.items()}
+
+    def reduce(vec: dict) -> dict:
+        return {r: mod_p(c, p, omega) for r, c in vec.items()}
+
+    tracker = _linalg.SpanTracker(p)
+    words: list[tuple[int, ...]] = [()]
+    elements = [engine.identity_element()]
+    tracker.insert(reduce(sparse(elements[0])))
+    queue: deque = deque((g, 0) for g in range(engine.n))
+    while queue:
+        g, k = queue.popleft()
+        product = engine.mult_gen(g, elements[k])
+        vec = sparse(product)
+        coords = tracker.express(reduced := reduce(vec))
+        if coords is None:
+            tracker.insert(reduced)
+            coords = {len(words): one}
+            queue.extend((h, len(words)) for h in range(engine.n))
+            words.append((g,) + words[k])
+            elements.append(product)
+        else:
+            support = sorted(coords)
+            solve = _linalg.SpanTracker()
+            for r in support:
+                solve.insert(sparse(elements[r]))
+            if (coords := solve.express(vec)) is None:
+                return None
+            coords = {support[i]: c for i, c in coords.items()}
+        for r, c in coords.items():
+            gens[g][r][k] = c
+    return words, gens
 
 
 def _nonzero_witness(name: str, lhs: Matrix, rhs: Matrix | None = None) -> list[dict]:
@@ -454,9 +496,6 @@ class CharacterSpectrum:
     dimension: int
     attained: tuple[AttainedCharacter, ...]
     reports: tuple[AxiomReport, ...]
-
-
-CERTIFY_PRIMES = 3  # primes tried before an uncertified spectrum raises
 
 
 def _minimal_polynomial(mat: Matrix, one: Cyc) -> list:

@@ -199,9 +199,7 @@ def add_box(mp: Multipartition, box: BoxCoord) -> Multipartition:
     comp[a - 1] += 1
     if a >= 2 and comp[a - 2] < comp[a - 1]:
         raise ValueError(f"box {box} is not addable for {mp}")
-    components = list(mp.components)
-    components[j - 1] = tuple(comp)
-    return Multipartition(tuple(components))
+    return _with_component(mp, j, comp)
 
 
 def remove_box(mp: Multipartition, box: BoxCoord) -> Multipartition:
@@ -216,9 +214,19 @@ def remove_box(mp: Multipartition, box: BoxCoord) -> Multipartition:
     if comp[a - 1] - 1 < below:
         raise ValueError(f"box {box} is not removable for {mp}")
     comp[a - 1] -= 1
-    components = list(mp.components)
-    components[j - 1] = tuple(comp)
-    return Multipartition(tuple(components))
+    return _with_component(mp, j, comp)
+
+
+def _with_component(mp: Multipartition, j: int, comp: list[int]) -> Multipartition:
+    """mp with component j replaced by comp, without validation: a one-box
+    move of a canonical mp leaves comp weakly decreasing, with at most one
+    trailing 0 part (a row emptied by `remove_box`), dropped here."""
+    if comp and not comp[-1]:
+        comp.pop()
+    out = object.__new__(Multipartition)
+    components = mp.components[: j - 1] + (tuple(comp),) + mp.components[j:]
+    object.__setattr__(out, "components", components)
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -9,8 +9,10 @@ findings on the standard multipartition basis (`support_iff` and
 drivers, never as failures.
 
 `check_fock_relations` builds each Serre word once per basis vector and
-shares it between sums; it looks `apply_e`/`apply_f` up at call time, so
-rebinding them (a tracer, a fault-injection test) changes what is checked.
+shares it between sums, and the `pieri` and `depth_bound` checks start from
+the same images e_i v and f_i v; it looks `apply_e`/`apply_f` up at call
+time, so rebinding them (a tracer, a fault-injection test) changes what is
+checked.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from .fock_space import (
     apply_f,
     depth,
     operator_matrix,
+    pieri_holds,
     slice_basis,
-    verify_pieri,
 )
 from .multipartition import Multicharge, Multipartition, enumerate_multipartitions
 from .weight_lattice import cartan_entry, pair_coroot, simple_root, wt
@@ -98,14 +100,14 @@ def check_fock_relations(charge: Multicharge, max_rank: int) -> list[AxiomReport
                     c < 0 for c in down.terms.values()
                 ):
                     positive_bad.append({"mp": mp.to_lists(), "i": i})
-                d = depth(i, v, charge)
+                d = 0 if down.is_zero() else 1 + depth(i, down, charge)
                 if d > mp.rank:
                     depth_bad.append({"mp": mp.to_lists(), "i": i, "depth": d})
                 for j, fj in enumerate(ups):
                     bracket = apply_e(i, fj, charge) - apply_f(j, down, charge)
                     if bracket != v.scaled(pair_coroot(i, weight) if i == j else 0):
                         comm_bad.append({"mp": mp.to_lists(), "i": i, "j": j})
-            if not verify_pieri(mp, charge):
+            if not pieri_holds(mp, charge, downs, ups):
                 pieri_bad.append({"mp": mp.to_lists()})
             sums = [_serre_sums(apply_e, downs, charge),
                     _serre_sums(apply_f, ups, charge)]

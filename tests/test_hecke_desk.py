@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import collections
 import dataclasses
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -24,7 +26,14 @@ from focklab import (
     symmetric_jm,
     wt,
 )
-from focklab._linalg import mat_is_zero, mat_mul, mat_scale, mat_sub, matrix_rank
+from focklab._linalg import (
+    SpanTracker,
+    mat_is_zero,
+    mat_mul,
+    mat_scale,
+    mat_sub,
+    matrix_rank,
+)
 from focklab.cyclotomic import Cyc, mat_mul_cyc, matrix_rank_cyc
 from focklab.hecke_desk import (
     AttainedCharacter,
@@ -454,6 +463,84 @@ def test_certificate_failing_everywhere_raises(hecke_reps, monkeypatch):
     monkeypatch.setattr(hecke_desk, "reduction_primes", lambda e: itertools.repeat((5, 4)))
     with pytest.raises(RuntimeError, match="not certified"):
         central_characters(rep, 1, Multicharge(2, (0,)))
+
+
+def exact_saturation(l, n, charge):
+    """The former exact path: one SpanTracker over Q(zeta_e) on the whole
+    ambient space, every product expressed over all the words."""
+    engine = hecke_desk._Engine(l, n, charge)
+    index = {lab: k for k, lab in enumerate(hecke_desk._all_labels(l, n))}
+    zero, one = Cyc.zero(charge.e), Cyc.one(charge.e)
+    gens = [[[zero] * len(index) for _ in index] for _ in range(n)]
+
+    def sparse(element):
+        return {index[lab]: c for lab, c in element.items()}
+
+    tracker = SpanTracker()
+    words, elements = [()], [engine.identity_element()]
+    tracker.insert(sparse(elements[0]))
+    queue = collections.deque((g, 0) for g in range(n))
+    while queue:
+        g, k = queue.popleft()
+        product = engine.mult_gen(g, elements[k])
+        coords = tracker.express(sparse(product))
+        if coords is None:
+            tracker.insert(sparse(product))
+            coords = {len(words): one}
+            queue.extend((h, len(words)) for h in range(n))
+            words.append((g,) + words[k])
+            elements.append(product)
+        for r, c in coords.items():
+            gens[g][r][k] = c
+    return tuple(words), gens
+
+
+def test_saturation_matches_exact_oracle():
+    # every configuration of dimension <= 48 at every shift, phi(e) = 1, 2, 2, 4
+    cases = [
+        (l, n, Multicharge(e, tuple(c + j for j in range(l))))
+        for e in (2, 3, 4, 5) for l in (1, 2, 3) for n in (1, 2, 3, 4)
+        for c in range(e) if l**n * math.factorial(n) <= 48
+    ]
+    cases.append((3, 3, Multicharge(2, (0, 1, 2))))
+    for l, n, charge in cases:
+        rep = build_algebra(l, n, charge)
+        assert (rep.words, rep.gens) == exact_saturation(l, n, charge), (l, n, charge)
+
+
+class _FakeEngine(hecke_desk._Engine):
+    """Level two, n = 1, with T_0 * 1 = 1 + 5x and T_0 * x = x on the labels
+    1 and x = J_0: mod 5 the product looks like the word 1."""
+
+    def mult_gen(self, g, element):
+        one, x = ((0,), (0,)), ((1,), (0,))
+        a, b = (element.get(lab, Cyc.zero(self.e)) for lab in (one, x))
+        return {lab: c for lab, c in ((one, a), (x, 5 * a + b)) if c}
+
+
+def test_saturation_certificate_moves_past_failing_prime(monkeypatch):
+    charge = Multicharge(2, (0, 1))
+    monkeypatch.setattr(hecke_desk, "_Engine", _FakeEngine)
+    expected = build_algebra(2, 1, charge)
+    assert expected.words == ((), (0,))
+    # T_0 (1 + 5x) = 1 + 10x = 2 (1 + 5x) - 1
+    assert expected.gens[0] == [
+        [Cyc.from_rational(x, 2) for x in row] for row in ((0, -1), (1, 2))
+    ]
+
+    tried = []
+
+    def primes(e):
+        for p in (5, 7):
+            tried.append(p)
+            yield p, p - 1  # zeta_2 = -1
+
+    monkeypatch.setattr(hecke_desk, "reduction_primes", primes)
+    assert build_algebra(2, 1, charge) == expected
+    assert tried == [5, 7]
+    monkeypatch.setattr(hecke_desk, "reduction_primes", lambda e: itertools.repeat((5, 4)))
+    with pytest.raises(RuntimeError, match="not certified"):
+        build_algebra(2, 1, charge)
 
 
 def test_to_json_shape(hecke_reps):

@@ -24,14 +24,16 @@ cyclotomics = st.tuples(small, small).map(
 
 
 @st.composite
-def vector_runs(draw, entries):
-    """Vectors of one width; later ones are often combinations of earlier ones."""
+def vector_runs(draw, entries, factors=None):
+    """Vectors of one width; later ones are often combinations of earlier
+    ones, with coefficients drawn from `factors` (default `entries`)."""
+    factors = entries if factors is None else factors
     ncols = draw(st.integers(1, 5))
     vectors: list[list] = []
     for _ in range(draw(st.integers(1, 8))):
         if vectors and draw(st.booleans()):
             a, b = draw(st.sampled_from(vectors)), draw(st.sampled_from(vectors))
-            f, g = draw(entries), draw(entries)
+            f, g = draw(factors), draw(factors)
             vectors.append([f * x + g * y for x, y in zip(a, b)])
         else:
             vectors.append(draw(st.lists(entries, min_size=ncols, max_size=ncols)))
@@ -68,6 +70,34 @@ def test_span_tracker_over_q(run):
 def test_span_tracker_over_q_zeta3(run):
     ncols, vectors = run
     _check_run(ncols, vectors, Cyc.zero(3), matrix_rank_cyc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    vector_runs(st.integers(-9, 9), st.integers(-1, 1)),
+    st.sampled_from([7, 2**61 - 1]),
+)
+def test_span_tracker_mod_p(run, p):
+    # entries stay below 9 * 2^7, so by Hadamard's bound no nonzero minor of
+    # at most 5 columns reaches 2^61 - 1: at that p the F_p tracker accepts
+    # exactly what the exact one does.  At p = 7, every expressed vector is
+    # its coordinates' combination mod p.
+    ncols, vectors = run
+    exact, modular, gens = SpanTracker(), SpanTracker(p), []
+    for v in vectors:
+        sparse = {c: x for c, x in enumerate(v) if x}
+        inserted = modular.insert(sparse)
+        if p > 7:
+            assert inserted == exact.insert({c: Fraction(x) for c, x in sparse.items()})
+        if inserted:
+            gens.append(v)
+        coords = modular.express(sparse)
+        assert all(0 < f < p for f in coords.values())
+        total = [0] * ncols
+        for k, f in coords.items():
+            total = [t + f * x for t, x in zip(total, gens[k])]
+        assert [(t - x) % p for t, x in zip(total, v)] == [0] * ncols
+    assert modular.dim == len(gens)
 
 
 def dense_rref(rows, ncols):

@@ -205,6 +205,21 @@ def test_random_add_remove_roundtrip(components, e_shift):
         assert add_box(remove_box(m, box), box) == m
 
 
+@given(st.lists(partitions, min_size=1, max_size=3))
+def test_box_moves_are_canonical(components):
+    # add_box and remove_box skip validation: their results must be the
+    # multipartitions that validation builds, rows emptied by a removal gone
+    m = Multipartition(tuple(components))
+    c = Multicharge(2, (0,) * m.level)
+    moved = [add_box(m, box) for box in addable_boxes(m, c)]
+    moved += [remove_box(m, box) for box in removable_boxes(m, c)]
+    for out in moved:
+        validated = Multipartition(out.components)
+        assert out == validated and hash(out) == hash(validated)
+        assert out.components == validated.components
+        assert all(part > 0 for comp in out.components for part in comp)
+
+
 def canonical(box: BoxCoord) -> tuple[int, int, int]:
     return (box.comp, box.row, box.col)
 

@@ -217,6 +217,10 @@ def test_fock_relations_witness_sign_flipped_e0(monkeypatch):
     assert comm[0] == {"mp": [[]], "i": 0, "j": 0}
     assert all(w["i"] == w["j"] == 0 for w in comm)
     assert reports["weight_step"].status == "pass"
+    # pieri sums the swept images, so it sees the flip wherever e_0 acts
+    assert reports["pieri"].witnesses == (
+        {"mp": [[1]]}, {"mp": [[1, 1, 1]]}, {"mp": [[3]]},
+    )
 
 
 def serre_sum_per_term(op, i, j, v, charge):
