@@ -186,15 +186,15 @@ class Cyc:
 
     def __pow__(self, n: int) -> "Cyc":
         if n < 0:
-            return self.inverse() ** (-n)
-        out = Cyc.one(self.e)
-        base = self
+            return self.inverse() if n == -1 else self.inverse() ** (-n)
+        out, base = None, self
         while n:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if n:
+                base = base * base
+        return Cyc.one(self.e) if out is None else out
 
     def __bool__(self) -> bool:
         return any(self.coeffs)

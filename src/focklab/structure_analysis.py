@@ -8,11 +8,13 @@ findings on the standard multipartition basis (`support_iff` and
 `residual_strict`) and are treated as informational by the verification
 drivers, never as failures.
 
-`check_fock_relations` builds each Serre word once per basis vector and
-shares it between sums, and the `pieri` and `depth_bound` checks start from
-the same images e_i v and f_i v; it looks `apply_e`/`apply_f` up at call
-time, so rebinding them (a tracer, a fault-injection test) changes what is
-checked.
+`check_fock_relations` asks `apply_e`/`apply_f` for the image of each basis
+vector it meets once, keeps it in tables that live for one call, and
+evaluates every other vector of the sweep (e_i f_j v, f_j e_i v, the depth
+walk, the Pieri sums, each Serre word once per basis vector) as an
+{int id: coeff} dict by linear extension through them.  It looks the
+operators up at call time, so rebinding them (a tracer, a fault-injection
+test) changes what is checked.
 """
 
 from __future__ import annotations
@@ -24,16 +26,16 @@ from math import comb
 
 from . import _linalg
 from .crystal import BoxOrder, CrystalGraph, build_graph, crystal_e, crystal_f, hw_elements
-from .fock_space import (
-    FockVector,
-    apply_e,
-    apply_f,
-    depth,
-    operator_matrix,
-    pieri_holds,
-    slice_basis,
+from .fock_space import FockVector, apply_e, apply_f, depth, operator_matrix, slice_basis
+from .multipartition import (
+    Multicharge,
+    Multipartition,
+    add_box,
+    addable_boxes,
+    enumerate_multipartitions,
+    remove_box,
+    removable_boxes,
 )
-from .multipartition import Multicharge, Multipartition, enumerate_multipartitions
 from .weight_lattice import cartan_entry, pair_coroot, simple_root, wt
 
 #: Axioms whose findings are reported but never fail a verification run.
@@ -75,78 +77,136 @@ def check_fock_relations(charge: Multicharge, max_rank: int) -> list[AxiomReport
     [e_i, f_j] = delta_ij h_i; `serre`: the Serre relations among the e_i
     and among the f_i; `pieri`: summed over residues, e_i and f_i remove and
     add every box once; `depth_bound`: the e_i-depth is at most the rank;
-    `positivity`: no negative coefficients.  Raises ValueError on a negative
-    `max_rank`.
+    `positivity`: no negative coefficients.  The depth is measured with the
+    swept e_i, and the walk stops at the first value above the rank, so a
+    faulty e_i that never lowers the rank is witnessed with depth rank + 1.
+    Raises ValueError on a negative `max_rank`.
     """
     if max_rank < 0:
         raise ValueError("max_rank must be nonnegative")
-    weight_bad, comm_bad, serre_bad, pieri_bad, depth_bad, positive_bad = (
-        [], [], [], [], [], [])
+    bad = {axiom: [] for axiom in ("weight_step", "sl2_commutators", "serre",
+                                   "pieri", "depth_bound", "positivity")}
     alphas = [simple_root(i, charge.e) for i in range(charge.e)]
+    images = _BasisImages(charge)
+    act = images.act
     for n in range(max_rank + 1):
         for mp in enumerate_multipartitions(n, charge.level):
-            v = FockVector.basis(mp)
-            weight = wt(mp, charge)
-            ups = [apply_f(i, v, charge) for i in range(charge.e)]
-            downs = [apply_e(i, v, charge) for i in range(charge.e)]
+            k = images.intern(mp)
+            v, weight = {k: 1}, images.weight(k)
+            ups = [dict(images.image("f", i, k)) for i in range(charge.e)]
+            downs = [dict(images.image("e", i, k)) for i in range(charge.e)]
             for i, (up, down) in enumerate(zip(ups, downs)):
-                for target in up.terms:
-                    if wt(target, charge) != weight - alphas[i]:
-                        weight_bad.append({"mp": mp.to_lists(), "i": i, "op": "f"})
-                for target in down.terms:
-                    if wt(target, charge) != weight + alphas[i]:
-                        weight_bad.append({"mp": mp.to_lists(), "i": i, "op": "e"})
-                if any(c < 0 for c in up.terms.values()) or any(
-                    c < 0 for c in down.terms.values()
+                for op, image, target_weight in (
+                    ("f", up, weight - alphas[i]), ("e", down, weight + alphas[i])
                 ):
-                    positive_bad.append({"mp": mp.to_lists(), "i": i})
-                d = 0 if down.is_zero() else 1 + depth(i, down, charge)
-                if d > mp.rank:
-                    depth_bad.append({"mp": mp.to_lists(), "i": i, "depth": d})
+                    for target in image:
+                        if images.weight(target) != target_weight:
+                            bad["weight_step"].append({"mp": mp.to_lists(), "i": i, "op": op})
+                if any(c < 0 for c in (*up.values(), *down.values())):
+                    bad["positivity"].append({"mp": mp.to_lists(), "i": i})
+                d, walk = 0, down
+                while walk and d <= n:
+                    d += 1
+                    walk = act("e", i, walk)
+                if d > n:
+                    bad["depth_bound"].append({"mp": mp.to_lists(), "i": i, "depth": d})
+                h = pair_coroot(i, weight)
                 for j, fj in enumerate(ups):
-                    bracket = apply_e(i, fj, charge) - apply_f(j, down, charge)
-                    if bracket != v.scaled(pair_coroot(i, weight) if i == j else 0):
-                        comm_bad.append({"mp": mp.to_lists(), "i": i, "j": j})
-            if not pieri_holds(mp, charge, downs, ups):
-                pieri_bad.append({"mp": mp.to_lists()})
-            sums = [_serre_sums(apply_e, downs, charge),
-                    _serre_sums(apply_f, ups, charge)]
+                    if _combine([(1, act("e", i, fj)), (-1, act("f", j, down)),
+                                 (-h if i == j else 0, v)]):
+                        bad["sl2_commutators"].append({"mp": mp.to_lists(), "i": i, "j": j})
+            removed = {images.intern(remove_box(mp, b)): 1
+                       for b in removable_boxes(mp, charge)}
+            added = {images.intern(add_box(mp, b)): 1
+                     for b in addable_boxes(mp, charge)}
+            if (_combine((1, x) for x in downs) != removed
+                    or _combine((1, x) for x in ups) != added):
+                bad["pieri"].append({"mp": mp.to_lists()})
+            sums = [_serre_sums(act, "e", downs), _serre_sums(act, "f", ups)]
             for i, j in sums[0]:
-                if not all(s[i, j].is_zero() for s in sums):
-                    serre_bad.append({"mp": mp.to_lists(), "i": i, "j": j})
-
-    return [
-        AxiomReport("weight_step", tuple(weight_bad)),
-        AxiomReport("sl2_commutators", tuple(comm_bad)),
-        AxiomReport("serre", tuple(serre_bad)),
-        AxiomReport("pieri", tuple(pieri_bad)),
-        AxiomReport("depth_bound", tuple(depth_bad)),
-        AxiomReport("positivity", tuple(positive_bad)),
-    ]
+                if any(s[i, j] for s in sums):
+                    bad["serre"].append({"mp": mp.to_lists(), "i": i, "j": j})
+    return [AxiomReport(axiom, tuple(found)) for axiom, found in bad.items()]
 
 
-def _serre_sums(
-    op, ones: list[FockVector], charge: Multicharge
-) -> dict[tuple[int, int], FockVector]:
+class _BasisImages:
+    """One sweep's tables of e_i and f_i on basis vectors, over int ids.
+
+    `intern` numbers the multipartitions the sweep meets (`mps[id]` maps
+    back).  `image(op, i, id)` is e_i (op "e") or f_i (op "f") of a basis
+    vector as a tuple of (id, coeff) pairs: asked of the module-level
+    `apply_e`/`apply_f` the first time, then kept, integral coefficients as
+    ints.  `act` extends it linearly to any {id: coeff} vector.
+    """
+
+    def __init__(self, charge: Multicharge):
+        self.charge = charge
+        self.ids: dict[Multipartition, int] = {}
+        self.mps: list[Multipartition] = []
+        self._weights: dict[int, object] = {}
+        self._rows = {op: [{} for _ in range(charge.e)] for op in "ef"}
+
+    def intern(self, mp: Multipartition) -> int:
+        k = self.ids.get(mp)
+        if k is None:
+            k = self.ids[mp] = len(self.mps)
+            self.mps.append(mp)
+        return k
+
+    def weight(self, k: int):
+        if k not in self._weights:
+            self._weights[k] = wt(self.mps[k], self.charge)
+        return self._weights[k]
+
+    def image(self, op: str, i: int, k: int) -> tuple:
+        rows = self._rows[op][i]
+        if k not in rows:
+            apply = apply_e if op == "e" else apply_f
+            terms = apply(i, FockVector.basis(self.mps[k]), self.charge).terms
+            rows[k] = tuple((self.intern(mp), int(c) if c.denominator == 1 else c)
+                            for mp, c in terms.items())
+        return rows[k]
+
+    def act(self, op: str, i: int, vec: dict) -> dict:
+        rows, total = self._rows[op][i], {}
+        for k, c in vec.items():
+            row = rows.get(k)
+            for t, a in self.image(op, i, k) if row is None else row:
+                total[t] = total.get(t, 0) + c * a
+        return {t: c for t, c in total.items() if c}
+
+
+def _combine(scaled) -> dict:
+    """The sum of c * vec over the (c, vec) pairs, zeros dropped."""
+    total: dict = {}
+    for scale, vec in scaled:
+        for t, c in vec.items():
+            total[t] = total.get(t, 0) + scale * c
+    return {t: c for t, c in total.items() if c}
+
+
+def _serre_sums(act, op: str, ones: list[dict]) -> dict[tuple[int, int], dict]:
     """{(i, j): sum_k (-1)^k C(m, k) op_i^(m-k) op_j op_i^k v} over i != j,
     m = 1 - a_ij.  Each word op_{a_1}...op_{a_k} v is built once, right to
     left from the words `ones[i]` = op_i v, and shared by the sums it is in."""
+    e = len(ones)
     words = {(i,): one for i, one in enumerate(ones)}
 
-    def word(letters: tuple[int, ...]) -> FockVector:
-        if letters not in words:
-            words[letters] = op(letters[0], word(letters[1:]), charge)
+    def word(letters: tuple[int, ...]) -> dict:
+        # a loop, not recursion: a self-referencing closure would be a
+        # reference cycle keeping every word alive until the next gc pass
+        for start in range(len(letters) - 2, -1, -1):
+            if letters[start:] not in words:
+                words[letters[start:]] = act(
+                    op, letters[start], words[letters[start + 1:]])
         return words[letters]
 
     sums = {}
-    for i, j in permutations(range(charge.e), 2):
-        m = 1 - cartan_entry(i, j, charge.e)
-        total: dict[Multipartition, Fraction] = {}
-        for k in range(m + 1):
-            sign = (-1) ** k * comb(m, k)
-            for mp, c in word((i,) * (m - k) + (j,) + (i,) * k).terms.items():
-                total[mp] = total.get(mp, 0) + sign * c
-        sums[i, j] = FockVector(total)
+    for i, j in permutations(range(e), 2):
+        m = 1 - cartan_entry(i, j, e)
+        sums[i, j] = _combine(
+            ((-1) ** k * comb(m, k), word((i,) * (m - k) + (j,) + (i,) * k))
+            for k in range(m + 1))
     return sums
 
 

@@ -68,8 +68,8 @@ def test_arithmetic():
 
 
 @st.composite
-def cyclotomics(draw):
-    e = draw(st.integers(2, 12))
+def cyclotomics(draw, orders=st.integers(2, 12)):
+    e = draw(orders)
     coeff = st.fractions(min_value=-4, max_value=4, max_denominator=5)
     size = Cyc.degree(e)
     return Cyc(e, tuple(draw(st.lists(coeff, min_size=size, max_size=size))))
@@ -80,6 +80,17 @@ def cyclotomics(draw):
 def test_inverse_by_galois_norm(x):
     assume(x)
     assert x * x.inverse() == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(cyclotomics(st.sampled_from([3, 5])), st.integers(-3, 5))
+def test_power_is_repeated_product(x, n):
+    assume(x or n >= 0)
+    factor = x if n >= 0 else x.inverse()
+    expected = Cyc.one(x.e)
+    for _ in range(abs(n)):
+        expected = expected * factor
+    assert x**n == expected
 
 
 def test_geometric_sum_vanishes():

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from focklab import (
     FockVector,
@@ -130,6 +132,35 @@ def test_verify_pieri_examples():
     assert verify_pieri(Multipartition.empty(1), c)
     assert verify_pieri(parse_multipartition("[[2,1]]"), c)
     assert verify_pieri(parse_multipartition("[[1],[1]]"), Multicharge(2, (0, 1)))
+
+
+@st.composite
+def basis_combinations(draw):
+    """(charge, v): v a random integer combination of basis vectors of rank
+    at most 4, for e in {2, 3, 4} and levels 1-2."""
+    e = draw(st.sampled_from([2, 3, 4]))
+    level = draw(st.integers(1, 2))
+    charge = Multicharge(e, tuple(draw(st.lists(st.integers(-2, 2),
+                                                min_size=level, max_size=level))))
+    shapes = [mp for n in range(5) for mp in enumerate_multipartitions(n, level)]
+    v = FockVector.zero()
+    for mp, c in draw(st.lists(st.tuples(st.sampled_from(shapes), st.integers(-3, 3)),
+                               max_size=6)):
+        v = v + FockVector.basis(mp).scaled(c)
+    return charge, v
+
+
+@settings(max_examples=80, deadline=None)
+@given(basis_combinations())
+def test_operators_are_linear_on_basis_combinations(case):
+    # check_fock_relations extends the basis images linearly, so it relies on this
+    charge, v = case
+    for op in (apply_e, apply_f):
+        for i in range(charge.e):
+            expected = FockVector.zero()
+            for mp, c in v.terms.items():
+                expected = expected + op(i, FockVector.basis(mp), charge).scaled(c)
+            assert op(i, v, charge) == expected
 
 
 def test_operators_match_brute_force_oracle():

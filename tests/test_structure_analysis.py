@@ -4,7 +4,10 @@ import dataclasses
 from fractions import Fraction
 from math import comb
 
+import pytest
+
 from focklab import (
+    AxiomReport,
     BoxOrder,
     FockVector,
     Multicharge,
@@ -16,6 +19,7 @@ from focklab import (
     check_fock_relations,
     check_perfect_basis,
     compare_components,
+    depth,
     enumerate_multipartitions,
     parse_multipartition,
     primitive_basis,
@@ -23,7 +27,8 @@ from focklab import (
 )
 from focklab import structure_analysis
 from focklab.structure_analysis import kernel_dimension_by_weight
-from focklab.weight_lattice import cartan_entry
+from focklab.multipartition import add_box, addable_boxes, remove_box, removable_boxes
+from focklab.weight_lattice import cartan_entry, pair_coroot, simple_root, wt
 
 CONFIGS = (
     Multicharge(2, (0,)),
@@ -240,8 +245,17 @@ def serre_sum_per_term(op, i, j, v, charge):
 
 
 def shared_serre_sums(op, v, charge):
-    ones = [op(i, v, charge) for i in range(charge.e)]
-    return structure_analysis._serre_sums(op, ones, charge)
+    """The sweep's shared sums for op "e" or "f" on the basis vector v, read
+    back as Fock vectors."""
+    images = structure_analysis._BasisImages(charge)
+    (mp,) = v.terms
+    one = {images.intern(mp): 1}
+    ones = [images.act(op, i, one) for i in range(charge.e)]
+    sums = structure_analysis._serre_sums(images.act, op, ones)
+    return {
+        key: FockVector({images.mps[t]: c for t, c in total.items()})
+        for key, total in sums.items()
+    }
 
 
 SERRE_CHARGES = (
@@ -258,8 +272,8 @@ def test_shared_serre_sums_match_per_term_oracle():
         for n in range(5):
             for mp in enumerate_multipartitions(n, charge.level):
                 v = FockVector.basis(mp)
-                for op in (apply_e, apply_f):
-                    sums = shared_serre_sums(op, v, charge)
+                for name, op in (("e", apply_e), ("f", apply_f)):
+                    sums = shared_serre_sums(name, v, charge)
                     assert list(sums) == pairs
                     for i, j in pairs:
                         assert sums[i, j] == serre_sum_per_term(op, i, j, v, charge)
@@ -285,7 +299,7 @@ def test_shared_serre_sums_witness_a_broken_f(monkeypatch):
     for n in range(5):
         for mp in enumerate_multipartitions(n, charge.level):
             v = FockVector.basis(mp)
-            shared = shared_serre_sums(broken_f, v, charge)
+            shared = shared_serre_sums("f", v, charge)
             for i, j in shared:
                 f_sum = serre_sum_per_term(broken_f, i, j, v, charge)
                 e_sum = serre_sum_per_term(apply_e, i, j, v, charge)
@@ -296,3 +310,139 @@ def test_shared_serre_sums_witness_a_broken_f(monkeypatch):
     assert nonzero > 0
     reports = by_axiom(check_fock_relations(charge, 4))
     assert list(reports["serre"].witnesses) == expected
+
+
+def test_depth_walk_stops_above_the_rank(monkeypatch):
+    # e_0 = identity never lowers the rank: the walk must still end, and
+    # every vector is witnessed at depth rank + 1
+    true_e = structure_analysis.apply_e
+
+    def identity_e0(i, v, charge):
+        return v if i == 0 else true_e(i, v, charge)
+
+    monkeypatch.setattr(structure_analysis, "apply_e", identity_e0)
+    reports = by_axiom(check_fock_relations(Multicharge(2, (0,)), 3))
+    expected = [
+        {"mp": mp.to_lists(), "i": 0, "depth": n + 1}
+        for n in range(4)
+        for mp in enumerate_multipartitions(n, 1)
+    ]
+    assert list(reports["depth_bound"].witnesses) == expected
+
+
+def test_each_basis_image_is_asked_for_once(monkeypatch):
+    calls = []
+
+    def counted(name, op):
+        def wrapped(i, v, charge):
+            assert list(v.terms.values()) == [1], v
+            calls.append((name, i, *v.terms))
+            return op(i, v, charge)
+        return wrapped
+
+    monkeypatch.setattr(structure_analysis, "apply_e", counted("e", apply_e))
+    monkeypatch.setattr(structure_analysis, "apply_f", counted("f", apply_f))
+    for charge in SERRE_CHARGES:
+        calls.clear()
+        check_fock_relations(charge, 5)
+        assert 0 < len(calls) == len(set(calls))
+    # the distinct images the sweep needs at (3, (0, 1)) to rank 8
+    calls.clear()
+    check_fock_relations(Multicharge(3, (0, 1)), 8)
+    assert len(calls) == 5834
+
+
+def per_vector_sweep(charge, max_rank):
+    """Oracle: `check_fock_relations` with every vector a FockVector, every
+    image asked of the operators afresh and each Serre sum built per term;
+    the depth is measured with the true e_i."""
+    e_op, f_op = structure_analysis.apply_e, structure_analysis.apply_f
+    bad = {name: [] for name in ("weight_step", "sl2_commutators", "serre",
+                                 "pieri", "depth_bound", "positivity")}
+    alphas = [simple_root(i, charge.e) for i in range(charge.e)]
+    zero = FockVector.zero()
+    for n in range(max_rank + 1):
+        for mp in enumerate_multipartitions(n, charge.level):
+            v = FockVector.basis(mp)
+            weight = wt(mp, charge)
+            ups = [f_op(i, v, charge) for i in range(charge.e)]
+            downs = [e_op(i, v, charge) for i in range(charge.e)]
+            for i, (up, down) in enumerate(zip(ups, downs)):
+                for target in up.terms:
+                    if wt(target, charge) != weight - alphas[i]:
+                        bad["weight_step"].append({"mp": mp.to_lists(), "i": i, "op": "f"})
+                for target in down.terms:
+                    if wt(target, charge) != weight + alphas[i]:
+                        bad["weight_step"].append({"mp": mp.to_lists(), "i": i, "op": "e"})
+                if any(c < 0 for c in up.terms.values()) or any(
+                    c < 0 for c in down.terms.values()
+                ):
+                    bad["positivity"].append({"mp": mp.to_lists(), "i": i})
+                d = 0 if down.is_zero() else 1 + depth(i, down, charge)
+                if d > mp.rank:
+                    bad["depth_bound"].append({"mp": mp.to_lists(), "i": i, "depth": d})
+                for j, fj in enumerate(ups):
+                    bracket = e_op(i, fj, charge) - f_op(j, down, charge)
+                    if bracket != v.scaled(pair_coroot(i, weight) if i == j else 0):
+                        bad["sl2_commutators"].append({"mp": mp.to_lists(), "i": i, "j": j})
+            removed = FockVector({remove_box(mp, b): 1 for b in removable_boxes(mp, charge)})
+            added = FockVector({add_box(mp, b): 1 for b in addable_boxes(mp, charge)})
+            if sum(downs, zero) != removed or sum(ups, zero) != added:
+                bad["pieri"].append({"mp": mp.to_lists()})
+            for i in range(charge.e):
+                for j in range(charge.e):
+                    if i != j and not (
+                        serre_sum_per_term(e_op, i, j, v, charge).is_zero()
+                        and serre_sum_per_term(f_op, i, j, v, charge).is_zero()
+                    ):
+                        bad["serre"].append({"mp": mp.to_lists(), "i": i, "j": j})
+    return [AxiomReport(name, tuple(w)) for name, w in bad.items()]
+
+
+LOST_FROM = parse_multipartition("[[1],[]]")
+LOST = parse_multipartition("[[2],[]]")
+
+
+def e0_negated(i, v, charge):
+    image = apply_e(i, v, charge)
+    return -image if i == 0 else image
+
+
+def f1_loses_a_term(i, v, charge):
+    image = apply_f(i, v, charge)
+    if i != 1 or not v.coeff(LOST_FROM):
+        return image
+    return image - FockVector.basis(LOST).scaled(v.coeff(LOST_FROM))
+
+
+def f2_doubled(i, v, charge):
+    image = apply_f(i, v, charge)
+    return image.scaled(2) if i == 2 else image
+
+
+def e_drops_leading_one(i, v, charge):
+    image = apply_e(i, v, charge)
+    return FockVector({mp: c for mp, c in image.terms.items()
+                       if mp.components[0][:1] != (1,)})
+
+
+FAULTS = {
+    "true": {},
+    "e0_negated": {"apply_e": e0_negated},
+    "f1_loses_a_term": {"apply_f": f1_loses_a_term},
+    "f2_doubled": {"apply_f": f2_doubled},
+    "e_drops_leading_one": {"apply_e": e_drops_leading_one},
+}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_sweep_matches_per_vector_oracle(monkeypatch, fault):
+    for name, op in FAULTS[fault].items():
+        monkeypatch.setattr(structure_analysis, name, op)
+    verdicts = []
+    for charge, rank in ((Multicharge(3, (0, 1)), 5), (Multicharge(2, (0,)), 5),
+                         (Multicharge(4, (0, 2)), 4)):
+        reports = check_fock_relations(charge, rank)
+        assert reports == per_vector_sweep(charge, rank), (fault, charge)
+        verdicts.append(reports_ok(reports))
+    assert all(verdicts) == (fault == "true")
