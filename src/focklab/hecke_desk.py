@@ -16,11 +16,10 @@ Each check returns `AxiomReport`s: `check_relations` for the presentation,
 `central_characters` for the block spectrum, and `check_block_weights` for
 the match between attained characters and affine weights of the rank-n
 shapes.  The spectrum is one call of `joint_eigenspaces` on the symmetric JM
-elements e_k.  Its only exact work is the minimal polynomial of each e_k,
-split at the target values; each joint generalized eigenspace dimension d is
-then bounded over F_p by a nullity U >= d, as reduction mod p cannot raise a
-rank.  The exact d sum to the dimension of the algebra, so U summing to it
-too certifies every U = d, or the next prime is tried.
+elements e_k.  Its only exact work is the minimal polynomial of each e_k and
+its idempotent polynomials at the target values.  Each joint generalized
+eigenspace dimension d is the trace of right multiplication by a product of
+those idempotents, taken over F_p: that is d mod p, and 0 <= d < p.
 
 Derived product rules, writing x = J_{i-1}, y = J_i, T = T_i:
     T x^a y^b = x^b y^a T - (q-1) * sum_{k=1..a-b} x^(a-k) y^(b+k)   (a >= b)
@@ -35,11 +34,10 @@ import os
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import count, islice
-from math import comb, factorial
+from math import factorial
 
 from . import _linalg
-from ._linalg import mat_mul_mod_p, rank_mod_p
-from .cyclotomic import Cyc, mat_mul_cyc, matrix_rank_cyc, mod_p, reduction_primes
+from .cyclotomic import Cyc, mat_mul_cyc, mod_p, reduction_primes
 from .multipartition import (
     Multicharge,
     Multipartition,
@@ -51,7 +49,7 @@ from .structure_analysis import AxiomReport
 from .weight_lattice import wt
 
 DEFAULT_DIM_BOUND = 200
-# primes tried before an uncertified saturation or spectrum raises
+# primes tried before a saturation or a spectrum gives up and raises
 CERTIFY_PRIMES = 3
 
 Matrix = list  # list[list[Cyc]]
@@ -366,7 +364,9 @@ def _chain(rep: FinDimAlgebraRep, indices: list[int]) -> Matrix:
 
 
 def jm_elements(rep: FinDimAlgebraRep) -> list[Matrix]:
-    """J_0 = T_0 and J_i = q^{-1} T_i J_{i-1} T_i; all invertible."""
+    """J_0 = T_0 and J_i = q^{-1} T_i J_{i-1} T_i, invertible once `check_relations`
+    passes: T_i^{-1} = q^{-1} (T_i - q + 1), and the cyclotomic relation of T_0
+    has constant term +-prod_j Q_j != 0."""
     if rep._jm_cache is not None:
         return rep._jm_cache
     qinv = rep.params.q.inverse()
@@ -375,9 +375,6 @@ def jm_elements(rep: FinDimAlgebraRep) -> list[Matrix]:
         m = mat_mul_cyc(rep.gens[i], out[-1])
         m = mat_mul_cyc(m, rep.gens[i])
         out.append(_linalg.mat_scale(m, qinv))
-    for i, m in enumerate(out):
-        if matrix_rank_cyc(m, rep.dimension) != rep.dimension:
-            raise RuntimeError(f"Jucys-Murphy element J_{i} is singular")
     rep._jm_cache = out
     return out
 
@@ -520,74 +517,103 @@ def _split_root(poly: list, c) -> tuple[int, list]:
         poly = quotient[::-1]
 
 
-def _poly_at_mod_p(coeffs: list[int], mat: list, p: int) -> list:
-    """Horner evaluation over F_p of an ascending polynomial at a matrix."""
-    out = [[0] * len(mat) for _ in mat]
-    for c in reversed(coeffs):
-        out = mat_mul_mod_p(out, mat, p)
-        for i, row in enumerate(out):
-            row[i] = (row[i] + c) % p
+def _mul_mod(a: list, b: list, m: list) -> list:
+    """a * b modulo the monic m, as deg m ascending coefficients."""
+    d = len(m) - 1
+    out = [m[0] * 0] * max(len(a) + len(b) - 1, d)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    while len(out) > d:  # x^d = -(m_0 + m_1 x + ... + m_(d-1) x^(d-1))
+        f = out.pop()
+        for i, y in enumerate(m[:-1], len(out) - d):
+            out[i] -= f * y
     return out
 
 
-def joint_eigenspaces(mats: list, targets: list) -> dict:
+def _idempotents(minimal: list, values: list) -> dict:
+    """pi_c, c in values or None, with pi_c(z) the idempotent onto a generalized
+    eigenspace of L_z, m = `minimal` of z: for m = (x - c)^a g, pi_c =
+    1 - (1 - g/g(c))^a mod m is 1 mod (x - c)^a and 0 mod g, and pi_None =
+    1 - sum of the pi_c is kept when nonzero."""
+    one = minimal[-1]
+    rest = [one] + [one * 0] * (len(minimal) - 2)
+    pis = {}
+    for c in dict.fromkeys(values):
+        a, g = _split_root(minimal, c)
+        if a:
+            inv = 1 / sum(x * c**i for i, x in enumerate(g))
+            power, h = [one], [1 - g[0] * inv] + [-x * inv for x in g[1:]]
+            for _ in range(a):
+                power = _mul_mod(power, h, minimal)
+            pis[c] = [1 - power[0]] + [-x for x in power[1:]]
+            rest = [x - y for x, y in zip(rest, pis[c])]
+    if any(rest):
+        pis[None] = rest
+    return pis
+
+
+def joint_eigenspaces(rep: FinDimAlgebraRep, mats: list, targets: list) -> dict:
     """Dimensions d_t > 0 of the joint generalized eigenspaces of commuting
-    left multiplications mats[k] = L_{z_k} on A, keyed by tuples t.
+    left multiplications mats[k] = L_{z_k} on the algebra A of `rep`, keyed
+    by tuples t: t_k a value of targets[k], or None for the other roots.
 
-    Exactly over Q(zeta_e), each mats[k] gets its minimal polynomial m_k
-    (`_minimal_polynomial`), each value c in targets[k] the factor
-    (x - c)^a of m_k, a the multiplicity of c, and R_k is m_k with all of
-    these divided out.  The factors are pairwise coprime, so A is the direct
-    sum of their kernels at mats[k] and, the mats commuting, of the V_t: the
-    intersections over k of those kernels, t_k a target value or None for
-    ker R_k.  The d_t = dim V_t sum to dim A.
-
-    Each d_t is certified over F_p, p = 1 (mod e), zeta_e sent to an element
-    of order e.  Reduction mod p cannot raise a rank, so U_t, the nullity of
-    the stacked factors of t at the mats, is at least d_t, and U_t summing to
-    dim A certifies every U_t = d_t.  The stacks share prefixes: each
-    prefix's echelon is extended one matrix at a time, and a prefix of
-    nullity 0 is dropped.  A prime whose U_t sum past dim A, or that does
-    not reduce the input, is replaced by the next; after CERTIFY_PRIMES
-    primes this raises RuntimeError.
-    """
-    one, dim = Cyc.one(mats[0][0][0].e), len(mats[0])
-    factors = []  # per matrix: target value or None -> factor of degree >= 1
-    for mat, values in zip(mats, targets):
-        rest, kernel_of = _minimal_polynomial(mat, one), {}
-        for c in values:
-            a, rest = _split_root(rest, c)
-            if a:
-                kernel_of[c] = [comb(a, j) * (-c) ** (a - j) for j in range(a + 1)]
-        if len(rest) > 1:
-            kernel_of[None] = rest
-        factors.append(kernel_of)
-
-    for p, omega in islice(reduction_primes(one.e), CERTIFY_PRIMES):
+    Exactly over Q(zeta_e), z_k gets its minimal polynomial and from it the
+    idempotent polynomials pi_{k,c} (`_idempotents`).  Then e_t = prod_k
+    pi_{k,t_k}(z_k) is idempotent and d_t = tr R_{e_t} = dim A e_t: the
+    eigenspace e_t A when e_t is central, as `jm_centrality` checks for the
+    block spectrum; for f = pi(J_i), dim A f = dim f A, as the
+    anti-involution T_j -> T_j fixes J_i.  The trace is taken over F_p,
+    p = 1 (mod e) (`_traces`): reduction mod p is a ring map, so it gives
+    d_t mod p, and d_t <= dim A < p.  A prime that does not reduce the input
+    is skipped; after CERTIFY_PRIMES primes this raises RuntimeError."""
+    one = rep.one()
+    pis = [_idempotents(_minimal_polynomial(m, one), v) for m, v in zip(mats, targets)]
+    for p, omega in islice(reduction_primes(rep.charge.e), CERTIFY_PRIMES):
         try:
-            reduced = [
-                ([[mod_p(x, p, omega) for x in row] for row in mat],
-                 {t: [mod_p(x, p, omega) for x in f] for t, f in kernel_of.items()})
-                for mat, kernel_of in zip(mats, factors)
-            ]
-        except ZeroDivisionError:
+            return _traces(rep, mats, pis, p, omega)
+        except ZeroDivisionError:  # an entry off Z_(p)[zeta_e]
             continue
-        prefixes: dict = {(): []}  # prefix of t -> F_p echelon of its factors
-        for mat, kernel_of in reduced:
-            grown = {}
-            for t, factor in kernel_of.items():
-                rows = _poly_at_mod_p(factor, mat, p)
-                for prefix, echelon in prefixes.items():
-                    echelon = list(echelon)
-                    if rank_mod_p(rows, p, echelon) < dim:
-                        grown[prefix + (t,)] = echelon
-            prefixes = grown
-        dims = {t: dim - len(echelon) for t, echelon in prefixes.items()}
-        if sum(dims.values()) == dim:
-            return dims
-    raise RuntimeError(
-        f"joint eigenspace dimensions not certified by {CERTIFY_PRIMES} primes"
-    )
+    raise RuntimeError(f"none of {CERTIFY_PRIMES} primes reduces the spectrum's input")
+
+
+def _traces(rep: FinDimAlgebraRep, mats: list, pis: list, p: int, omega: int) -> dict:
+    """`joint_eigenspaces` over F_p, zeta_e -> omega: the vectors e_t * 1
+    prefix by prefix, sharing the powers z_k^j v of a prefix vector v; a
+    v = 0 is dropped, as its extensions have d = 0 mod p, and a v != 0 has
+    d > 0.  Then d = tr R_e = sum_i (b_i e)_i, b_i e = T_g (b_j e) for
+    words[i] = (g,) + words[j]."""
+
+    def sparse(m: Matrix) -> list:
+        return [[(c, mod_p(x, p, omega)) for c, x in enumerate(row) if x] for row in m]
+
+    def apply(rows: list, v: list) -> list:
+        return [sum(x * v[c] for c, x in row) % p for row in rows]
+
+    vectors = {(): [1] + [0] * (rep.dimension - 1)}
+    for mat, pi_of in zip(mats, pis):
+        rows = sparse(mat)
+        reduced = {t: [mod_p(x, p, omega) for x in pi] for t, pi in pi_of.items()}
+        grown = {}
+        for prefix, v in vectors.items():
+            powers = [v]
+            for _ in range(max(map(len, reduced.values())) - 1):
+                powers.append(apply(rows, powers[-1]))
+            for t, pi in reduced.items():
+                w = [sum(c * x for c, x in zip(pi, col)) % p for col in zip(*powers)]
+                if any(w):
+                    grown[prefix + (t,)] = w
+        vectors = grown
+
+    gens = [sparse(g) for g in rep.gens]
+    parent = {word: j for j, word in enumerate(rep.words)}
+    dims = {}
+    for t, e in vectors.items():
+        images = [e]
+        for word in rep.words[1:]:
+            images.append(apply(gens[word[0]], images[parent[word[1:]]]))
+        dims[t] = sum(b_e[i] for i, b_e in enumerate(images)) % p
+    return dims
 
 
 def central_characters(
@@ -597,7 +623,7 @@ def central_characters(
 
     Candidate characters chi are read off the rank-n shapes, and
     `joint_eigenspaces` takes e_1..e_n with the candidate values of each e_k
-    as targets: d_chi is the certified dimension at the tuple chi.
+    as targets: d_chi is the dimension at the tuple chi, exact by construction.
     `spectral_support` fails at k when a tuple with None at k has positive
     dimension: e_k has an eigenvalue that is no candidate's.
     `spectral_mass` requires the d_chi to sum to l^n * n!.
@@ -609,6 +635,7 @@ def central_characters(
         candidates.setdefault(a_poly(mp, charge), []).append(mp)
 
     dims = joint_eigenspaces(
+        rep,
         [symmetric_jm(rep, k + 1) for k in range(n)],
         [list(dict.fromkeys(char.values[k] for char in candidates)) for k in range(n)],
     )

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 import time
 from fractions import Fraction
 from math import comb, factorial
 
+import focklab
 from focklab import (
     BoxOrder,
     FockVector,
@@ -290,11 +292,16 @@ def test_criterion_8_block_correspondence(hecke_reps):
 def test_criterion_9_determinism():
     started = time.time()
 
+    # the child imports the focklab under test, also from a bare checkout
+    src = os.path.dirname(os.path.dirname(focklab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
     def run(*argv: str) -> bytes:
         proc = subprocess.run(
             [sys.executable, "-m", "focklab", *argv],
             capture_output=True,
             check=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         return proc.stdout
 

@@ -34,7 +34,7 @@ from focklab._linalg import (
     mat_sub,
     matrix_rank,
 )
-from focklab.cyclotomic import Cyc, mat_mul_cyc, matrix_rank_cyc
+from focklab.cyclotomic import Cyc, mat_mul_cyc, matrix_rank_cyc, mod_p
 from focklab.hecke_desk import (
     AttainedCharacter,
     CharacterSpectrum,
@@ -402,14 +402,16 @@ def test_spectrum_matches_realified_oracle():
         assert central_characters(rep, n, charge) == expected, (l, n, built, charge)
 
 
-@pytest.mark.parametrize("l,n,e", [(1, 3, 2), (2, 2, 2), (2, 2, 3), (3, 2, 3)])
+@pytest.mark.parametrize(
+    "l,n,e", [(1, 3, 2), (2, 2, 2), (2, 2, 3), (3, 2, 3), (3, 3, 2)]
+)
 def test_joint_eigenspaces_of_last_jm_restrict(hecke_reps, l, n, e):
     # the generalized zeta^i-eigenspace of J_{n-1} is i-Res of the regular
     # module: sum over lambda of dim S^lambda times the dimensions of the
     # S^(lambda - gamma), gamma a removable node of residue i
     rep = hecke_reps(l, n, e)
     zetas = [Cyc.zeta(e, i) for i in range(e)]
-    dims = hecke_desk.joint_eigenspaces([jm_elements(rep)[-1]], [zetas])
+    dims = hecke_desk.joint_eigenspaces(rep, [jm_elements(rep)[-1]], [zetas])
     expected = {}
     for mp in enumerate_multipartitions(n, l):
         for box in removable_boxes(mp, rep.charge):
@@ -421,48 +423,62 @@ def test_joint_eigenspaces_of_last_jm_restrict(hecke_reps, l, n, e):
         assert [dims[(z,)] for z in zetas] == [3, 3, 2]
 
 
-def _companion_rep(hecke_reps):
-    """A rep whose e_1 has minimal polynomial (x - 1)(x - 6) on word 0's
-    cyclic span, conjugated by diag(1, 11, 1), plus a 6-eigenvector.
-
-    Mod 5 the eigenvalues 1 and 6 merge: the nullities of e_1 - 1 and of
-    R_1(e_1) = e_1 - 6 are 2 and 2, which sum past dim 3.  Mod 11 the entry
-    -6/11 does not reduce.  Mod 7 the certificate holds.
-    """
-    rep = hecke_reps(1, 1, 2)
-    c = lambda x: Cyc.from_rational(x, 2)
-    mat = [[c(0), c(Fraction(-6, 11)), c(0)], [c(11), c(7), c(0)], [c(0), c(0), c(6)]]
-    ident = [[c(int(i == j)) for j in range(3)] for i in range(3)]
-    return dataclasses.replace(
-        rep, dimension=3, words=((), (0,), (0, 0)), _sym_cache=[ident, mat]
-    )
+def test_block_dimensions_match_cellular_formula_at_level_three(hecke_reps):
+    # l = n = 3, dim 162: each block B has dimension sum over B of (dim S^lambda)^2
+    rep = hecke_reps(3, 3, 2)
+    spectrum = central_characters(rep, 3, rep.charge)
+    assert all(r.status == "pass" for r in spectrum.reports)
+    dims = [block.dimension for block in spectrum.attained]
+    assert dims == [
+        sum(specht_dimension(mp) ** 2 for mp in block.members)
+        for block in spectrum.attained
+    ]
+    assert sum(dims) == rep.dimension == 162
 
 
-def test_certificate_moves_past_failing_primes(hecke_reps, monkeypatch):
-    rep, charge = _companion_rep(hecke_reps), Multicharge(2, (0,))
-    expected = central_characters(rep, 1, charge)
-    assert [a.dimension for a in expected.attained] == [1]
-    mass, support = expected.reports
-    assert mass.witnesses == ({"total_generalized_dim": 1, "expected": 3},)
-    assert support.witnesses == ({"k": 1, "nilpotent": False},)
+def _spectrum_input(hecke_reps):
+    rep = hecke_reps(2, 2, 3)
+    mats = [symmetric_jm(rep, k + 1) for k in range(rep.n)]
+    return rep, mats, [[Cyc.zeta(3, i) for i in range(3)]] * rep.n
 
-    tried = []
 
-    def primes(e):
-        for p in (11, 5, 7):
+def _non_reducing(monkeypatch, count):
+    """Patch in the first three primes of reduction_primes(3), of which the
+    first `count` reduce no input; returns them and the list of primes tried."""
+    primes = list(itertools.islice(hecke_desk.reduction_primes(3), 3))
+    failing, tried = {p for p, _ in primes[:count]}, []
+
+    def reduction_primes(e):
+        for p, omega in primes:
             tried.append(p)
-            yield p, p - 1  # zeta_2 = -1
+            yield p, omega
 
-    monkeypatch.setattr(hecke_desk, "reduction_primes", primes)
-    assert central_characters(rep, 1, charge) == expected
-    assert tried == [11, 5, 7]
+    def failing_mod_p(x, p, omega):
+        if p in failing:
+            raise ZeroDivisionError(p)
+        return mod_p(x, p, omega)
+
+    monkeypatch.setattr(hecke_desk, "reduction_primes", reduction_primes)
+    monkeypatch.setattr(hecke_desk, "mod_p", failing_mod_p)
+    return [p for p, _ in primes], tried
 
 
-def test_certificate_failing_everywhere_raises(hecke_reps, monkeypatch):
-    rep = _companion_rep(hecke_reps)
-    monkeypatch.setattr(hecke_desk, "reduction_primes", lambda e: itertools.repeat((5, 4)))
-    with pytest.raises(RuntimeError, match="not certified"):
-        central_characters(rep, 1, Multicharge(2, (0,)))
+def test_joint_eigenspaces_skip_a_non_reducing_prime(hecke_reps, monkeypatch):
+    rep, mats, targets = _spectrum_input(hecke_reps)
+    expected = hecke_desk.joint_eigenspaces(rep, mats, targets)
+    assert sum(expected.values()) == rep.dimension
+    primes, tried = _non_reducing(monkeypatch, 1)
+    assert min(primes) > rep.dimension  # the trace mod p determines d_t
+    assert hecke_desk.joint_eigenspaces(rep, mats, targets) == expected
+    assert tried == primes[:2]
+
+
+def test_joint_eigenspaces_without_a_reducing_prime_raise(hecke_reps, monkeypatch):
+    rep, mats, targets = _spectrum_input(hecke_reps)
+    primes, tried = _non_reducing(monkeypatch, 3)
+    with pytest.raises(RuntimeError, match="none of 3 primes reduces"):
+        hecke_desk.joint_eigenspaces(rep, mats, targets)
+    assert tried == primes
 
 
 def exact_saturation(l, n, charge):

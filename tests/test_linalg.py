@@ -9,9 +9,7 @@ from focklab._linalg import (
     SpanTracker,
     kernel_basis,
     mat_mul,
-    mat_mul_mod_p,
     matrix_rank,
-    rank_mod_p,
     rref,
 )
 from focklab.cyclotomic import Cyc, mat_mul_cyc, matrix_rank_cyc, mod_p, reduction_primes
@@ -223,37 +221,8 @@ def test_reduction_mod_p_is_a_homomorphism(factors, prime):
     a, b = factors
     p, omega = prime
     red = lambda m: [[mod_p(x, p, omega) for x in row] for row in m]
-    assert red(mat_mul_cyc(a, b)) == mat_mul_mod_p(red(a), red(b), p)
+    product = mat_mul(red(a), red(b), 0)
+    assert red(mat_mul_cyc(a, b)) == [[x % p for x in row] for row in product]
     x, y = a[0][0], b[0][0]
     assert mod_p(x + y, p, omega) == (mod_p(x, p, omega) + mod_p(y, p, omega)) % p
     assert mod_p(Cyc.zeta(3), p, omega) == omega != 1 == pow(omega, 3, p)
-
-
-@settings(max_examples=100, deadline=None)
-@given(matrices(cyclotomics, Cyc.zero(3)))
-def test_rank_mod_p_bounds_exact_rank(matrix):
-    # reduction cannot raise a rank; at a large prime these small minors survive
-    ncols, rows = matrix
-    small, large = (
-        rank_mod_p([[mod_p(x, p, omega) for x in row] for row in rows], p)
-        for p, omega in (SMALL, LARGE)
-    )
-    assert small <= matrix_rank_cyc(rows, ncols) == large
-
-
-@st.composite
-def stacked_int_matrices(draw):
-    """Two integer matrices of one width, entries small or up to 2^62."""
-    ncols = draw(st.integers(1, 5))
-    entries = st.integers(-3, 3) | st.integers(0, 2**62)
-    row = st.lists(entries, min_size=ncols, max_size=ncols)
-    return draw(st.lists(row, max_size=5)), draw(st.lists(row, max_size=5))
-
-
-@settings(max_examples=150, deadline=None)
-@given(stacked_int_matrices(), st.sampled_from([7, 2**61 - 1]))
-def test_rank_mod_p_extends_an_echelon(pair, p):
-    a, b = pair
-    echelon: list = []
-    assert rank_mod_p(a, p, echelon) == rank_mod_p(a, p) == len(echelon)
-    assert rank_mod_p(b, p, echelon) == rank_mod_p(a + b, p) == len(echelon)
