@@ -160,11 +160,15 @@ class Cyc:
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyc":
-        """Multiplicative inverse by the Galois norm: with c the product of the
-        conjugates sigma_k(x), k != 1 prime to e, x * c = N(x) is rational."""
+        """Multiplicative inverse: c^-1 * zeta^-k for a monomial c * zeta^k,
+        otherwise by the Galois norm: with c the product of the conjugates
+        sigma_k(x), k != 1 prime to e, x * c = N(x) is rational."""
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic number")
         e, d = self.e, len(self.coeffs)
+        if len(terms := _nonzero_coeffs(self)) == 1:
+            (k, c), = terms
+            return Cyc(e, tuple(x / c for x in Cyc.zeta(e, -k).coeffs))
         conj = Cyc.one(e)
         for k in range(2, e):
             if gcd(k, e) == 1:
@@ -252,37 +256,43 @@ def _reduce(conv: list, e: int, d: int) -> tuple:
     return tuple(out)
 
 
-def mat_mul_cyc(a: list, b: list) -> list:
-    """Matrix product over Q(zeta_e), skipping zero entries of both factors.
-
-    Each output entry accumulates unreduced coefficient products and is
-    folded through the cyclotomic relation once.
-    """
-    e = b[0][0].e
-    d = len(b[0][0].coeffs)
-    zero = Cyc.zero(e)
-    b_rows = [
-        [(j, _nonzero_coeffs(y)) for j, y in enumerate(row) if y] for row in b
-    ]
+def mul_rows(a: list, b: list) -> list:
+    """Product over Q(zeta_e) of sparse matrices, lists of rows {column:
+    nonzero Cyc}.  Each output entry accumulates unreduced coefficient
+    products and is folded through the cyclotomic relation once; an entry
+    that cancels is dropped, so equal matrices have equal rows."""
+    b_rows = [[(j, _nonzero_coeffs(y)) for j, y in row.items()] for row in b]
     out = []
     for row in a:
         acc: dict[int, list] = {}
-        for x, b_row in zip(row, b_rows):
-            if not x:
-                continue
-            xs = _nonzero_coeffs(x)
+        for k, x in row.items():
+            if b_row := b_rows[k]:
+                e, d, xs = x.e, len(x.coeffs), _nonzero_coeffs(x)
             for j, ys in b_row:
                 conv = acc.get(j)
                 if conv is None:
                     conv = acc[j] = [0] * (2 * d - 1)
                 for i, u in xs:
-                    for k, v in ys:
-                        conv[i + k] += u * v
-        out_row = [zero] * len(b[0])
-        for j, conv in acc.items():
-            out_row[j] = Cyc(e, _reduce(conv, e, d))
-        out.append(out_row)
+                    for m, v in ys:
+                        conv[i + m] += u * v
+        out.append({j: Cyc(e, c) for j, conv in acc.items() if any(c := _reduce(conv, e, d))})
     return out
+
+
+def sparse_rows(mat: list) -> list:
+    """The rows {column: nonzero entry} of a dense matrix."""
+    return [{c: x for c, x in enumerate(row) if x} for row in mat]
+
+
+def dense_rows(rows: list, ncols: int, zero: Cyc) -> list:
+    """The dense matrix of sparse rows, zero filled."""
+    return [[row.get(c, zero) for c in range(ncols)] for row in rows]
+
+
+def mat_mul_cyc(a: list, b: list) -> list:
+    """Dense matrix product over Q(zeta_e), by `mul_rows`."""
+    product = mul_rows(sparse_rows(a), sparse_rows(b))
+    return dense_rows(product, len(b[0]), Cyc.zero(b[0][0].e))
 
 
 def _nonzero_coeffs(x: Cyc) -> list[tuple]:

@@ -15,9 +15,11 @@ Each check returns `AxiomReport`s: `check_relations` for the presentation,
 `check_jm` for the Jucys-Murphy twist, commutation and centrality,
 `central_characters` for the block spectrum, and `check_block_weights` for
 the match between attained characters and affine weights of the rank-n
-shapes.  The spectrum is one call of `joint_eigenspaces` on the symmetric JM
-elements e_k.  Its only exact work is the minimal polynomial of each e_k and
-its idempotent polynomials at the target values.  Each joint generalized
+shapes.  They multiply sparse rows {column: nonzero entry} by `mul_rows`;
+only `gens`, what `jm_elements`/`symmetric_jm` return and JSON are dense.
+The spectrum is one call of `joint_eigenspaces` on the symmetric JM elements
+e_k.  Its only exact work is the minimal polynomial of each e_k and its
+idempotent polynomials at the target values.  Each joint generalized
 eigenspace dimension d is the trace of right multiplication by a product of
 those idempotents, taken over F_p: that is d mod p, and 0 <= d < p.
 
@@ -33,11 +35,12 @@ from __future__ import annotations
 import os
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import count, islice
+from functools import reduce
+from itertools import count, islice, permutations, product, repeat
 from math import factorial
 
 from . import _linalg
-from .cyclotomic import Cyc, mat_mul_cyc, mod_p, reduction_primes
+from .cyclotomic import Cyc, dense_rows, mod_p, mul_rows, reduction_primes, sparse_rows
 from .multipartition import (
     Multicharge,
     Multipartition,
@@ -70,10 +73,6 @@ def params_from_charge(charge: Multicharge) -> HeckeParams:
     )
 
 
-def _identity_perm(n: int) -> tuple[int, ...]:
-    return tuple(range(n))
-
-
 def _swap_values(w: tuple[int, ...], a: int) -> tuple[int, ...]:
     # left multiplication by the simple reflection exchanging values a, a+1
     return tuple(a + 1 if x == a else a if x == a + 1 else x for x in w)
@@ -94,7 +93,7 @@ class _Engine:
         self.sigma = a_poly(Multipartition(((1,),) * l), charge).values
 
     def identity_element(self) -> dict:
-        return {((0,) * self.n, _identity_perm(self.n)): Cyc.one(self.e)}
+        return {((0,) * self.n, tuple(range(self.n))): Cyc.one(self.e)}
 
     def mult_gen(self, g: int, element: dict) -> dict:
         out: dict = {}
@@ -149,17 +148,7 @@ class _Engine:
 
 
 def _all_labels(l: int, n: int) -> list:
-    exps: list[tuple[int, ...]] = [()]
-    for _ in range(n):
-        exps = [t + (v,) for t in exps for v in range(l)]
-    perms = _permutations_sorted(n)
-    return sorted((a, w) for a in exps for w in perms)
-
-
-def _permutations_sorted(n: int) -> list[tuple[int, ...]]:
-    from itertools import permutations
-
-    return sorted(permutations(range(n)))
+    return sorted(product(product(range(l), repeat=n), permutations(range(n))))
 
 
 @dataclass
@@ -310,56 +299,85 @@ def _saturate(engine: _Engine, target: int, p: int, omega: int):
     return words, gens
 
 
-def _nonzero_witness(name: str, lhs: Matrix, rhs: Matrix | None = None) -> list[dict]:
-    """lhs - rhs at the first entry where lhs differs from rhs (zero by default)."""
-    for r, row in enumerate(lhs):
-        for c, (x, y) in enumerate(zip(row, rhs[r] if rhs else [0] * len(row))):
-            if x != y:
-                return [{"relation": name, "row": r, "col": c, "entry": str(x - y)}]
-    return []
+def _scale(rows: list, f: Cyc) -> list:
+    return [{c: x * f for c, x in row.items()} for row in rows]
 
 
 def check_relations(rep: FinDimAlgebraRep) -> list[AxiomReport]:
-    """Evaluate every defining relation as a matrix identity."""
-    gens = rep.gens
-    q = rep.params.q
+    """Evaluate every defining relation as a matrix identity, on sparse rows."""
+    gens = [sparse_rows(g) for g in rep.gens]
+    q, zero = rep.params.q, rep.zero()
     witnesses: list[dict] = []
 
-    def shifted(g: int, c: Cyc) -> Matrix:  # T_g - c, on the diagonal only
-        return [row[:r] + [row[r] - c] + row[r + 1:] for r, row in enumerate(gens[g])]
+    def shifted(g: int, c: Cyc) -> list:  # T_g - c, on the diagonal only
+        return [_add(row, {r: -c}) for r, row in enumerate(gens[g])]
 
-    acc = shifted(0, rep.params.q_list[0])
-    for qp in rep.params.q_list[1:]:
-        acc = mat_mul_cyc(acc, shifted(0, qp))
-    witnesses += _nonzero_witness("cyclotomic_T0", acc)
+    def chain(*indices: int) -> list:
+        return reduce(mul_rows, [gens[i] for i in indices])
+
+    def witness(name: str, lhs: list, rhs=repeat({})) -> list[dict]:
+        # lhs - rhs at the first entry, row-major, where lhs differs from rhs
+        for r, (row, other) in enumerate(zip(lhs, rhs)):
+            if row != other:
+                c = min(c for c in row.keys() | other.keys() if row.get(c) != other.get(c))
+                entry = row.get(c, zero) - other.get(c, zero)
+                return [{"relation": name, "row": r, "col": c, "entry": str(entry)}]
+        return []
+
+    acc = reduce(mul_rows, [shifted(0, qp) for qp in rep.params.q_list])
+    witnesses += witness("cyclotomic_T0", acc)
 
     for i in range(1, rep.n):
-        prod = mat_mul_cyc(shifted(i, -rep.one()), shifted(i, q))
-        witnesses += _nonzero_witness(f"quadratic_T{i}", prod)
+        prod = mul_rows(shifted(i, -rep.one()), shifted(i, q))
+        witnesses += witness(f"quadratic_T{i}", prod)
 
     if rep.n >= 2:
-        lhs = _chain(rep, [0, 1, 0, 1])
-        rhs = _chain(rep, [1, 0, 1, 0])
-        witnesses += _nonzero_witness("braid_T0T1", lhs, rhs)
+        witnesses += witness("braid_T0T1", chain(0, 1, 0, 1), chain(1, 0, 1, 0))
 
     for i in range(1, rep.n - 1):
-        lhs = _chain(rep, [i, i + 1, i])
-        rhs = _chain(rep, [i + 1, i, i + 1])
-        witnesses += _nonzero_witness(f"braid_T{i}T{i + 1}", lhs, rhs)
+        lhs, rhs = chain(i, i + 1, i), chain(i + 1, i, i + 1)
+        witnesses += witness(f"braid_T{i}T{i + 1}", lhs, rhs)
 
     for i in range(rep.n):
         for j in range(i + 2, rep.n):
-            lhs = mat_mul_cyc(gens[i], gens[j])
-            rhs = mat_mul_cyc(gens[j], gens[i])
-            witnesses += _nonzero_witness(f"commute_T{i}T{j}", lhs, rhs)
+            witnesses += witness(f"commute_T{i}T{j}", chain(i, j), chain(j, i))
 
     return [AxiomReport("relations", tuple(witnesses))]
 
 
-def _chain(rep: FinDimAlgebraRep, indices: list[int]) -> Matrix:
-    out = rep.gens[indices[0]]
-    for i in indices[1:]:
-        out = mat_mul_cyc(out, rep.gens[i])
+def _jm_rows(rep: FinDimAlgebraRep, gens: list | None = None) -> list:
+    """J_0..J_(n-1) as sparse rows, cached on `rep`; `gens`: the T_g's rows."""
+    if rep._jm_cache is None:
+        gens = gens or [sparse_rows(g) for g in rep.gens]
+        qinv = rep.params.q.inverse()
+        jms = [gens[0]]
+        for i in range(1, rep.n):
+            jms.append(_scale(mul_rows(mul_rows(gens[i], jms[-1]), gens[i]), qinv))
+        rep._jm_cache = jms
+    return rep._jm_cache
+
+
+def _sym_rows(rep: FinDimAlgebraRep, gens: list | None = None) -> list:
+    """e_0..e_n of the Jucys-Murphy matrices as sparse rows, cached on `rep`:
+    e_k(J_0..J_i) = e_k(J_0..J_(i-1)) + e_(k-1)(J_0..J_(i-1)) J_i."""
+    if rep._sym_cache is None:
+        table = [[{r: rep.one()} for r in range(rep.dimension)]]
+        for m in _jm_rows(rep, gens):
+            prods = [mul_rows(t, m) for t in table]
+            sums = [list(map(_add, t, prod)) for t, prod in zip(table[1:], prods)]
+            table = table[:1] + sums + prods[-1:]
+        rep._sym_cache = table
+    return rep._sym_cache
+
+
+def _add(a: dict, b: dict) -> dict:
+    """The sum of two sparse rows, without stored zeros."""
+    out = {**a, **b}
+    for c in a.keys() & b.keys():
+        if x := a[c] + b[c]:
+            out[c] = x
+        else:
+            del out[c]
     return out
 
 
@@ -367,71 +385,41 @@ def jm_elements(rep: FinDimAlgebraRep) -> list[Matrix]:
     """J_0 = T_0 and J_i = q^{-1} T_i J_{i-1} T_i, invertible once `check_relations`
     passes: T_i^{-1} = q^{-1} (T_i - q + 1), and the cyclotomic relation of T_0
     has constant term +-prod_j Q_j != 0."""
-    if rep._jm_cache is not None:
-        return rep._jm_cache
-    qinv = rep.params.q.inverse()
-    out = [rep.gens[0]]
-    for i in range(1, rep.n):
-        m = mat_mul_cyc(rep.gens[i], out[-1])
-        m = mat_mul_cyc(m, rep.gens[i])
-        out.append(_linalg.mat_scale(m, qinv))
-    rep._jm_cache = out
-    return out
+    return [dense_rows(m, rep.dimension, rep.zero()) for m in _jm_rows(rep)]
 
 
 def symmetric_jm(rep: FinDimAlgebraRep, k: int) -> Matrix:
     """k-th elementary symmetric polynomial of the Jucys-Murphy matrices."""
     if not 0 <= k <= rep.n:
         raise ValueError(f"k={k} out of 0..{rep.n}")
-    if rep._sym_cache is None:
-        rep._sym_cache = _elementary_symmetric_matrices(rep, jm_elements(rep))
-    return rep._sym_cache[k]
-
-
-def _elementary_symmetric_matrices(
-    rep: FinDimAlgebraRep, mats: list[Matrix]
-) -> list[Matrix]:
-    table = [rep.identity_matrix()]
-    for m in mats:
-        table.append(mat_mul_cyc(table[-1], m))
-        for k in range(len(table) - 2, 0, -1):
-            table[k] = _matrix_add(table[k], mat_mul_cyc(table[k - 1], m))
-    return table
-
-
-def _matrix_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _commutes(a: Matrix, b: Matrix) -> bool:
-    return mat_mul_cyc(a, b) == mat_mul_cyc(b, a)
+    return dense_rows(_sym_rows(rep)[k], rep.dimension, rep.zero())
 
 
 def check_jm(rep: FinDimAlgebraRep) -> list[AxiomReport]:
-    """The Jucys-Murphy structure as matrix identities.
+    """The Jucys-Murphy structure as matrix identities, on sparse rows.
 
     `jm_twist`: T_i J_{i-1} T_i = q J_i; `jm_commute`: the J_i commute
     pairwise; `jm_centrality`: every symmetric JM element commutes with
     every generator.
     """
-    jms = jm_elements(rep)
+    gens = [sparse_rows(g) for g in rep.gens]
+    jms, syms = _jm_rows(rep, gens), _sym_rows(rep, gens)
     twist_bad = [
         {"i": i}
         for i in range(1, rep.n)
-        if mat_mul_cyc(mat_mul_cyc(rep.gens[i], jms[i - 1]), rep.gens[i])
-        != _linalg.mat_scale(jms[i], rep.params.q)
+        if mul_rows(mul_rows(gens[i], jms[i - 1]), gens[i]) != _scale(jms[i], rep.params.q)
     ]
     commute_bad = [
         {"i": i, "j": j}
         for i in range(rep.n)
         for j in range(i + 1, rep.n)
-        if not _commutes(jms[i], jms[j])
+        if mul_rows(jms[i], jms[j]) != mul_rows(jms[j], jms[i])
     ]
     central_bad = [
         {"k": k, "generator": g}
         for k in range(1, rep.n + 1)
-        for g, gen in enumerate(rep.gens)
-        if not _commutes(symmetric_jm(rep, k), gen)
+        for g, gen in enumerate(gens)
+        if mul_rows(syms[k], gen) != mul_rows(gen, syms[k])
     ]
     return [
         AxiomReport("jm_twist", tuple(twist_bad)),
@@ -495,14 +483,15 @@ class CharacterSpectrum:
     reports: tuple[AxiomReport, ...]
 
 
-def _minimal_polynomial(mat: Matrix, one: Cyc) -> list:
-    """Ascending minimal polynomial of z in A, where mat = L_z, by Krylov on the
-    identity word: f(L_z) e_0 = f(z), and A acts faithfully, so it is L_z's too."""
+def _minimal_polynomial(rows: list, one: Cyc) -> list:
+    """Ascending minimal polynomial of z in A, where `rows` are L_z's sparse
+    rows, by Krylov on the identity word: f(L_z) e_0 = f(z), and A acts
+    faithfully, so it is L_z's too."""
     tracker, vec, zero = _linalg.SpanTracker(), {0: one}, one * 0
     while (coords := tracker.express(vec)) is None:
         tracker.insert(vec)
-        column = mat_mul_cyc(mat, [[vec.get(r, zero)] for r in range(len(mat))])
-        vec = {r: x for r, (x,) in enumerate(column) if x}
+        column = mul_rows(rows, [{0: vec[r]} if r in vec else {} for r in range(len(rows))])
+        vec = {r: x[0] for r, x in enumerate(column) if x}
     return [-coords.get(i, zero) for i in range(tracker.dim)] + [one]
 
 
@@ -555,8 +544,9 @@ def _idempotents(minimal: list, values: list) -> dict:
 
 def joint_eigenspaces(rep: FinDimAlgebraRep, mats: list, targets: list) -> dict:
     """Dimensions d_t > 0 of the joint generalized eigenspaces of commuting
-    left multiplications mats[k] = L_{z_k} on the algebra A of `rep`, keyed
-    by tuples t: t_k a value of targets[k], or None for the other roots.
+    left multiplications mats[k] = L_{z_k}, given as sparse rows, on the
+    algebra A of `rep`, keyed by tuples t: t_k a value of targets[k], or None
+    for the other roots.
 
     Exactly over Q(zeta_e), z_k gets its minimal polynomial and from it the
     idempotent polynomials pi_{k,c} (`_idempotents`).  Then e_t = prod_k
@@ -584,8 +574,8 @@ def _traces(rep: FinDimAlgebraRep, mats: list, pis: list, p: int, omega: int) ->
     d > 0.  Then d = tr R_e = sum_i (b_i e)_i, b_i e = T_g (b_j e) for
     words[i] = (g,) + words[j]."""
 
-    def sparse(m: Matrix) -> list:
-        return [[(c, mod_p(x, p, omega)) for c, x in enumerate(row) if x] for row in m]
+    def sparse(rows: list) -> list:
+        return [[(c, mod_p(x, p, omega)) for c, x in row.items()] for row in rows]
 
     def apply(rows: list, v: list) -> list:
         return [sum(x * v[c] for c, x in row) % p for row in rows]
@@ -605,7 +595,7 @@ def _traces(rep: FinDimAlgebraRep, mats: list, pis: list, p: int, omega: int) ->
                     grown[prefix + (t,)] = w
         vectors = grown
 
-    gens = [sparse(g) for g in rep.gens]
+    gens = [sparse(sparse_rows(g)) for g in rep.gens]
     parent = {word: j for j, word in enumerate(rep.words)}
     dims = {}
     for t, e in vectors.items():
@@ -636,7 +626,7 @@ def central_characters(
 
     dims = joint_eigenspaces(
         rep,
-        [symmetric_jm(rep, k + 1) for k in range(n)],
+        _sym_rows(rep)[1:],
         [list(dict.fromkeys(char.values[k] for char in candidates)) for k in range(n)],
     )
     attained = tuple(

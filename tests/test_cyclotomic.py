@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,10 +12,13 @@ from focklab.cyclotomic import (
     Cyc,
     _is_prime,
     cyclotomic_polynomial,
+    dense_rows,
     mat_mul_cyc,
     matrix_rank_cyc,
     mod_p,
+    mul_rows,
     reduction_primes,
+    sparse_rows,
 )
 
 KNOWN = {
@@ -82,6 +86,35 @@ def test_inverse_by_galois_norm(x):
     assert x * x.inverse() == 1
 
 
+def norm_inverse(x):
+    """The Galois-norm inverse of any x != 0: x times the product c of its
+    conjugates sigma_k(x), k != 1 prime to e, is the rational N(x)."""
+    e = x.e
+    conj = Cyc.one(e)
+    for k in range(2, e):
+        if gcd(k, e) == 1:
+            sigma = [c * Cyc.zeta(e, j * k) for j, c in enumerate(x.coeffs)]
+            conj = conj * sum(sigma, Cyc.zero(e))
+    norm = (x * conj).rational_value()
+    return Cyc(e, tuple(c / norm for c in conj.coeffs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([3, 5, 7, 8]).flatmap(
+        lambda e: st.tuples(st.just(e), st.integers(0, Cyc.degree(e) - 1))
+    ),
+    st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool),
+)
+def test_monomial_inverse_matches_galois_norm(order_and_power, c):
+    # c * zeta^k, k < phi(e), has one nonzero coefficient: inverted as
+    # c^-1 * zeta^-k, with the same coefficients as the norm path
+    e, k = order_and_power
+    x = c * Cyc.zeta(e, k)
+    assert x.inverse().coeffs == norm_inverse(x).coeffs
+    assert x * x.inverse() == 1
+
+
 @settings(max_examples=100, deadline=None)
 @given(cyclotomics(st.sampled_from([3, 5])), st.integers(-3, 5))
 def test_power_is_repeated_product(x, n):
@@ -126,6 +159,65 @@ def test_mat_helpers():
     assert matrix_rank_cyc(m, 2) == 2
     singular = [[one, z], [z, z * z]]
     assert matrix_rank_cyc(singular, 2) == 1
+
+
+def naive_product(a, b, zero):
+    """The dense triple loop, every entry a Cyc sum."""
+    inner = range(len(b))
+    return [
+        [sum((a[i][k] * b[k][j] for k in inner), zero) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+@st.composite
+def cancelling_products(draw):
+    """(a, b, e): dense factors whose product cancels on purpose.
+
+    The inner index runs over blocks [x | -x | w | u] against [y ; y ; v ; t],
+    shuffled, where e is prime, d = e - 1, and the s-th of the d + 1 columns
+    of u and rows of t are zeta^i c and zeta^j r with i + j = s, i, j < d.
+    The x and -x terms cancel before folding; the u t terms sum to
+    c r (1 + zeta + ... + zeta^d) = 0 only once folded through Phi_e; and
+    w v is sparse.
+    """
+    e = draw(st.sampled_from([3, 5]))
+    zero = Cyc.zero(e)
+    halves = st.lists(st.integers(-3, 3), min_size=Cyc.degree(e), max_size=Cyc.degree(e))
+    entries = st.one_of(
+        st.just(zero), halves.map(lambda cs: Cyc(e, tuple(Fraction(c, 2) for c in cs)))
+    )
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    inner, inner_w = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+
+    def matrix(nrows, ncols):
+        return draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                             min_size=nrows, max_size=nrows))
+
+    x, y = matrix(rows, inner), matrix(inner, cols)
+    w, v = matrix(rows, inner_w), matrix(inner_w, cols)
+    (c,), (r,) = zip(*matrix(rows, 1)), matrix(1, cols)
+    d = e - 1
+    powers = [(0, s) for s in range(d)] + [(1, d - 1)]
+    a_cols = list(zip(*x)) + [tuple(-z for z in col) for col in zip(*x)]
+    a_cols += list(zip(*w)) + [[Cyc.zeta(e, i) * z for z in c] for i, _ in powers]
+    b_rows = y + y + v + [[Cyc.zeta(e, j) * z for z in r] for _, j in powers]
+    order = draw(st.permutations(range(len(b_rows))))
+    a = [[a_cols[k][i] for k in order] for i in range(rows)]
+    return a, [b_rows[k] for k in order], e
+
+
+@settings(max_examples=80, deadline=None)
+@given(cancelling_products())
+def test_mul_rows_matches_naive_product(case):
+    a, b, e = case
+    zero = Cyc.zero(e)
+    product = mul_rows(sparse_rows(a), sparse_rows(b))
+    # no stored zero, so equal matrices have equal rows
+    assert all(x for row in product for x in row.values())
+    expected = naive_product(a, b, zero)
+    assert product == sparse_rows(expected)
+    assert dense_rows(product, len(b[0]), zero) == expected == mat_mul_cyc(a, b)
 
 
 def test_reduction_primes():

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import ast
 import collections
 import dataclasses
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -34,7 +36,7 @@ from focklab._linalg import (
     mat_sub,
     matrix_rank,
 )
-from focklab.cyclotomic import Cyc, mat_mul_cyc, matrix_rank_cyc, mod_p
+from focklab.cyclotomic import Cyc, mat_mul_cyc, matrix_rank_cyc, mod_p, sparse_rows
 from focklab.hecke_desk import (
     AttainedCharacter,
     CharacterSpectrum,
@@ -265,7 +267,7 @@ def test_check_jm_witnesses_scaled_generator(hecke_reps):
     rep = hecke_reps(2, 2, 2)
     gens = list(rep.gens)
     gens[1] = mat_scale(gens[1], 2)
-    bad = dataclasses.replace(rep, gens=gens, _jm_cache=jm_elements(rep))
+    bad = dataclasses.replace(rep, gens=gens, _jm_cache=hecke_desk._jm_rows(rep))
     by_axiom = {r.axiom: r for r in check_jm(bad)}
     assert by_axiom["jm_twist"].witnesses == ({"i": 1},)
     assert by_axiom["jm_commute"].status == "pass"
@@ -323,7 +325,7 @@ def test_minimal_polynomial_annihilates_exactly(hecke_reps):
         }
         for k in range(n):
             mat = symmetric_jm(rep, k + 1)
-            minimal = _minimal_polynomial(mat, rep.one())
+            minimal = _minimal_polynomial(sparse_rows(mat), rep.one())
             assert mat_is_zero(_poly_at(minimal, mat, ident)), (l, n, e, k)
             degree = 0
             for c in {v[k] for v in values}:
@@ -411,7 +413,8 @@ def test_joint_eigenspaces_of_last_jm_restrict(hecke_reps, l, n, e):
     # S^(lambda - gamma), gamma a removable node of residue i
     rep = hecke_reps(l, n, e)
     zetas = [Cyc.zeta(e, i) for i in range(e)]
-    dims = hecke_desk.joint_eigenspaces(rep, [jm_elements(rep)[-1]], [zetas])
+    last = sparse_rows(jm_elements(rep)[-1])
+    dims = hecke_desk.joint_eigenspaces(rep, [last], [zetas])
     expected = {}
     for mp in enumerate_multipartitions(n, l):
         for box in removable_boxes(mp, rep.charge):
@@ -438,7 +441,7 @@ def test_block_dimensions_match_cellular_formula_at_level_three(hecke_reps):
 
 def _spectrum_input(hecke_reps):
     rep = hecke_reps(2, 2, 3)
-    mats = [symmetric_jm(rep, k + 1) for k in range(rep.n)]
+    mats = [sparse_rows(symmetric_jm(rep, k + 1)) for k in range(rep.n)]
     return rep, mats, [[Cyc.zeta(3, i) for i in range(3)]] * rep.n
 
 
@@ -567,7 +570,25 @@ def test_to_json_shape(hecke_reps):
 
 
 def test_build_reaches_dim_384():
-    # above the default FOCK_MAX_DIM bound; the relations are left to slower runs
+    # above the default FOCK_MAX_DIM bound
     rep = build_algebra(2, 4, Multicharge(2, (0, 1)), max_dim=384)
     assert rep.dimension == 384
     assert len(set(rep.words)) == 384
+    (report,) = check_relations(rep)
+    assert report.status == "pass", report.witnesses[:1]
+
+
+def test_hecke_desk_multiplies_sparse_rows_only():
+    # every Hecke-side product goes through mul_rows on sparse rows; a dense
+    # product would test every zero entry of a dim x dim matrix again
+    source = Path(__file__).parents[1] / "src" / "focklab" / "hecke_desk.py"
+    names = set()
+    for node in ast.walk(ast.parse(source.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+    assert "mul_rows" in names
+    assert not names & {"mat_mul_cyc", "mat_mul"}
