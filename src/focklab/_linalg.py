@@ -1,5 +1,6 @@
 """Exact Gaussian elimination over any field type supporting +,-,*,/ and
-truthiness (Fraction, cyclotomic numbers).
+truthiness (Fraction, cyclotomic numbers), and over plain ints read as
+rationals: an int pivot is inverted as a Fraction, never a float.
 
 Vectors and matrices are plain lists, except that elimination works on
 sparse dicts (column -> nonzero entry) and touches only nonzero entries.
@@ -11,6 +12,7 @@ works over F_p on plain ints, any representatives, by its own int loop
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Sequence
 
 
@@ -26,7 +28,7 @@ def rref(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
         w = {c: v for c, v in enumerate(row) if v}
         pc = _reduce(echelon, w)[0]
         if pc is not None:
-            pinv = w[pc] ** (-1)  # one field inversion per pivot row
+            pinv = _inverse(w[pc])  # one field inversion per pivot row
             echelon[pc] = {c: v * pinv for c, v in w.items()}
     pivots = sorted(echelon)
     for pc in reversed(pivots):
@@ -89,7 +91,7 @@ class SpanTracker:
         if pc is None:
             return False
         if p is None:
-            pinv = w[pc] ** (-1)
+            pinv = _inverse(w[pc])
             row = {c: v * pinv for c, v in w.items()}
             row_combo = {k: -v * pinv for k, v in combo.items()}
         else:
@@ -137,6 +139,11 @@ def _reduce(echelon: dict[int, dict], w: dict, combos: dict[int, dict] | None = 
         if combos is not None:
             _axpy(combo, f, combos[c])
     return None, combo
+
+
+def _inverse(x):
+    """1 / x exactly: an int's x ** -1 would be a float."""
+    return Fraction(1, x) if type(x) is int else x ** (-1)
 
 
 def _axpy(y: dict, f, x: dict) -> None:

@@ -4,6 +4,10 @@ A number is a rational-coefficient polynomial in zeta_e reduced modulo the
 e-th cyclotomic polynomial, so the degree is phi(e) and equality is
 decidable.  All scalars appearing in the Hecke presentation are powers of
 zeta_e, so this field suffices; `mod_p` reduces it into F_p, p = 1 mod e.
+
+A coefficient is an int when integral and a Fraction only for a true
+denominator (`Cyc.__init__` enforces it), so arithmetic in Z[zeta_e], almost
+all of the Hecke side's, runs on ints, many times cheaper than Fraction's.
 """
 
 from __future__ import annotations
@@ -69,13 +73,18 @@ class Cyc:
     """An element of Q(zeta_e), coefficients over 1, zeta, ..., zeta^(d-1).
 
     Instances are immutable by convention; slots keep the arithmetic cheap
-    enough for exact matrix work.
+    enough for exact matrix work.  Each coefficient is an int when integral,
+    else a Fraction: the constructor turns integral Fractions into ints.
     """
 
     __slots__ = ("e", "coeffs")
 
-    def __init__(self, e: int, coeffs: tuple[Fraction, ...]):
+    def __init__(self, e: int, coeffs: tuple[int | Fraction, ...]):
         self.e = e
+        for c in coeffs:  # all ints is the common case: one type test each
+            if type(c) is not int:
+                coeffs = tuple(int(x) if x.denominator == 1 else x for x in coeffs)
+                break
         self.coeffs = coeffs
 
     def __repr__(self) -> str:
@@ -88,7 +97,7 @@ class Cyc:
     @classmethod
     def from_rational(cls, value, e: int) -> "Cyc":
         d = cls.degree(e)
-        return cls(e, (RAT(value),) + (RAT(0),) * (d - 1))
+        return cls(e, (value,) + (0,) * (d - 1))
 
     @classmethod
     def zero(cls, e: int) -> "Cyc":
@@ -103,8 +112,8 @@ class Cyc:
         """zeta_e^power, reduced into the field basis."""
         d = cls.degree(e)
         power %= e
-        coeffs = [RAT(0)] * max(d, power + 1)
-        coeffs[power] = RAT(1)
+        coeffs = [0] * max(d, power + 1)
+        coeffs[power] = 1
         return cls(e, _reduce(coeffs, e, d))
 
     def is_rational(self) -> bool:
@@ -168,7 +177,7 @@ class Cyc:
         e, d = self.e, len(self.coeffs)
         if len(terms := _nonzero_coeffs(self)) == 1:
             (k, c), = terms
-            return Cyc(e, tuple(x / c for x in Cyc.zeta(e, -k).coeffs))
+            return Cyc(e, tuple(Fraction(x, c) for x in Cyc.zeta(e, -k).coeffs))
         conj = Cyc.one(e)
         for k in range(2, e):
             if gcd(k, e) == 1:
@@ -176,7 +185,7 @@ class Cyc:
                 for j, c in enumerate(self.coeffs):
                     conv[j * k % e] += c
                 conj = conj * Cyc(e, _reduce(conv, e, d))
-        norm = RAT((self * conj).coeffs[0])
+        norm = RAT((self * conj).coeffs[0])  # c / int norm would be a float
         return Cyc(e, tuple(c / norm for c in conj.coeffs))
 
     def __truediv__(self, other):
@@ -243,7 +252,7 @@ def _reduce(conv: list, e: int, d: int) -> tuple:
     """Fold coefficients of degree >= d back via the reduction table."""
     out = list(conv[:d])
     if len(out) < d:
-        out += [Fraction(0)] * (d - len(out))
+        out += [0] * (d - len(out))
     if len(conv) > d:
         reps, _ = _reduction_table(e)
         for m in range(d, len(conv)):
@@ -334,7 +343,9 @@ def mod_p(x: Cyc, p: int, omega: int) -> int:
     """
     out = 0
     for c in reversed(x.coeffs):
-        if c.denominator % p == 0:
-            raise ZeroDivisionError(f"{p} divides the denominator of {x}")
-        out = (out * omega + c.numerator * pow(c.denominator, -1, p)) % p
+        if type(c) is not int:
+            if c.denominator % p == 0:
+                raise ZeroDivisionError(f"{p} divides the denominator of {x}")
+            c = c.numerator * pow(c.denominator, -1, p)
+        out = (out * omega + c) % p
     return out

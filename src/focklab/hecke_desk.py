@@ -180,6 +180,7 @@ class FinDimAlgebraRep:
         return _linalg.mat_identity(self.dimension, self.zero(), self.one())
 
     def to_json(self) -> dict:
+        seen: dict = {}  # coeffs -> JSON, once per distinct entry: most are zero
         return {
             "e": self.charge.e,
             "s": list(self.charge.s),
@@ -188,7 +189,8 @@ class FinDimAlgebraRep:
             "dimension": self.dimension,
             "words": self.word_labels(),
             "generators": [
-                [[entry.to_json() for entry in row] for row in mat]
+                [[seen.get(x.coeffs) or seen.setdefault(x.coeffs, x.to_json()) for x in row]
+                 for row in mat]
                 for mat in self.gens
             ],
         }

@@ -238,6 +238,24 @@ def test_verify_all_byte_identity(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# `verify hecke` stdout pinned byte for byte; e = 4 and 5 invert
+# non-monomial pivots by the Galois norm.
+VERIFY_HECKE_PINS = [
+    ("--e", "2", "--s", "0,1,1", "--n", "3"),
+    ("--e", "4", "--s", "0,1", "--n", "3"),
+    ("--e", "5", "--s", "0,2", "--n", "2"),
+]
+
+
+@pytest.mark.parametrize("argv", VERIFY_HECKE_PINS)
+def test_verify_hecke_byte_identity(capsys, argv):
+    # every report passes, so the three streams are the same bytes
+    code, out = run(capsys, "verify", "hecke", *argv)
+    assert code == 0
+    digest = "706aa1d98335a06e5555e37c09acbe61ff8caf3b3760710b3a90d0ae63e586ce"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_cli_holds_no_linear_algebra():
     # checks belong in the library; the CLI parses and streams their reports
     source = Path(__file__).parents[1] / "src" / "focklab" / "cli.py"

@@ -237,3 +237,94 @@ def test_reduction_primes():
     assert next(reduction_primes(3))[0] == 2**61 - 1
     with pytest.raises(ZeroDivisionError):
         mod_p(Cyc.from_rational(Fraction(1, 7), 3), 7, 2)
+
+
+# A Fraction-only reference for Q(zeta_e): coefficient lists reduced by long
+# division by Phi_e, inverses by solving x * y = 1 on the power basis.
+def ref_mul(a, b, e):
+    phi, d = cyclotomic_polynomial(e), Cyc.degree(e)
+    out = [Fraction(0)] * (2 * d - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += Fraction(x) * Fraction(y)
+    for m in range(len(out) - 1, d - 1, -1):  # Phi_e is monic
+        top, out[m] = out[m], Fraction(0)
+        for j, c in enumerate(phi[:-1]):
+            out[m - d + j] -= top * c
+    return out[:d]
+
+
+def ref_inverse(a, e):
+    d = Cyc.degree(e)
+    unit = lambda s: [Fraction(int(k == s)) for k in range(d)]
+    columns = [ref_mul(a, unit(s), e) for s in range(d)]  # y -> a * y
+    system = [[columns[s][r] for s in range(d)] + [unit(0)[r]] for r in range(d)]
+    for c in range(d):  # Gauss-Jordan on the invertible d x d system
+        pick = next(r for r in range(c, d) if system[r][c])
+        system[c], system[pick] = system[pick], system[c]
+        system[c] = [x / system[c][c] for x in system[c]]
+        for r in range(d):
+            if r != c:
+                system[r] = [x - system[r][c] * y for x, y in zip(system[r], system[c])]
+    return [row[-1] for row in system]
+
+
+def ref_power(a, k, e):
+    base = a if k >= 0 else ref_inverse(a, e)
+    out = [Fraction(int(s == 0)) for s in range(Cyc.degree(e))]
+    for _ in range(abs(k)):
+        out = ref_mul(out, base, e)
+    return out
+
+
+def int_exactly_when_integral(x):
+    return all(
+        type(c) is int if Fraction(c).denominator == 1 else type(c) is Fraction
+        for c in x.coeffs
+    )
+
+
+def mixed_coefficients(e):
+    """phi(e) coefficients, each an int, an integral Fraction or a proper one."""
+    coeff = st.one_of(
+        st.integers(-5, 5),
+        st.integers(-5, 5).map(Fraction),
+        st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    )
+    return st.lists(coeff, min_size=Cyc.degree(e), max_size=Cyc.degree(e))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([2, 3, 4, 5, 7]).flatmap(
+        lambda e: st.tuples(st.just(e), mixed_coefficients(e), mixed_coefficients(e))
+    ),
+    st.integers(-3, 3),
+    st.sampled_from([-3, -1, 2, 3, Fraction(3, 2)]),
+)
+def test_coefficients_match_fraction_reference(case, k, scalar):
+    # int / int would be a float: x / 3 and the monomial inverse divide by
+    # an int coefficient, the Galois norm (e = 4, 5, 7) by an int norm
+    e, raw_x, raw_y = case
+    x, y = Cyc(e, tuple(raw_x)), Cyc(e, tuple(raw_y))
+    fx, fy = list(map(Fraction, raw_x)), list(map(Fraction, raw_y))
+    results = [
+        (x, fx),
+        (x + y, [a + b for a, b in zip(fx, fy)]),
+        (x - y, [a - b for a, b in zip(fx, fy)]),
+        (x * y, ref_mul(fx, fy, e)),
+        (x * scalar, [a * scalar for a in fx]),
+        (x / scalar, [a / scalar for a in fx]),
+    ]
+    if x:
+        results += [(x.inverse(), ref_inverse(fx, e)), (y / x, ref_mul(fy, ref_inverse(fx, e), e))]
+    if x or k >= 0:
+        results.append((x**k, ref_power(fx, k, e)))
+    for value, expected in results:
+        assert list(value.coeffs) == expected
+        assert int_exactly_when_integral(value)
+    p, omega = next(reduction_primes(e))
+    as_fractions = Cyc.__new__(Cyc)  # the Fraction form, bypassing __init__
+    as_fractions.e, as_fractions.coeffs = e, tuple(fx)
+    expected = sum(c.numerator * pow(c.denominator, -1, p) * omega**s for s, c in enumerate(fx))
+    assert mod_p(x, p, omega) == mod_p(as_fractions, p, omega) == expected % p

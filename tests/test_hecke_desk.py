@@ -592,3 +592,15 @@ def test_hecke_desk_multiplies_sparse_rows_only():
             names.add(node.id)
     assert "mul_rows" in names
     assert not names & {"mat_mul_cyc", "mat_mul"}
+
+
+@pytest.mark.parametrize("l,n,e", [(3, 3, 2), (2, 3, 3), (2, 2, 5)])
+def test_hecke_coefficients_are_ints(hecke_reps, l, n, e):
+    # the Hecke side lies in Z[zeta_e]: every coefficient of the generators
+    # and the (symmetric) JM matrices is an int, which keeps their products
+    # off the Fraction operators
+    rep = hecke_reps(l, n, e)
+    entries = [x for g in rep.gens for row in g for x in row]
+    for rows in hecke_desk._jm_rows(rep) + hecke_desk._sym_rows(rep):
+        entries += [x for row in rows for x in row.values()]
+    assert {type(c) for x in entries for c in x.coeffs} == {int}

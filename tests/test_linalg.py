@@ -226,3 +226,28 @@ def test_reduction_mod_p_is_a_homomorphism(factors, prime):
     x, y = a[0][0], b[0][0]
     assert mod_p(x + y, p, omega) == (mod_p(x, p, omega) + mod_p(y, p, omega)) % p
     assert mod_p(Cyc.zeta(3), p, omega) == omega != 1 == pow(omega, 3, p)
+
+
+def _exact(value):
+    """No float anywhere in a nested result of lists, tuples and dicts."""
+    if isinstance(value, dict):
+        return all(map(_exact, value.values()))
+    if isinstance(value, (list, tuple)):
+        return all(map(_exact, value))
+    return type(value) in (int, Fraction)
+
+
+def test_int_entries_eliminate_exactly():
+    # plain ints are rationals: an int pivot is inverted as Fraction(1, x),
+    # where x ** -1 would be a float
+    results = []
+    for form in (int, Fraction):
+        tracker = SpanTracker()
+        assert tracker.insert({0: form(3), 1: form(1)})
+        results.append((
+            rref([[form(2), form(1)], [form(4), form(3)]], 2),
+            kernel_basis([[form(2), form(4)]], 2, form(0), form(1)),
+            tracker.express({0: form(6), 1: form(2)}),
+        ))
+    assert _exact(results) and results[0] == results[1]
+    assert results[0][1:] == ([[-2, 1]], {0: 2})
