@@ -4,6 +4,10 @@ rationals: an int pivot is inverted as a Fraction, never a float.
 
 Vectors and matrices are plain lists, except that elimination works on
 sparse dicts (column -> nonzero entry) and touches only nonzero entries.
+The Hecke side keeps its matrices as such sparse rows throughout and
+multiplies them by `cyclotomic.mul_rows`; the dense `mat_mul` is kept for
+the rational test oracles and the benchmark tracer.
+
 Reduced row echelon forms are canonical, so `rref`, ranks and kernel bases
 do not depend on the order in which rows are eliminated.  `SpanTracker(p)`
 works over F_p on plain ints, any representatives, by its own int loop
@@ -182,10 +186,6 @@ def _reduce_mod_p(echelon: dict[int, dict], w: dict, combos: dict[int, dict], p:
     return None, combo
 
 
-def mat_identity(n: int, zero, one) -> list[list]:
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence], zero) -> list[list]:
     """Matrix product, skipping zero entries of both factors."""
     b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
@@ -198,15 +198,3 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence], zero) -> list[list]:
                     acc[j] = acc[j] + x * y if j in acc else x * y
         out.append([acc.get(j, zero) for j in range(len(b[0]))])
     return out
-
-
-def mat_sub(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a: Sequence[Sequence], f) -> list[list]:
-    return [[f * x for x in row] for row in a]
-
-
-def mat_is_zero(a: Sequence[Sequence]) -> bool:
-    return all(not x for row in a for x in row)

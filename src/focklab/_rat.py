@@ -1,14 +1,5 @@
-"""Exact rational scalar used in the cyclotomic/Hecke hot paths.
+"""Exact rational scalar used in the cyclotomic/Hecke hot paths."""
 
-gmpy2.mpq when available (hash/str/arithmetic agree with Fraction), stdlib
-Fraction otherwise; both are exact.
-"""
-
-from __future__ import annotations
-
-try:
-    from gmpy2 import mpq as RAT
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as RAT  # type: ignore[assignment]
+from fractions import Fraction as RAT
 
 __all__ = ["RAT"]

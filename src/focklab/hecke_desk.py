@@ -15,8 +15,8 @@ Each check returns `AxiomReport`s: `check_relations` for the presentation,
 `check_jm` for the Jucys-Murphy twist, commutation and centrality,
 `central_characters` for the block spectrum, and `check_block_weights` for
 the match between attained characters and affine weights of the rank-n
-shapes.  They multiply sparse rows {column: nonzero entry} by `mul_rows`;
-only `gens`, what `jm_elements`/`symmetric_jm` return and JSON are dense.
+shapes.  Every matrix here, from the saturation on, is a list of sparse rows
+{column: nonzero entry}, multiplied by `mul_rows`; only `to_json` densifies.
 The spectrum is one call of `joint_eigenspaces` on the symmetric JM elements
 e_k.  Its only exact work is the minimal polynomial of each e_k and its
 idempotent polynomials at the target values.  Each joint generalized
@@ -40,7 +40,7 @@ from itertools import count, islice, permutations, product, repeat
 from math import factorial
 
 from . import _linalg
-from .cyclotomic import Cyc, dense_rows, mod_p, mul_rows, reduction_primes, sparse_rows
+from .cyclotomic import Cyc, dense_rows, mod_p, mul_rows, reduction_primes
 from .multipartition import (
     Multicharge,
     Multipartition,
@@ -54,8 +54,6 @@ from .weight_lattice import wt
 DEFAULT_DIM_BOUND = 200
 # primes tried before a saturation or a spectrum gives up and raises
 CERTIFY_PRIMES = 3
-
-Matrix = list  # list[list[Cyc]]
 
 
 @dataclass(frozen=True)
@@ -161,7 +159,7 @@ class FinDimAlgebraRep:
     params: HeckeParams
     dimension: int
     words: tuple[tuple[int, ...], ...]
-    gens: list  # list of dimension x dimension matrices over Cyc
+    gens: list  # per generator T_g, its rows {column: nonzero Cyc}
     _jm_cache: list | None = field(default=None, repr=False, compare=False)
     _sym_cache: list | None = field(default=None, repr=False, compare=False)
 
@@ -176,11 +174,9 @@ class FinDimAlgebraRep:
     def one(self) -> Cyc:
         return Cyc.one(self.charge.e)
 
-    def identity_matrix(self) -> Matrix:
-        return _linalg.mat_identity(self.dimension, self.zero(), self.one())
-
     def to_json(self) -> dict:
         seen: dict = {}  # coeffs -> JSON, once per distinct entry: most are zero
+        zero = self.zero()
         return {
             "e": self.charge.e,
             "s": list(self.charge.s),
@@ -190,7 +186,7 @@ class FinDimAlgebraRep:
             "words": self.word_labels(),
             "generators": [
                 [[seen.get(x.coeffs) or seen.setdefault(x.coeffs, x.to_json()) for x in row]
-                 for row in mat]
+                 for row in dense_rows(mat, self.dimension, zero)]
                 for mat in self.gens
             ],
         }
@@ -263,8 +259,8 @@ def _saturate(engine: _Engine, target: int, p: int, omega: int):
     the exact span or a true coordinate vanished mod p.
     """
     index = {lab: k for k, lab in enumerate(_all_labels(engine.l, engine.n))}
-    zero, one = Cyc.zero(engine.e), Cyc.one(engine.e)
-    gens = [[[zero] * target for _ in range(target)] for _ in range(engine.n)]
+    one = Cyc.one(engine.e)
+    gens = [[{} for _ in range(target)] for _ in range(engine.n)]
 
     def sparse(element: dict) -> dict:
         return {index[lab]: c for lab, c in element.items()}
@@ -307,8 +303,7 @@ def _scale(rows: list, f: Cyc) -> list:
 
 def check_relations(rep: FinDimAlgebraRep) -> list[AxiomReport]:
     """Evaluate every defining relation as a matrix identity, on sparse rows."""
-    gens = [sparse_rows(g) for g in rep.gens]
-    q, zero = rep.params.q, rep.zero()
+    gens, q, zero = rep.gens, rep.params.q, rep.zero()
     witnesses: list[dict] = []
 
     def shifted(g: int, c: Cyc) -> list:  # T_g - c, on the diagonal only
@@ -347,11 +342,13 @@ def check_relations(rep: FinDimAlgebraRep) -> list[AxiomReport]:
     return [AxiomReport("relations", tuple(witnesses))]
 
 
-def _jm_rows(rep: FinDimAlgebraRep, gens: list | None = None) -> list:
-    """J_0..J_(n-1) as sparse rows, cached on `rep`; `gens`: the T_g's rows."""
+def jm_elements(rep: FinDimAlgebraRep) -> list:
+    """J_0 = T_0 and J_i = q^{-1} T_i J_{i-1} T_i as sparse rows, cached on
+    `rep`; invertible once `check_relations` passes: T_i^{-1} = q^{-1} (T_i -
+    q + 1), and the cyclotomic relation of T_0 has constant term +-prod_j Q_j
+    != 0."""
     if rep._jm_cache is None:
-        gens = gens or [sparse_rows(g) for g in rep.gens]
-        qinv = rep.params.q.inverse()
+        gens, qinv = rep.gens, rep.params.q.inverse()
         jms = [gens[0]]
         for i in range(1, rep.n):
             jms.append(_scale(mul_rows(mul_rows(gens[i], jms[-1]), gens[i]), qinv))
@@ -359,12 +356,12 @@ def _jm_rows(rep: FinDimAlgebraRep, gens: list | None = None) -> list:
     return rep._jm_cache
 
 
-def _sym_rows(rep: FinDimAlgebraRep, gens: list | None = None) -> list:
+def _sym_rows(rep: FinDimAlgebraRep) -> list:
     """e_0..e_n of the Jucys-Murphy matrices as sparse rows, cached on `rep`:
     e_k(J_0..J_i) = e_k(J_0..J_(i-1)) + e_(k-1)(J_0..J_(i-1)) J_i."""
     if rep._sym_cache is None:
         table = [[{r: rep.one()} for r in range(rep.dimension)]]
-        for m in _jm_rows(rep, gens):
+        for m in jm_elements(rep):
             prods = [mul_rows(t, m) for t in table]
             sums = [list(map(_add, t, prod)) for t, prod in zip(table[1:], prods)]
             table = table[:1] + sums + prods[-1:]
@@ -383,18 +380,12 @@ def _add(a: dict, b: dict) -> dict:
     return out
 
 
-def jm_elements(rep: FinDimAlgebraRep) -> list[Matrix]:
-    """J_0 = T_0 and J_i = q^{-1} T_i J_{i-1} T_i, invertible once `check_relations`
-    passes: T_i^{-1} = q^{-1} (T_i - q + 1), and the cyclotomic relation of T_0
-    has constant term +-prod_j Q_j != 0."""
-    return [dense_rows(m, rep.dimension, rep.zero()) for m in _jm_rows(rep)]
-
-
-def symmetric_jm(rep: FinDimAlgebraRep, k: int) -> Matrix:
-    """k-th elementary symmetric polynomial of the Jucys-Murphy matrices."""
+def symmetric_jm(rep: FinDimAlgebraRep, k: int) -> list:
+    """k-th elementary symmetric polynomial of the Jucys-Murphy matrices, as
+    sparse rows."""
     if not 0 <= k <= rep.n:
         raise ValueError(f"k={k} out of 0..{rep.n}")
-    return dense_rows(_sym_rows(rep)[k], rep.dimension, rep.zero())
+    return _sym_rows(rep)[k]
 
 
 def check_jm(rep: FinDimAlgebraRep) -> list[AxiomReport]:
@@ -404,8 +395,7 @@ def check_jm(rep: FinDimAlgebraRep) -> list[AxiomReport]:
     pairwise; `jm_centrality`: every symmetric JM element commutes with
     every generator.
     """
-    gens = [sparse_rows(g) for g in rep.gens]
-    jms, syms = _jm_rows(rep, gens), _sym_rows(rep, gens)
+    gens, jms, syms = rep.gens, jm_elements(rep), _sym_rows(rep)
     twist_bad = [
         {"i": i}
         for i in range(1, rep.n)
@@ -597,7 +587,7 @@ def _traces(rep: FinDimAlgebraRep, mats: list, pis: list, p: int, omega: int) ->
                     grown[prefix + (t,)] = w
         vectors = grown
 
-    gens = [sparse(sparse_rows(g)) for g in rep.gens]
+    gens = [sparse(g) for g in rep.gens]
     parent = {word: j for j, word in enumerate(rep.words)}
     dims = {}
     for t, e in vectors.items():

@@ -6,6 +6,7 @@ import dataclasses
 import itertools
 import math
 from fractions import Fraction
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -28,15 +29,8 @@ from focklab import (
     symmetric_jm,
     wt,
 )
-from focklab._linalg import (
-    SpanTracker,
-    mat_is_zero,
-    mat_mul,
-    mat_scale,
-    mat_sub,
-    matrix_rank,
-)
-from focklab.cyclotomic import Cyc, mat_mul_cyc, matrix_rank_cyc, mod_p, sparse_rows
+from focklab._linalg import SpanTracker, mat_mul, matrix_rank
+from focklab.cyclotomic import Cyc, dense_rows, matrix_rank_cyc, mod_p, mul_rows
 from focklab.hecke_desk import (
     AttainedCharacter,
     CharacterSpectrum,
@@ -73,7 +67,7 @@ def test_degenerate_t0_is_scalar(hecke_reps):
     # level one: the cyclotomic relation has degree one, so T_0 = q_1
     rep = hecke_reps(1, 2, 2)
     q1 = rep.params.q_list[0]
-    assert mat_is_zero(mat_sub(rep.gens[0], mat_scale(rep.identity_matrix(), q1)))
+    assert rep.gens[0] == [{r: q1} for r in range(rep.dimension)]
 
 
 def test_relations_pass(hecke_reps):
@@ -108,11 +102,11 @@ def test_check_relations_witnesses_perturbed_generators(hecke_reps, config):
     rep = hecke_reps(*config)
     scaled, shifted = PERTURBED_WITNESSES[config]
     gens = list(rep.gens)
-    gens[1] = mat_scale(gens[1], 2)
+    gens[1] = hecke_desk._scale(gens[1], 2)
     (report,) = check_relations(dataclasses.replace(rep, gens=gens))
     assert report.witnesses == scaled
-    t0 = [list(row) for row in rep.gens[0]]
-    t0[0][1] = t0[0][1] + 1
+    t0 = list(rep.gens[0])
+    t0[0] = hecke_desk._add(t0[0], {1: rep.one()})
     (report,) = check_relations(dataclasses.replace(rep, gens=[t0, *rep.gens[1:]]))
     assert report.witnesses == shifted
 
@@ -120,7 +114,8 @@ def test_check_relations_witnesses_perturbed_generators(hecke_reps, config):
 def test_generators_invertible(hecke_reps):
     rep = hecke_reps(2, 2, 3)
     for gen in rep.gens:
-        assert matrix_rank_cyc(gen, rep.dimension) == rep.dimension
+        dense = dense_rows(gen, rep.dimension, rep.zero())
+        assert matrix_rank_cyc(dense, rep.dimension) == rep.dimension
 
 
 def test_identity_word_first(hecke_reps):
@@ -137,18 +132,18 @@ def test_dimension_bound():
         build_algebra(1, 2, Multicharge(2, (0, 1)))  # level mismatch
 
 
+# Sparse rows store no zero (test_hecke_coefficients_are_ints), so equal
+# matrices have equal rows and the identities below are checked with ==.
 def test_jm_recursion(hecke_reps):
     rep = hecke_reps(1, 3, 2)
     jms = jm_elements(rep)
     q = rep.params.q
     t = rep.gens
     assert jms[0] == t[0]
-    j1 = mat_mul_cyc(mat_mul_cyc(t[1], t[0]), t[1])
-    assert mat_is_zero(mat_sub(jms[1], mat_scale(j1, q.inverse())))
-    j2 = mat_mul_cyc(
-        mat_mul_cyc(mat_mul_cyc(mat_mul_cyc(t[2], t[1]), t[0]), t[1]), t[2]
-    )
-    assert mat_is_zero(mat_sub(jms[2], mat_scale(j2, (q * q).inverse())))
+    j1 = mul_rows(mul_rows(t[1], t[0]), t[1])
+    assert jms[1] == hecke_desk._scale(j1, q.inverse())
+    j2 = reduce(mul_rows, [t[2], t[1], t[0], t[1], t[2]])
+    assert jms[2] == hecke_desk._scale(j2, (q * q).inverse())
 
 
 def test_jm_pairwise_commute(hecke_reps):
@@ -156,9 +151,7 @@ def test_jm_pairwise_commute(hecke_reps):
     jms = jm_elements(rep)
     for i in range(len(jms)):
         for j in range(i + 1, len(jms)):
-            assert mat_is_zero(
-                mat_sub(mat_mul_cyc(jms[i], jms[j]), mat_mul_cyc(jms[j], jms[i]))
-            )
+            assert mul_rows(jms[i], jms[j]) == mul_rows(jms[j], jms[i])
 
 
 def test_jm_twist_identity(hecke_reps):
@@ -167,23 +160,20 @@ def test_jm_twist_identity(hecke_reps):
         rep = hecke_reps(l, n, e)
         jms = jm_elements(rep)
         for i in range(1, rep.n):
-            lhs = mat_mul_cyc(mat_mul_cyc(rep.gens[i], jms[i - 1]), rep.gens[i])
-            assert mat_is_zero(mat_sub(lhs, mat_scale(jms[i], rep.params.q)))
+            lhs = mul_rows(mul_rows(rep.gens[i], jms[i - 1]), rep.gens[i])
+            assert lhs == hecke_desk._scale(jms[i], rep.params.q)
 
 
 def test_symmetric_jm_examples(hecke_reps):
     rep = hecke_reps(1, 2, 2)
-    assert symmetric_jm(rep, 0) == rep.identity_matrix()
+    assert symmetric_jm(rep, 0) == [{r: rep.one()} for r in range(rep.dimension)]
     e1 = symmetric_jm(rep, 1)
     for gen in rep.gens:
-        assert mat_is_zero(mat_sub(mat_mul_cyc(e1, gen), mat_mul_cyc(gen, e1)))
+        assert mul_rows(e1, gen) == mul_rows(gen, e1)
     # negative control: a single Jucys-Murphy element is not central
     rep22 = hecke_reps(2, 2, 2)
     j0 = jm_elements(rep22)[0]
-    assert any(
-        not mat_is_zero(mat_sub(mat_mul_cyc(j0, g), mat_mul_cyc(g, j0)))
-        for g in rep22.gens
-    )
+    assert any(mul_rows(j0, g) != mul_rows(g, j0) for g in rep22.gens)
 
 
 def test_symmetric_jm_central(hecke_reps):
@@ -192,9 +182,7 @@ def test_symmetric_jm_central(hecke_reps):
         for k in range(1, n + 1):
             ek = symmetric_jm(rep, k)
             for gen in rep.gens:
-                assert mat_is_zero(
-                    mat_sub(mat_mul_cyc(ek, gen), mat_mul_cyc(gen, ek))
-                )
+                assert mul_rows(ek, gen) == mul_rows(gen, ek)
 
 
 def test_a_poly_examples():
@@ -266,8 +254,8 @@ def test_check_jm_witnesses_scaled_generator(hecke_reps):
     # JM matrices of the true algebra against a generator scaled by 2
     rep = hecke_reps(2, 2, 2)
     gens = list(rep.gens)
-    gens[1] = mat_scale(gens[1], 2)
-    bad = dataclasses.replace(rep, gens=gens, _jm_cache=hecke_desk._jm_rows(rep))
+    gens[1] = hecke_desk._scale(gens[1], 2)
+    bad = dataclasses.replace(rep, gens=gens, _jm_cache=jm_elements(rep))
     by_axiom = {r.axiom: r for r in check_jm(bad)}
     assert by_axiom["jm_twist"].witnesses == ({"i": 1},)
     assert by_axiom["jm_commute"].status == "pass"
@@ -300,11 +288,12 @@ def test_spectrum_reports_witness_foreign_charge(hecke_reps):
     )
 
 
-def _poly_at(coeffs, mat, ident):
-    """Exact Horner evaluation of an ascending polynomial at a matrix."""
-    out = mat_scale(ident, 0)
+def _poly_at(coeffs, rows):
+    """Exact Horner evaluation of an ascending polynomial at sparse rows."""
+    out = [{} for _ in rows]
     for c in reversed(coeffs):
-        out = mat_sub(mat_mul_cyc(out, mat), mat_scale(ident, -c))
+        out = [hecke_desk._add(row, {r: c} if c else {})
+               for r, row in enumerate(mul_rows(out, rows))]
     return out
 
 
@@ -319,14 +308,13 @@ def test_minimal_polynomial_annihilates_exactly(hecke_reps):
     # the Krylov polynomial on the identity word, checked on whole matrices
     for l, n, e in [(1, 3, 2), (2, 2, 3), (3, 2, 2)]:
         rep = hecke_reps(l, n, e)
-        ident = rep.identity_matrix()
         values = {
             a_poly(mp, rep.charge).values for mp in enumerate_multipartitions(n, l)
         }
         for k in range(n):
             mat = symmetric_jm(rep, k + 1)
-            minimal = _minimal_polynomial(sparse_rows(mat), rep.one())
-            assert mat_is_zero(_poly_at(minimal, mat, ident)), (l, n, e, k)
+            minimal = _minimal_polynomial(mat, rep.one())
+            assert not any(_poly_at(minimal, mat)), (l, n, e, k)
             degree = 0
             for c in {v[k] for v in values}:
                 a, cofactor = _split_root(minimal, c)
@@ -334,7 +322,7 @@ def test_minimal_polynomial_annihilates_exactly(hecke_reps):
                 assert _times_power(cofactor, c, a) == minimal, (l, n, e, k, c)
                 if a:  # m_k / (x - c) does not annihilate e_k
                     lower = _times_power(cofactor, c, a - 1)
-                    assert not mat_is_zero(_poly_at(lower, mat, ident)), (l, n, e, k, c)
+                    assert any(_poly_at(lower, mat)), (l, n, e, k, c)
             assert degree == len(minimal) - 1, (l, n, e, k)
 
 
@@ -358,11 +346,12 @@ def realified_spectrum(rep, n, charge):
         candidates.setdefault(a_poly(mp, charge), []).append(mp)
     table = []
     for k in range(n):
-        sym = symmetric_jm(rep, k + 1)
+        sym = dense_rows(symmetric_jm(rep, k + 1), rep.dimension, rep.zero())
         table.append({
-            c: _stabilized_power(
-                realify(mat_sub(sym, mat_scale(rep.identity_matrix(), c))), dim_r
-            )
+            c: _stabilized_power(realify(
+                [[x - c if i == j else x for j, x in enumerate(row)]
+                 for i, row in enumerate(sym)]
+            ), dim_r)
             for c in dict.fromkeys(char.values[k] for char in candidates)
         })
     attained, total = [], 0
@@ -413,7 +402,7 @@ def test_joint_eigenspaces_of_last_jm_restrict(hecke_reps, l, n, e):
     # S^(lambda - gamma), gamma a removable node of residue i
     rep = hecke_reps(l, n, e)
     zetas = [Cyc.zeta(e, i) for i in range(e)]
-    last = sparse_rows(jm_elements(rep)[-1])
+    last = jm_elements(rep)[-1]
     dims = hecke_desk.joint_eigenspaces(rep, [last], [zetas])
     expected = {}
     for mp in enumerate_multipartitions(n, l):
@@ -426,22 +415,30 @@ def test_joint_eigenspaces_of_last_jm_restrict(hecke_reps, l, n, e):
         assert [dims[(z,)] for z in zetas] == [3, 3, 2]
 
 
-def test_block_dimensions_match_cellular_formula_at_level_three(hecke_reps):
-    # l = n = 3, dim 162: each block B has dimension sum over B of (dim S^lambda)^2
-    rep = hecke_reps(3, 3, 2)
-    spectrum = central_characters(rep, 3, rep.charge)
+@pytest.mark.parametrize("l,n,charge", [
+    (3, 3, Multicharge(2, (0, 1, 2))),
+    # the configurations of test_cli's VERIFY_HECKE_PINS, whose streams are
+    # the same bytes whatever the block dimensions
+    (3, 3, Multicharge(2, (0, 1, 1))),
+    (2, 3, Multicharge(4, (0, 1))),
+    (2, 2, Multicharge(5, (0, 2))),
+], ids=["3-3-2-s012", "3-3-2-s011", "2-3-4-s01", "2-2-5-s02"])
+def test_block_dimensions_match_cellular_formula(l, n, charge):
+    # each block B has dimension sum over B of (dim S^lambda)^2
+    rep = build_algebra(l, n, charge)
+    spectrum = central_characters(rep, n, charge)
     assert all(r.status == "pass" for r in spectrum.reports)
     dims = [block.dimension for block in spectrum.attained]
     assert dims == [
         sum(specht_dimension(mp) ** 2 for mp in block.members)
         for block in spectrum.attained
     ]
-    assert sum(dims) == rep.dimension == 162
+    assert sum(dims) == rep.dimension == l**n * math.factorial(n)
 
 
 def _spectrum_input(hecke_reps):
     rep = hecke_reps(2, 2, 3)
-    mats = [sparse_rows(symmetric_jm(rep, k + 1)) for k in range(rep.n)]
+    mats = [symmetric_jm(rep, k + 1) for k in range(rep.n)]
     return rep, mats, [[Cyc.zeta(3, i) for i in range(3)]] * rep.n
 
 
@@ -489,8 +486,8 @@ def exact_saturation(l, n, charge):
     ambient space, every product expressed over all the words."""
     engine = hecke_desk._Engine(l, n, charge)
     index = {lab: k for k, lab in enumerate(hecke_desk._all_labels(l, n))}
-    zero, one = Cyc.zero(charge.e), Cyc.one(charge.e)
-    gens = [[[zero] * len(index) for _ in index] for _ in range(n)]
+    one = Cyc.one(charge.e)
+    gens = [[{} for _ in index] for _ in range(n)]
 
     def sparse(element):
         return {index[lab]: c for lab, c in element.items()}
@@ -544,7 +541,8 @@ def test_saturation_certificate_moves_past_failing_prime(monkeypatch):
     assert expected.words == ((), (0,))
     # T_0 (1 + 5x) = 1 + 10x = 2 (1 + 5x) - 1
     assert expected.gens[0] == [
-        [Cyc.from_rational(x, 2) for x in row] for row in ((0, -1), (1, 2))
+        {1: Cyc.from_rational(-1, 2)},
+        {0: Cyc.one(2), 1: Cyc.from_rational(2, 2)},
     ]
 
     tried = []
@@ -579,8 +577,9 @@ def test_build_reaches_dim_384():
 
 
 def test_hecke_desk_multiplies_sparse_rows_only():
-    # every Hecke-side product goes through mul_rows on sparse rows; a dense
-    # product would test every zero entry of a dim x dim matrix again
+    # every Hecke-side matrix is sparse rows and every product goes through
+    # mul_rows; a dense product or conversion would touch every zero entry of
+    # a dim x dim matrix again
     source = Path(__file__).parents[1] / "src" / "focklab" / "hecke_desk.py"
     names = set()
     for node in ast.walk(ast.parse(source.read_text())):
@@ -591,7 +590,7 @@ def test_hecke_desk_multiplies_sparse_rows_only():
         elif isinstance(node, ast.Name):
             names.add(node.id)
     assert "mul_rows" in names
-    assert not names & {"mat_mul_cyc", "mat_mul"}
+    assert not names & {"mat_mul_cyc", "mat_mul", "sparse_rows", "mat_identity"}
 
 
 @pytest.mark.parametrize("l,n,e", [(3, 3, 2), (2, 3, 3), (2, 2, 5)])
@@ -600,7 +599,10 @@ def test_hecke_coefficients_are_ints(hecke_reps, l, n, e):
     # and the (symmetric) JM matrices is an int, which keeps their products
     # off the Fraction operators
     rep = hecke_reps(l, n, e)
-    entries = [x for g in rep.gens for row in g for x in row]
-    for rows in hecke_desk._jm_rows(rep) + hecke_desk._sym_rows(rep):
+    entries = []
+    for rows in rep.gens + jm_elements(rep) + hecke_desk._sym_rows(rep):
         entries += [x for row in rows for x in row.values()]
     assert {type(c) for x in entries for c in x.coeffs} == {int}
+    # and none is a stored zero, which the == of check_relations and
+    # check_jm relies on
+    assert all(entries)
