@@ -1,50 +1,56 @@
 """Exact Gaussian elimination over any field type supporting +,-,*,/ and
 truthiness (Fraction, cyclotomic numbers), and over plain ints read as
-rationals: an int pivot is inverted as a Fraction, never a float.
+rationals: +-1 is its own inverse, another int pivot becomes a Fraction.
 
-Vectors and matrices are plain lists, except that elimination works on
-sparse dicts (column -> nonzero entry) and touches only nonzero entries.
-The Hecke side keeps its matrices as such sparse rows throughout and
-multiplies them by `cyclotomic.mul_rows`; the dense `mat_mul` is kept for
-the rational test oracles and the benchmark tracer.
+Elimination works on sparse dicts (column -> nonzero entry), as the Hecke
+side keeps its matrices; the dense `mat_mul` serves test oracles and tracer.
 
-Reduced row echelon forms are canonical, so `rref`, ranks and kernel bases
-do not depend on the order in which rows are eliminated.  `SpanTracker(p)`
-works over F_p on plain ints, any representatives, by its own int loop
-`_reduce_mod_p`, so the exact loop that `rref` runs carries no modulus.
+`echelon`, the exact forward elimination, never scales a row: the pivot's
+inverse enters only each step's multiplier, so entries stay in Z or Z[zeta_e]
+while the multipliers do.  `rref` scales once, then back-substitutes; reduced
+forms are canonical, so `rref`, ranks and kernel bases do not depend on the
+order of the rows.  `SpanTracker(p)` works over F_p by `_reduce_mod_p`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
+
+
+def echelon(rows: Iterable[dict]) -> tuple[dict[int, dict], dict[int, object]]:
+    """(pivot column -> echelon row, pivot column -> 1 / pivot entry): each
+    row, in order, reduced against the echelon rows before it and kept under
+    its first nonzero column unless it vanishes.  The input is not modified."""
+    rows_by_pivot, pinvs = {}, {}
+    for row in rows:
+        w = {c: v for c, v in row.items() if v}
+        pc = _reduce(rows_by_pivot, pinvs, w)[0]
+        if pc is not None:
+            rows_by_pivot[pc], pinvs[pc] = w, _inverse(w[pc])
+    return rows_by_pivot, pinvs
 
 
 def rref(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
     """Reduced row echelon form; returns (rows, pivot column indices).
 
-    Each row is reduced against the echelon rows found so far and, unless it
-    vanishes, kept scaled to 1 on its first column; back-substitution from
+    The `echelon` rows are scaled to 1 at their pivots; back-substitution from
     the last pivot to the first then clears the entries above every pivot.
     """
-    echelon: dict[int, dict] = {}
-    for row in rows:
-        w = {c: v for c, v in enumerate(row) if v}
-        pc = _reduce(echelon, w)[0]
-        if pc is not None:
-            pinv = _inverse(w[pc])  # one field inversion per pivot row
-            echelon[pc] = {c: v * pinv for c, v in w.items()}
-    pivots = sorted(echelon)
+    red, pinvs = echelon(dict(enumerate(row)) for row in rows)
+    pivots = sorted(red)
+    for pc in pivots:
+        red[pc] = {c: v * pinvs[pc] for c, v in red[pc].items()}
     for pc in reversed(pivots):
-        row = echelon[pc]
-        for c in [c for c in row if c != pc and c in echelon]:
-            _axpy(row, -row[c], echelon[c])
-    zero = echelon[pivots[0]][pivots[0]] * 0 if pivots else None
-    return [[echelon[pc].get(c, zero) for c in range(ncols)] for pc in pivots], pivots
+        row = red[pc]
+        for c in [c for c in row if c != pc and c in red]:
+            _axpy(row, -row[c], red[c])
+    zero = red[pivots[0]][pivots[0]] * 0 if pivots else None
+    return [[red[pc].get(c, zero) for c in range(ncols)] for pc in pivots], pivots
 
 
 def matrix_rank(rows: Sequence[Sequence], ncols: int) -> int:
-    return len(rref(list(rows), ncols)[0])
+    return len(echelon(dict(enumerate(row)) for row in rows)[0])
 
 
 def kernel_basis(rows: Sequence[Sequence], ncols: int, zero, one) -> list[list]:
@@ -79,9 +85,10 @@ class SpanTracker:
 
     def __init__(self, p: int | None = None):
         self.p = p
-        # pivot column -> echelon row (1 at the pivot and zero before it),
-        # and its combination over the generators
+        # pivot column -> echelon row (unscaled, or 1 at the pivot over F_p),
+        # its pivot's inverse and its combination over the generators
         self._rows: dict[int, dict] = {}
+        self._pinvs: dict[int, object] = {}
         self._combos: dict[int, dict] = {}
 
     @property
@@ -94,15 +101,15 @@ class SpanTracker:
         pc, w, combo = self._eliminate(vec)
         if pc is None:
             return False
+        # the stored row is scale * w, and w = vec - sum combo[k] * gen_k
         if p is None:
-            pinv = _inverse(w[pc])
-            row = {c: v * pinv for c, v in w.items()}
-            row_combo = {k: -v * pinv for k, v in combo.items()}
+            self._pinvs[pc], scale = _inverse(w[pc]), 1
+            row, row_combo = w, {k: -v for k, v in combo.items()}
         else:
-            pinv = pow(w[pc], -1, p)
-            row = {c: v * pinv % p for c, v in w.items()}
-            row_combo = {k: -v * pinv % p for k, v in combo.items()}
-        row_combo[len(self._rows)] = pinv
+            scale = pow(w[pc], -1, p)
+            row = {c: v * scale % p for c, v in w.items()}
+            row_combo = {k: -v * scale % p for k, v in combo.items()}
+        row_combo[len(self._rows)] = scale
         self._rows[pc], self._combos[pc] = row, row_combo
         return True
 
@@ -116,15 +123,16 @@ class SpanTracker:
         p = self.p
         if p is None:
             w = {c: v for c, v in vec.items() if v}
-            pc, combo = _reduce(self._rows, w, self._combos)
+            pc, combo = _reduce(self._rows, self._pinvs, w, self._combos)
         else:
             w = {c: x for c, v in vec.items() if (x := v % p)}
             pc, combo = _reduce_mod_p(self._rows, w, self._combos, p)
         return pc, w, combo
 
 
-def _reduce(echelon: dict[int, dict], w: dict, combos: dict[int, dict] | None = None):
-    """Eliminate the echelon rows' pivot columns from w in place, smallest first.
+def _reduce(rows: dict[int, dict], pinvs: dict, w: dict, combos: dict | None = None):
+    """Eliminate the echelon rows' pivot columns from w in place, smallest
+    first, subtracting w[c] * pinvs[c] times the row at pivot c.
 
     Returns (c, combo): c is the first nonzero column of w without an echelon
     row (None once w is 0).  With `combos` (pivot column -> combination over
@@ -135,10 +143,10 @@ def _reduce(echelon: dict[int, dict], w: dict, combos: dict[int, dict] | None = 
     combo: dict = {}
     while w:
         c = min(w)
-        row = echelon.get(c)
+        row = rows.get(c)
         if row is None:
             return c, combo
-        f = w[c]
+        f = w[c] * pinvs[c]
         _axpy(w, -f, row)
         if combos is not None:
             _axpy(combo, f, combos[c])
@@ -146,8 +154,10 @@ def _reduce(echelon: dict[int, dict], w: dict, combos: dict[int, dict] | None = 
 
 
 def _inverse(x):
-    """1 / x exactly: an int's x ** -1 would be a float."""
-    return Fraction(1, x) if type(x) is int else x ** (-1)
+    """1 / x exactly; +-1 stays an int (an int's x ** -1 would be a float)."""
+    if type(x) is int:
+        return x if x in (1, -1) else Fraction(1, x)
+    return x ** (-1)
 
 
 def _axpy(y: dict, f, x: dict) -> None:

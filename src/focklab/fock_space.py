@@ -45,6 +45,8 @@ class FockVector:
         level = None
         for mp, coeff in (terms or {}).items():
             if not isinstance(coeff, Fraction):
+                if isinstance(coeff, float):
+                    raise TypeError(f"inexact float coefficient {coeff!r}")
                 coeff = Fraction(coeff)
             if coeff == 0:
                 continue
@@ -91,7 +93,6 @@ class FockVector:
         return FockVector({mp: -c for mp, c in self.terms.items()})
 
     def scaled(self, f) -> "FockVector":
-        f = Fraction(f)
         return FockVector({mp: f * c for mp, c in self.terms.items()})
 
     def __eq__(self, other) -> bool:
@@ -114,13 +115,16 @@ class FockVector:
             mp = Multipartition.from_lists(entry["mp"])
             if level is not None and mp.level != level:
                 raise ValueError(f"expected level {level}, got {mp.level}")
-            terms[mp] = terms.get(mp, Fraction(0)) + Fraction(entry["coeff"])
+            coeff = entry["coeff"]
+            if isinstance(coeff, bool) or not isinstance(coeff, (int, Fraction, str)):
+                raise ValueError(f"coefficient {coeff!r} is not an exact rational")
+            terms[mp] = terms.get(mp, Fraction(0)) + Fraction(coeff)
         return cls(terms)
 
 
 def parse_vector(text: str, level: int | None = None) -> FockVector:
     """Accept either a multipartition document or a Fock vector document."""
-    data = json.loads(text)
+    data = json.loads(text, parse_float=Fraction)  # decimals read exactly
     if isinstance(data, list) and data and all(isinstance(x, dict) for x in data):
         return FockVector.from_json(data, level)
     if isinstance(data, list) and not data:

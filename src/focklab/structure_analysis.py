@@ -20,13 +20,12 @@ test) changes what is checked.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import permutations
 from math import comb
 
 from . import _linalg
 from .crystal import BoxOrder, CrystalGraph, build_graph, crystal_e, crystal_f, hw_elements
-from .fock_space import FockVector, apply_e, apply_f, depth, operator_matrix, slice_basis
+from .fock_space import FockVector, apply_e, apply_f, depth, slice_basis
 from .multipartition import (
     Multicharge,
     Multipartition,
@@ -377,20 +376,22 @@ def check_perfect_basis(
 def kernel_dimension_by_weight(
     n: int, charge: Multicharge
 ) -> dict[tuple[int, object], int]:
-    """Exact dimension of the joint kernel of all e_i per (rank, weight)."""
-    out: dict[tuple[int, object], int] = {}
-    slice_n = slice_basis(n, charge)
+    """Exact dimension of the joint kernel of all e_i per (rank, weight).
+
+    e_i moves a shape of weight tau to shapes of weight tau + alpha_i, so on
+    a weight slice the e_i land in distinct weight spaces and their joint
+    kernel is the kernel of e = sum e_i.  e sends a shape to each shape with
+    one removable box less, with coefficient 1: one sparse int row per shape
+    holds that image, the transpose of e's slice matrix, of the same rank.
+    """
     codomain = slice_basis(n - 1, charge) if n > 0 else ()
-    by_weight: dict[object, list[Multipartition]] = {}
-    for mp in slice_n:
-        by_weight.setdefault(wt(mp, charge), []).append(mp)
-    for tau, members in by_weight.items():
-        domain = tuple(members)
-        rows: list[list[Fraction]] = []
-        for i in range(charge.e):
-            rows.extend(operator_matrix(i, charge, domain, codomain))
-        out[(n, tau)] = len(domain) - _linalg.matrix_rank(rows, len(domain))
-    return out
+    index = {mp: r for r, mp in enumerate(codomain)}
+    by_weight: dict[object, list[dict]] = {}
+    for mp in slice_basis(n, charge):
+        row = {index[remove_box(mp, box)]: 1 for box in removable_boxes(mp, charge)}
+        by_weight.setdefault(wt(mp, charge), []).append(row)
+    return {(n, tau): len(rows) - len(_linalg.echelon(rows)[0])
+            for tau, rows in by_weight.items()}
 
 
 def compare_components(

@@ -50,6 +50,20 @@ def test_apply_examples(capsys):
     assert code == 0 and json.loads(out) == []
 
 
+def test_apply_reads_decimal_coefficients_exactly(capsys):
+    vector = '[{"coeff": 0.1, "mp": [[1]]}]'
+    code, out = run(capsys, "--e", "2", "--s", "0", "apply", "f", "1", vector)
+    assert code == 0 and json.loads(out) == [
+        {"coeff": "1/10", "mp": [[1, 1]]}, {"coeff": "1/10", "mp": [[2]]}]
+
+
+def test_apply_boolean_coefficient_is_usage_error(capsys):
+    vector = '[{"coeff": true, "mp": [[1]]}]'
+    code = main(["--e", "2", "--s", "0", "apply", "f", "1", vector])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and "error" in captured.err
+
+
 def test_apply_bad_residue(capsys):
     code = main(["--e", "2", "--s", "0", "apply", "e", "5", "[[]]"])
     assert code == 2
@@ -253,6 +267,15 @@ def test_verify_hecke_byte_identity(capsys, argv):
     code, out = run(capsys, "verify", "hecke", *argv)
     assert code == 0
     digest = "706aa1d98335a06e5555e37c09acbe61ff8caf3b3760710b3a90d0ae63e586ce"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_components_byte_identity(capsys):
+    # pinned before the slice kernels moved to sparse int rows
+    code, out = run(capsys, "verify", "components", "--e", "3", "--s", "0,1",
+                    "--max-rank", "10")
+    assert code == 0
+    digest = "f1d6bfdddd67d58f2a973938fa7395d96327c59783366bb676eb01c065efc94f"
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

@@ -264,6 +264,10 @@ def test_vector_invariants():
         )
     v = basis("[[1]]") - basis("[[1]]")
     assert v.is_zero() and v.terms == {}
+    with pytest.raises(TypeError):
+        FockVector({Multipartition.empty(1): 0.5})
+    with pytest.raises(TypeError):
+        basis("[[1]]").scaled(0.1)
 
 
 def test_vector_json_roundtrip():
@@ -273,3 +277,14 @@ def test_vector_json_roundtrip():
     assert FockVector.from_json(doc) == v
     assert parse_vector("[]").is_zero()
     assert parse_vector("[[1]]") == basis("[[1]]")
+
+
+def test_vector_json_coefficients_are_exact():
+    # JSON decimals are read as the decimal fractions they spell, never
+    # through a binary float; booleans, null and NaN are not coefficients
+    v = parse_vector('[{"coeff": 0.1, "mp": [[1]]}, {"coeff": 2.5e-1, "mp": [[2]]}]')
+    assert v.terms == {parse_multipartition("[[1]]"): Fraction(1, 10),
+                       parse_multipartition("[[2]]"): Fraction(1, 4)}
+    for bad in ("true", "false", "null", "NaN", "Infinity", "[1]"):
+        with pytest.raises(ValueError):
+            parse_vector(f'[{{"coeff": {bad}, "mp": [[1]]}}]')

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from focklab._linalg import (
     SpanTracker,
+    echelon,
     kernel_basis,
     mat_mul,
     matrix_rank,
@@ -251,3 +255,107 @@ def test_int_entries_eliminate_exactly():
         ))
     assert _exact(results) and results[0] == results[1]
     assert results[0][1:] == ([[-2, 1]], {0: 2})
+
+
+def cyclotomics_over(e):
+    degree = len(Cyc.zero(e).coeffs)
+    return st.lists(small, min_size=degree, max_size=degree).map(lambda cs: Cyc(e, tuple(cs)))
+
+
+# entry kinds for the elimination oracles: ints whose pivots need not be units
+# (so some multipliers are true Fractions), Fractions, and Q(zeta_3), Q(zeta_5)
+KINDS = {
+    "int": (st.integers(-3, 3), 0),
+    "fraction": (st.fractions(-3, 3, max_denominator=4), Fraction(0)),
+    "zeta3": (cyclotomics_over(3), Cyc.zero(3)),
+    "zeta5": (cyclotomics_over(5), Cyc.zero(5)),
+}
+
+
+def _field(rows):
+    """Ints as Fractions, for the oracle: an int's x ** -1 is a float."""
+    return [[Fraction(x) if type(x) is int else x for x in row] for row in rows]
+
+
+def _in_span(v, red, pivots):
+    """v is in the row space of the reduced rows iff subtracting v[pc] times
+    the row of each pivot pc leaves 0."""
+    for row, pc in zip(red, pivots):
+        f = v[pc]
+        v = [a - f * b for a, b in zip(v, row)]
+    return not any(v)
+
+
+@contextmanager
+def terminates(seconds=5):
+    """Fail, not hang: a wrong multiplier never clears the pivot entry, and
+    the elimination loop would then spin forever."""
+    def expire(*_):
+        raise TimeoutError("elimination did not terminate")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_echelon_matches_dense_oracle(kind, data):
+    entries, zero = KINDS[kind]
+    ncols, rows = data.draw(matrices(entries, zero))
+    red, pivots = dense_rref(_field(rows), ncols)
+    sparse = [{c: x for c, x in enumerate(row) if x} for row in rows]
+    before = [dict(row) for row in sparse]
+    with terminates():
+        ech, pinvs = echelon(sparse)
+        rank = matrix_rank(rows, ncols)
+    assert sparse == before
+    assert sorted(ech) == sorted(pinvs) == pivots and rank == len(pivots)
+    # independent (distinct leading columns), as many as the rank, each in
+    # the row space: the echelon rows are a basis of it
+    for pc, row in ech.items():
+        assert min(row) == pc and all(row.values())
+        assert row[pc] * pinvs[pc] == 1
+        assert _in_span([row.get(c, zero) for c in range(ncols)], red, pivots)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_span_tracker_express_matches_dense_oracle(kind, data):
+    entries, zero = KINDS[kind]
+    ncols, vectors = data.draw(vector_runs(entries))
+    tracker, gens = SpanTracker(), []
+    for v in vectors:
+        sparse = {c: x for c, x in enumerate(v) if x}
+        with terminates():
+            coords = tracker.express(sparse)
+            inserted = tracker.insert(sparse)
+        assert (coords is None) == inserted
+        assert (coords is not None) == _in_span(_field([v])[0], *dense_rref(_field(gens), ncols))
+        if coords is not None:
+            total = [zero] * ncols
+            for k, f in coords.items():
+                total = [t + f * x for t, x in zip(total, gens[k])]
+            assert total == v
+        if inserted:
+            gens.append(v)
+    assert tracker.dim == len(gens) == len(dense_rref(_field(vectors), ncols)[1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(st.sampled_from([-1, 1]), 0))
+def test_unit_pivot_echelon_rows_stay_integral(matrix):
+    # reduced against +-1 pivots only, a 0/+-1 matrix is eliminated in Z:
+    # every multiplier, and so every entry, is an int
+    ncols, rows = matrix
+    with terminates():
+        ech, pinvs = echelon(dict(enumerate(row)) for row in rows)
+    if all(pinv in (1, -1) for pinv in pinvs.values()):
+        entries = [*pinvs.values(), *(v for row in ech.values() for v in row.values())]
+        assert all(type(v) is int for v in entries)

@@ -26,9 +26,11 @@ from focklab import (
     reports_ok,
 )
 from focklab import structure_analysis
+from focklab.fock_space import operator_matrix, slice_basis
 from focklab.structure_analysis import kernel_dimension_by_weight
 from focklab.multipartition import add_box, addable_boxes, remove_box, removable_boxes
 from focklab.weight_lattice import cartan_entry, pair_coroot, simple_root, wt
+from test_linalg import dense_rref
 
 CONFIGS = (
     Multicharge(2, (0,)),
@@ -181,6 +183,33 @@ def test_kernel_slices_refine_primitive_basis():
         for n in range(5):
             dims = kernel_dimension_by_weight(n, charge)
             assert sum(dims.values()) == len(primitive_basis(n, charge))
+
+
+# e in {2, 3, 4}, levels 1 to 3, one negative charge; (3, (0, 1)) further
+SLICE_CASES = [
+    *((Multicharge(e, s), 6) for e in (2, 3, 4)
+      for s in ((0,), (0, 1), (0, 1, e - 1))),
+    (Multicharge(3, (-2, 0)), 6),
+    (Multicharge(3, (0, 1)), 8),
+]
+
+
+@pytest.mark.parametrize("charge,max_rank", SLICE_CASES, ids=str)
+def test_kernel_slices_match_dense_stacked_ranks(charge, max_rank):
+    # oracle: the joint kernel as defined, the dense e_i matrices of each
+    # weight slice stacked, its rank taken by the test-local dense oracle
+    for n in range(max_rank + 1):
+        codomain = slice_basis(n - 1, charge) if n else ()
+        by_weight = {}
+        for mp in slice_basis(n, charge):
+            by_weight.setdefault(wt(mp, charge), []).append(mp)
+        expected = {}
+        for tau, members in by_weight.items():
+            domain = tuple(members)
+            rows = [row for i in range(charge.e)
+                    for row in operator_matrix(i, charge, domain, codomain)]
+            expected[(n, tau)] = len(domain) - len(dense_rref(rows, len(domain))[1])
+        assert kernel_dimension_by_weight(n, charge) == expected, (charge, n)
 
 
 def test_compare_components_detects_mismatch():
