@@ -10,13 +10,14 @@ serialized JSON.
 
 Output is deterministic byte-for-byte for identical invocations: fixed term
 and node orders, no timestamps.  Exit codes: 0 success, 1 verification
-failure, 2 usage error.
+failure, 2 usage error, 141 (as for SIGPIPE) when the reader closes stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import fock_space, hecke_desk, structure_analysis
@@ -273,8 +274,7 @@ def cmd_verify(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     handlers = {
         "wt": cmd_wt,
         "apply": cmd_apply,
@@ -284,11 +284,13 @@ def main(argv: list[str] | None = None) -> int:
         "hecke-build": cmd_hecke_build,
     }
     try:
-        return handlers[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:  # the reader left: exit as SIGPIPE would, quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

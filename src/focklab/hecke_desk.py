@@ -7,9 +7,9 @@ provide the ambient coordinates; a single-pass spanning-set saturation from
 the identity word both finds the word basis and reads off every generator
 matrix column.  It eliminates over F_p, p = 1 (mod e), and certifies each
 decision over Q(zeta_e): a new word by its independence mod p, a column by
-an exact solve on the few words of its F_p support.  The closure must reach
-dimension l^n * n! exactly, and every defining relation must vanish as a
-matrix.  Nothing is trusted to the straightening rules alone.
+an exact check of its lifted F_p coordinates or by an exact solve.  The
+closure must reach dimension l^n * n! exactly, and every defining relation
+must vanish as a matrix.  Nothing is trusted to the straightening rules alone.
 
 Each check returns `AxiomReport`s: `check_relations` for the presentation,
 `check_jm` for the Jucys-Murphy twist, commutation and centrality,
@@ -200,11 +200,11 @@ def build_algebra(
     Left-multiplies known basis words by generators breadth-first and
     reduces each product once against the current words, by sparse
     elimination over F_p (`_saturate`), every decision certified over
-    Q(zeta_e): a product in the span yields its column of the generator
-    matrix, one outside it joins the basis as a unit column.  A prime whose
-    certificate fails is replaced by the next; after CERTIFY_PRIMES primes
-    this raises RuntimeError.  The closure dimension must equal l^n * n!;
-    any other outcome raises.
+    Q(zeta_e): a product in the span yields its generator matrix column, by
+    an exact check of lifted coordinates or an exact solve; one outside it
+    joins the basis as a unit column.  A prime whose certificate fails is
+    replaced by the next; after CERTIFY_PRIMES primes this raises
+    RuntimeError.  The closure dimension must equal l^n * n!; else it raises.
     """
     if l != charge.level:
         raise ValueError(f"level mismatch: l={l} but charge has {charge.level}")
@@ -253,10 +253,12 @@ def _saturate(engine: _Engine, target: int, p: int, omega: int):
     The engine's coefficients lie in Z[zeta_e], so every product reduces.  A
     product outside the F_p span of the words joins them: the words stay
     independent mod p, and reduction cannot raise a rank, so it is outside
-    their exact span too.  A product inside is solved exactly on the words
-    of its F_p support alone; those are independent, so a solution gives its
-    unique exact coordinates, and there is none when the product is outside
-    the exact span or a true coordinate vanished mod p.
+    their exact span too.  So the words are exactly independent, and a
+    product inside has at most one exact coordinate vector.  `_lifted` maps
+    each F_p coordinate to what the last exact solve gave with that residue,
+    and keeps the guess only if it combines the words to the product exactly;
+    else it is solved exactly on the words of its F_p support, filling
+    `lifts`, with no solution outside the span or if a coordinate is 0 mod p.
     """
     index = {lab: k for k, lab in enumerate(_all_labels(engine.l, engine.n))}
     one = Cyc.one(engine.e)
@@ -269,6 +271,7 @@ def _saturate(engine: _Engine, target: int, p: int, omega: int):
         return {r: mod_p(c, p, omega) for r, c in vec.items()}
 
     tracker = _linalg.SpanTracker(p)
+    lifts: dict = {}  # F_p coordinate -> the exact one last solved with it
     words: list[tuple[int, ...]] = [()]
     elements = [engine.identity_element()]
     tracker.insert(reduce(sparse(elements[0])))
@@ -277,24 +280,35 @@ def _saturate(engine: _Engine, target: int, p: int, omega: int):
         g, k = queue.popleft()
         product = engine.mult_gen(g, elements[k])
         vec = sparse(product)
-        coords = tracker.express(reduced := reduce(vec))
-        if coords is None:
+        fp = tracker.express(reduced := reduce(vec))
+        if fp is None:
             tracker.insert(reduced)
             coords = {len(words): one}
             queue.extend((h, len(words)) for h in range(engine.n))
             words.append((g,) + words[k])
             elements.append(product)
-        else:
-            support = sorted(coords)
+        elif (coords := _lifted(fp, lifts, elements, product)) is None:
+            support = sorted(fp)
             solve = _linalg.SpanTracker()
             for r in support:
                 solve.insert(sparse(elements[r]))
-            if (coords := solve.express(vec)) is None:
+            if (exact := solve.express(vec)) is None:
                 return None
-            coords = {support[i]: c for i, c in coords.items()}
+            lifts.update((fp[support[i]], c) for i, c in exact.items())
+            coords = {support[i]: c for i, c in exact.items()}
         for r, c in coords.items():
             gens[g][r][k] = c
     return words, gens
+
+
+def _lifted(fp: dict, lifts: dict, elements: list, product: dict) -> dict | None:
+    """`fp` mapped by `lifts`, if that combines `elements` to `product`."""
+    if any(c not in lifts for c in fp.values()):
+        return None
+    guess, total = {r: lifts[c] for r, c in fp.items()}, {}
+    for r, c in guess.items():
+        _linalg._axpy(total, c, elements[r])
+    return guess if total == product else None
 
 
 def _scale(rows: list, f: Cyc) -> list:

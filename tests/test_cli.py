@@ -3,6 +3,9 @@ from __future__ import annotations
 import ast
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -290,3 +293,16 @@ def test_cli_holds_no_linear_algebra():
         elif isinstance(node, ast.Import):
             imported.update(a.name.rpartition(".")[2] for a in node.names)
     assert not imported & {"_linalg", "cyclotomic"}
+
+
+def test_closed_pipe_exits_quietly():
+    # about 477 KB of JSON, far more than a pipe buffers, so the writer meets
+    # the closed end; exit 141 as for SIGPIPE, with nothing on stderr
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = [sys.executable, "-m", "focklab", "hecke-build", "--e", "2", "--s", "0,1,2", "--n", "3"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.read(100).startswith(b'{"e":2,')
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 141
+        assert proc.stderr.read() == b""

@@ -560,6 +560,49 @@ def test_saturation_certificate_moves_past_failing_prime(monkeypatch):
         build_algebra(2, 1, charge)
 
 
+class _ClashEngine(hecke_desk._Engine):
+    """Level one, n = 2, on the labels 1 and t = T_1: T_0 (a + b t) =
+    2a + 9b t and T_1 (a + b t) = b + a t.  The columns of T_0 at 1 and at t
+    have exact coordinates 2 and 9, both 2 mod 7."""
+
+    def mult_gen(self, g, element):
+        one, t = ((0, 0), (0, 1)), ((0, 0), (1, 0))
+        a, b = (element.get(lab, Cyc.zero(self.e)) for lab in (one, t))
+        image = ((one, 2 * a), (t, 9 * b)) if g == 0 else ((one, b), (t, a))
+        return {lab: c for lab, c in image if c}
+
+
+def test_saturation_refuses_a_wrong_lift(monkeypatch):
+    # T_0 * 1 is solved first and lifts 2 mod 7 to 2; T_0 * t then guesses
+    # 2 t, which the exact combination check must refuse
+    charge = Multicharge(2, (0,))
+    monkeypatch.setattr(hecke_desk, "_Engine", _ClashEngine)
+    monkeypatch.setattr(hecke_desk, "reduction_primes", lambda e: itertools.repeat((7, 6)))
+    rep = build_algebra(1, 2, charge)
+    assert rep.words == ((), (1,))
+    assert rep.gens[0] == [{0: Cyc.from_rational(2, 2)}, {1: Cyc.from_rational(9, 2)}]
+    assert (rep.words, rep.gens) == exact_saturation(1, 2, charge)
+
+
+@pytest.mark.parametrize("l, n, charge", [
+    (3, 3, Multicharge(2, (0, 1, 2))),
+    (2, 3, Multicharge(5, (0, 2))),
+])
+def test_saturation_lifts_replace_most_exact_solves(monkeypatch, l, n, charge):
+    # one exact support solve per in-span product would be 325 and 97 here
+    solves = []
+
+    class Counting(SpanTracker):
+        def __init__(self, p=None):
+            if p is None:
+                solves.append(p)
+            super().__init__(p)
+
+    monkeypatch.setattr(hecke_desk._linalg, "SpanTracker", Counting)
+    build_algebra(l, n, charge)
+    assert 0 < len(solves) <= 10
+
+
 def test_to_json_shape(hecke_reps):
     doc = hecke_reps(1, 2, 2).to_json()
     assert doc["dimension"] == 2
