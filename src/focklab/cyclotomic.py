@@ -269,7 +269,11 @@ def mul_rows(a: list, b: list) -> list:
     """Product over Q(zeta_e) of sparse matrices, lists of rows {column:
     nonzero Cyc}.  Each output entry accumulates unreduced coefficient
     products and is folded through the cyclotomic relation once; an entry
-    that cancels is dropped, so equal matrices have equal rows."""
+    that cancels is dropped, so equal matrices have equal rows.  Entries of
+    one coefficient (phi(e) = 1) accumulate plain products, with no folding."""
+    first = next((x for row in a for x in row.values()), None)
+    if first is not None and len(first.coeffs) == 1:
+        return _mul_rows_rational(a, b, first.e)
     b_rows = [[(j, _nonzero_coeffs(y)) for j, y in row.items()] for row in b]
     out = []
     for row in a:
@@ -285,6 +289,20 @@ def mul_rows(a: list, b: list) -> list:
                     for m, v in ys:
                         conv[i + m] += u * v
         out.append({j: Cyc(e, c) for j, conv in acc.items() if any(c := _reduce(conv, e, d))})
+    return out
+
+
+def _mul_rows_rational(a: list, b: list, e: int) -> list:
+    """`mul_rows` when every entry is its one rational coefficient."""
+    b_rows = [[(j, y.coeffs[0]) for j, y in row.items()] for row in b]
+    out = []
+    for row in a:
+        acc: dict = {}
+        for k, x in row.items():
+            u = x.coeffs[0]
+            for j, v in b_rows[k]:
+                acc[j] = acc.get(j, 0) + u * v
+        out.append({j: Cyc(e, (c,)) for j, c in acc.items() if c})
     return out
 
 

@@ -18,10 +18,11 @@ the match between attained characters and affine weights of the rank-n
 shapes.  Every matrix here, from the saturation on, is a list of sparse rows
 {column: nonzero entry}, multiplied by `mul_rows`; only `to_json` densifies.
 The spectrum is one call of `joint_eigenspaces` on the symmetric JM elements
-e_k.  Its only exact work is the minimal polynomial of each e_k and its
-idempotent polynomials at the target values.  Each joint generalized
-eigenspace dimension d is the trace of right multiplication by a product of
-those idempotents, taken over F_p: that is d mod p, and 0 <= d < p.
+e_k.  Its only exact work is the minimal polynomial of each e_k and, at each
+target value, the root's multiplicity and cofactor.  Over F_p follow the
+idempotent polynomials and each joint generalized eigenspace dimension d, the
+trace of right multiplication by a product of them: that is d mod p, and
+0 <= d < p.
 
 Derived product rules, writing x = J_{i-1}, y = J_i, T = T_i:
     T x^a y^b = x^b y^a T - (q-1) * sum_{k=1..a-b} x^(a-k) y^(b+k)   (a >= b)
@@ -38,6 +39,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import count, islice, permutations, product, repeat
 from math import factorial
+from operator import mul
 
 from . import _linalg
 from .cyclotomic import Cyc, dense_rows, mod_p, mul_rows, reduction_primes
@@ -403,29 +405,39 @@ def symmetric_jm(rep: FinDimAlgebraRep, k: int) -> list:
 
 
 def check_jm(rep: FinDimAlgebraRep) -> list[AxiomReport]:
-    """The Jucys-Murphy structure as matrix identities, on sparse rows.
+    """The Jucys-Murphy structure as identities on the unit column e_0.
 
     `jm_twist`: T_i J_{i-1} T_i = q J_i; `jm_commute`: the J_i commute
     pairwise; `jm_centrality`: every symmetric JM element commutes with
-    every generator.
+    every generator.  Each side is applied to e_0, the identity word, as a
+    chain of `mul_rows` matvecs.  That decides the matrix identity when
+    `check_relations` passes and the saturation reaches l^n * n!: the words
+    then span the left regular module A with 1 as word 0, so x in A is 0
+    exactly when x * 1 = 0.  On a rep whose relations fail the verdict
+    certifies nothing.
     """
     gens, jms, syms = rep.gens, jm_elements(rep), _sym_rows(rep)
+    unit = [{0: rep.one()}] + [{} for _ in range(rep.dimension - 1)]
+
+    def applied(*mats: list) -> list:  # mats[0] ... mats[-1] e_0
+        return reduce(lambda v, m: mul_rows(m, v), reversed(mats), unit)
+
     twist_bad = [
         {"i": i}
         for i in range(1, rep.n)
-        if mul_rows(mul_rows(gens[i], jms[i - 1]), gens[i]) != _scale(jms[i], rep.params.q)
+        if applied(gens[i], jms[i - 1], gens[i]) != _scale(applied(jms[i]), rep.params.q)
     ]
     commute_bad = [
         {"i": i, "j": j}
         for i in range(rep.n)
         for j in range(i + 1, rep.n)
-        if mul_rows(jms[i], jms[j]) != mul_rows(jms[j], jms[i])
+        if applied(jms[i], jms[j]) != applied(jms[j], jms[i])
     ]
     central_bad = [
         {"k": k, "generator": g}
         for k in range(1, rep.n + 1)
         for g, gen in enumerate(gens)
-        if mul_rows(syms[k], gen) != mul_rows(gen, syms[k])
+        if applied(syms[k], gen) != applied(gen, syms[k])
     ]
     return [
         AxiomReport("jm_twist", tuple(twist_bad)),
@@ -512,39 +524,40 @@ def _split_root(poly: list, c) -> tuple[int, list]:
         poly = quotient[::-1]
 
 
-def _mul_mod(a: list, b: list, m: list) -> list:
-    """a * b modulo the monic m, as deg m ascending coefficients."""
+def _idempotents(minimal: list, roots: dict, rest: bool, p: int, omega: int) -> dict:
+    """pi_c mod p, c in `roots` or None, with pi_c(z) the idempotent onto a
+    generalized eigenspace of L_z, m = `minimal` of z: for m = (x - c)^a g,
+    roots[c] = (a, g), pi_c = 1 - (1 - g/g(c))^a mod m is 1 mod (x - c)^a
+    and 0 mod g, and pi_None = 1 - sum of the pi_c is kept when `rest`.
+    ZeroDivisionError when g(c) = 0 mod p."""
+    m = [mod_p(x, p, omega) for x in minimal]
     d = len(m) - 1
-    out = [m[0] * 0] * max(len(a) + len(b) - 1, d)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    while len(out) > d:  # x^d = -(m_0 + m_1 x + ... + m_(d-1) x^(d-1))
-        f = out.pop()
-        for i, y in enumerate(m[:-1], len(out) - d):
-            out[i] -= f * y
-    return out
 
+    def mul_mod(a: list, b: list) -> list:  # a * b mod m, deg m coefficients
+        out = [0] * max(len(a) + len(b) - 1, d)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        while len(out) > d:  # x^d = -(m_0 + m_1 x + ... + m_(d-1) x^(d-1))
+            f = out.pop() % p
+            for i, y in enumerate(m[:-1], len(out) - d):
+                out[i] -= f * y
+        return [x % p for x in out]
 
-def _idempotents(minimal: list, values: list) -> dict:
-    """pi_c, c in values or None, with pi_c(z) the idempotent onto a generalized
-    eigenspace of L_z, m = `minimal` of z: for m = (x - c)^a g, pi_c =
-    1 - (1 - g/g(c))^a mod m is 1 mod (x - c)^a and 0 mod g, and pi_None =
-    1 - sum of the pi_c is kept when nonzero."""
-    one = minimal[-1]
-    rest = [one] + [one * 0] * (len(minimal) - 2)
-    pis = {}
-    for c in dict.fromkeys(values):
-        a, g = _split_root(minimal, c)
-        if a:
-            inv = 1 / sum(x * c**i for i, x in enumerate(g))
-            power, h = [one], [1 - g[0] * inv] + [-x * inv for x in g[1:]]
-            for _ in range(a):
-                power = _mul_mod(power, h, minimal)
-            pis[c] = [1 - power[0]] + [-x for x in power[1:]]
-            rest = [x - y for x, y in zip(rest, pis[c])]
-    if any(rest):
-        pis[None] = rest
+    pis, left = {}, [1] + [0] * (d - 1)
+    for c, (a, g) in roots.items():
+        x_c, g = mod_p(c, p, omega), [mod_p(x, p, omega) for x in g]
+        g_c = sum(x * pow(x_c, i, p) for i, x in enumerate(g)) % p
+        if not g_c:  # pow(g_c, -1, p) would raise ValueError
+            raise ZeroDivisionError(f"the cofactor vanishes at {c} mod {p}")
+        inv = pow(g_c, -1, p)
+        power, h = [1], [1 - g[0] * inv] + [-x * inv for x in g[1:]]
+        for _ in range(a):
+            power = mul_mod(power, h)
+        pis[c] = [(1 - power[0]) % p] + [-x % p for x in power[1:]]
+        left = [(x - y) % p for x, y in zip(left, pis[c])]
+    if rest:
+        pis[None] = left
     return pis
 
 
@@ -554,49 +567,54 @@ def joint_eigenspaces(rep: FinDimAlgebraRep, mats: list, targets: list) -> dict:
     algebra A of `rep`, keyed by tuples t: t_k a value of targets[k], or None
     for the other roots.
 
-    Exactly over Q(zeta_e), z_k gets its minimal polynomial and from it the
-    idempotent polynomials pi_{k,c} (`_idempotents`).  Then e_t = prod_k
-    pi_{k,t_k}(z_k) is idempotent and d_t = tr R_{e_t} = dim A e_t: the
-    eigenspace e_t A when e_t is central, as `jm_centrality` checks for the
-    block spectrum; for f = pi(J_i), dim A f = dim f A, as the
-    anti-involution T_j -> T_j fixes J_i.  The trace is taken over F_p,
-    p = 1 (mod e) (`_traces`): reduction mod p is a ring map, so it gives
-    d_t mod p, and d_t <= dim A < p.  A prime that does not reduce the input
-    is skipped; after CERTIFY_PRIMES primes this raises RuntimeError."""
-    one = rep.one()
-    pis = [_idempotents(_minimal_polynomial(m, one), v) for m, v in zip(mats, targets)]
+    Exactly over Q(zeta_e), z_k gets its minimal polynomial m_k, split at
+    each target c into (x - c)^a g (`_split_root`); other roots exist when
+    the a sum to less than deg m_k.  The rest is over F_p, p = 1 (mod e):
+    the idempotent polynomials pi_{k,c} (`_idempotents`), e_t = prod_k
+    pi_{k,t_k}(z_k) and d_t = tr R_{e_t} = dim A e_t: the eigenspace e_t A
+    when e_t is central, as `jm_centrality` checks for the block spectrum;
+    for f = pi(J_i), dim A f = dim f A, as the anti-involution T_j -> T_j
+    fixes J_i (`_traces`).  Reduction mod p is a ring map, so this gives d_t
+    mod p, and d_t <= dim A < p.  A prime that does not reduce the input, or
+    where some g(c) = 0, is skipped; after CERTIFY_PRIMES primes this raises
+    RuntimeError."""
+    one, splits = rep.one(), []
+    for mat, values in zip(mats, targets):
+        minimal = _minimal_polynomial(mat, one)
+        roots = {c: split for c in dict.fromkeys(values) if (split := _split_root(minimal, c))[0]}
+        splits.append((minimal, roots, sum(a for a, _ in roots.values()) < len(minimal) - 1))
     for p, omega in islice(reduction_primes(rep.charge.e), CERTIFY_PRIMES):
         try:
+            pis = [_idempotents(*split, p, omega) for split in splits]
             return _traces(rep, mats, pis, p, omega)
-        except ZeroDivisionError:  # an entry off Z_(p)[zeta_e]
+        except ZeroDivisionError:  # an entry off Z_(p)[zeta_e], or g(c) = 0 mod p
             continue
     raise RuntimeError(f"none of {CERTIFY_PRIMES} primes reduces the spectrum's input")
 
 
 def _traces(rep: FinDimAlgebraRep, mats: list, pis: list, p: int, omega: int) -> dict:
-    """`joint_eigenspaces` over F_p, zeta_e -> omega: the vectors e_t * 1
-    prefix by prefix, sharing the powers z_k^j v of a prefix vector v; a
-    v = 0 is dropped, as its extensions have d = 0 mod p, and a v != 0 has
-    d > 0.  Then d = tr R_e = sum_i (b_i e)_i, b_i e = T_g (b_j e) for
-    words[i] = (g,) + words[j]."""
+    """`joint_eigenspaces` over F_p, zeta_e -> omega, from the idempotent
+    polynomials `pis` mod p: the vectors e_t * 1 prefix by prefix, sharing
+    the powers z_k^j v of a prefix vector v; a v = 0 is dropped, as its
+    extensions have d = 0 mod p, and a v != 0 has d > 0.  Then d = tr R_e =
+    sum_i (b_i e)_i, b_i e = T_g (b_j e) for words[i] = (g,) + words[j]."""
 
     def sparse(rows: list) -> list:
-        return [[(c, mod_p(x, p, omega)) for c, x in row.items()] for row in rows]
+        return [(tuple(row), tuple(mod_p(x, p, omega) for x in row.values())) for row in rows]
 
     def apply(rows: list, v: list) -> list:
-        return [sum(x * v[c] for c, x in row) % p for row in rows]
+        return [sum(map(mul, vals, map(v.__getitem__, cols))) % p for cols, vals in rows]
 
     vectors = {(): [1] + [0] * (rep.dimension - 1)}
     for mat, pi_of in zip(mats, pis):
         rows = sparse(mat)
-        reduced = {t: [mod_p(x, p, omega) for x in pi] for t, pi in pi_of.items()}
         grown = {}
         for prefix, v in vectors.items():
             powers = [v]
-            for _ in range(max(map(len, reduced.values())) - 1):
+            for _ in range(max(map(len, pi_of.values())) - 1):
                 powers.append(apply(rows, powers[-1]))
-            for t, pi in reduced.items():
-                w = [sum(c * x for c, x in zip(pi, col)) % p for col in zip(*powers)]
+            for t, pi in pi_of.items():
+                w = [sum(map(mul, pi, col)) % p for col in zip(*powers)]
                 if any(w):
                     grown[prefix + (t,)] = w
         vectors = grown

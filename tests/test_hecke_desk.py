@@ -30,7 +30,14 @@ from focklab import (
     wt,
 )
 from focklab._linalg import SpanTracker, mat_mul, matrix_rank
-from focklab.cyclotomic import Cyc, dense_rows, matrix_rank_cyc, mod_p, mul_rows
+from focklab.cyclotomic import (
+    Cyc,
+    dense_rows,
+    matrix_rank_cyc,
+    mod_p,
+    mul_rows,
+    reduction_primes,
+)
 from focklab.hecke_desk import (
     AttainedCharacter,
     CharacterSpectrum,
@@ -326,6 +333,76 @@ def test_minimal_polynomial_annihilates_exactly(hecke_reps):
             assert degree == len(minimal) - 1, (l, n, e, k)
 
 
+def _mul_mod(a, b, m):
+    """a * b modulo the monic m, as deg m ascending coefficients."""
+    d = len(m) - 1
+    out = [m[0] * 0] * max(len(a) + len(b) - 1, d)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    while len(out) > d:  # x^d = -(m_0 + m_1 x + ... + m_(d-1) x^(d-1))
+        f = out.pop()
+        for i, y in enumerate(m[:-1], len(out) - d):
+            out[i] -= f * y
+    return out
+
+
+def exact_idempotents(minimal, values):
+    """The idempotent polynomials over Q(zeta_e): pi_c = 1 - (1 - g/g(c))^a
+    mod m for m = (x - c)^a g, and pi_None = 1 - sum of the pi_c when
+    nonzero."""
+    one = minimal[-1]
+    rest = [one] + [one * 0] * (len(minimal) - 2)
+    pis = {}
+    for c in dict.fromkeys(values):
+        a, g = _split_root(minimal, c)
+        if a:
+            inv = 1 / sum(x * c**i for i, x in enumerate(g))
+            power, h = [one], [1 - g[0] * inv] + [-x * inv for x in g[1:]]
+            for _ in range(a):
+                power = _mul_mod(power, h, minimal)
+            pis[c] = [1 - power[0]] + [-x for x in power[1:]]
+            rest = [x - y for x, y in zip(rest, pis[c])]
+    if any(rest):
+        pis[None] = rest
+    return pis
+
+
+@pytest.mark.parametrize("l,n,e,s", [
+    (1, 3, 2, (0,)), (2, 2, 3, (0, 1)), (3, 2, 2, (0, 1, 2)),
+    (2, 2, 3, (0, 0)),  # a foreign charge: e_1 has a root that is no candidate's
+])
+def test_idempotents_mod_p_match_exact_oracle(hecke_reps, monkeypatch, l, n, e, s):
+    # the F_p idempotents that reach the traces are the images of the exact ones
+    rep, charge = hecke_reps(l, n, e), Multicharge(e, s)
+    seen = []
+
+    def traces(rep, mats, pis, p, omega):
+        seen.append((pis, p, omega))
+        return {}
+
+    monkeypatch.setattr(hecke_desk, "_traces", traces)
+    central_characters(rep, n, charge)
+    ((pis, p, omega),) = seen
+    chars = dict.fromkeys(a_poly(mp, charge).values for mp in enumerate_multipartitions(n, l))
+    for k, fp in enumerate(pis):
+        minimal = _minimal_polynomial(symmetric_jm(rep, k + 1), rep.one())
+        exact = exact_idempotents(minimal, [v[k] for v in chars])
+        assert fp == {c: [mod_p(x, p, omega) for x in pi] for c, pi in exact.items()}
+    assert (None in pis[0]) == (s == (0, 0))
+
+
+def test_idempotents_raise_where_the_cofactor_vanishes_mod_p():
+    # m = (x - 1)(x - 1 - p): the root 1 is simple over Q, double mod p
+    p, omega = next(reduction_primes(2))
+    one = Cyc.one(2)
+    minimal = [one * (1 + p), -one * (2 + p), one]
+    roots = {one: _split_root(minimal, one)}
+    assert roots[one] == (1, [-one * (1 + p), one])
+    with pytest.raises(ZeroDivisionError):
+        hecke_desk._idempotents(minimal, roots, True, p, omega)
+
+
 def _stabilized_power(m, ncols):
     power, rank = m, matrix_rank(m, ncols)
     while True:
@@ -617,6 +694,7 @@ def test_build_reaches_dim_384():
     assert len(set(rep.words)) == 384
     (report,) = check_relations(rep)
     assert report.status == "pass", report.witnesses[:1]
+    assert all(r.status == "pass" for r in check_jm(rep)), check_jm(rep)
 
 
 def test_hecke_desk_multiplies_sparse_rows_only():
