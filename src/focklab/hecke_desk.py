@@ -5,9 +5,10 @@ representation.  Products against a normal-form coordinate space (exponent
 vectors of the commuting Jucys-Murphy elements times symmetric-group words)
 provide the ambient coordinates; a single-pass spanning-set saturation from
 the identity word both finds the word basis and reads off every generator
-matrix column.  It eliminates over F_p, p = 1 (mod e), and certifies each
-decision over Q(zeta_e): a new word by its independence mod p, a column by
-an exact check of its lifted F_p coordinates or by an exact solve.  The
+matrix column.  It eliminates over F_p, p = 1 (mod e), on labels in
+descending degree, nearly triangular, and certifies each decision over
+Q(zeta_e): a new word by its independence mod p, a column by an exact
+check of its lifted F_p coordinates or by an exact solve.  The
 closure must reach dimension l^n * n! exactly, and every defining relation
 must vanish as a matrix.  Nothing is trusted to the straightening rules alone.
 
@@ -37,7 +38,7 @@ import os
 from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import count, islice, permutations, product, repeat
+from itertools import combinations, count, islice, permutations, product, repeat
 from math import factorial
 from operator import mul
 
@@ -148,7 +149,14 @@ class _Engine:
 
 
 def _all_labels(l: int, n: int) -> list:
-    return sorted(product(product(range(l), repeat=n), permutations(range(n))))
+    """Labels (a, w) of J^a T_w by degree sum(a) + inv(w), descending, ties
+    lexicographic (`sorted` is stable): T_g raises a term's degree by at most
+    one, so elimination from the smallest column meets each word's top
+    labels first.  No output depends on the order (`_saturate`)."""
+    def degree(label: tuple) -> int:
+        return sum(label[0]) + sum(x > y for x, y in combinations(label[1], 2))
+    labels = product(product(range(l), repeat=n), permutations(range(n)))
+    return sorted(labels, key=degree, reverse=True)
 
 
 @dataclass
@@ -261,6 +269,11 @@ def _saturate(engine: _Engine, target: int, p: int, omega: int):
     and keeps the guess only if it combines the words to the product exactly;
     else it is solved exactly on the words of its F_p support, filling
     `lifts`, with no solution outside the span or if a coordinate is 0 mod p.
+
+    Columns in `_all_labels` order keep fill-in low.  The order only picks
+    each echelon row's pivot: membership in the F_p span, the F_p coordinates
+    (the words are independent mod p) and the exact ones are unique, so
+    words, gens, `lifts` and the exact solves do not depend on it.
     """
     index = {lab: k for k, lab in enumerate(_all_labels(engine.l, engine.n))}
     one = Cyc.one(engine.e)

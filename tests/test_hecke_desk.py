@@ -680,6 +680,49 @@ def test_saturation_lifts_replace_most_exact_solves(monkeypatch, l, n, charge):
     assert 0 < len(solves) <= 10
 
 
+_ORDER_CASES = [
+    (3, 3, Multicharge(2, (0, 1, 2))),  # 105 distinct top labels for 162 words
+    (2, 4, Multicharge(2, (0, 1))),
+    (2, 3, Multicharge(5, (0, 2))),
+]
+
+
+@pytest.mark.parametrize("l, n, charge", _ORDER_CASES)
+def test_saturation_does_not_depend_on_the_label_order(monkeypatch, l, n, charge):
+    # the order picks only each echelon row's pivot column: membership in
+    # the F_p span, the F_p coordinates and the exact ones are unique
+    expected = build_algebra(l, n, charge, max_dim=384)
+
+    def lexicographic(l, n):
+        return sorted(itertools.product(
+            itertools.product(range(l), repeat=n), itertools.permutations(range(n))))
+
+    assert hecke_desk._all_labels(l, n) != lexicographic(l, n)
+    monkeypatch.setattr(hecke_desk, "_all_labels", lexicographic)
+    rep = build_algebra(l, n, charge, max_dim=384)
+    assert (rep.words, rep.gens) == (expected.words, expected.gens)
+
+
+@pytest.mark.parametrize(
+    "l, n, charge, per_word", [(*case, bound) for case, bound in zip(_ORDER_CASES, (2, 1, 1))])
+def test_saturation_in_degree_order_has_little_fill_in(monkeypatch, l, n, charge, per_word):
+    # each echelon row's combination over the words holds its own word; in
+    # lexicographic label order they held 1084, 1929 and 100 entries here
+    trackers = []
+
+    class Recording(SpanTracker):
+        def __init__(self, p=None):
+            super().__init__(p)
+            if p is not None:
+                trackers.append(self)
+
+    monkeypatch.setattr(hecke_desk._linalg, "SpanTracker", Recording)
+    rep = build_algebra(l, n, charge, max_dim=384)
+    (tracker,) = trackers
+    assert len(tracker._combos) == rep.dimension
+    assert sum(map(len, tracker._combos.values())) <= per_word * rep.dimension
+
+
 def test_to_json_shape(hecke_reps):
     doc = hecke_reps(1, 2, 2).to_json()
     assert doc["dimension"] == 2
