@@ -207,7 +207,7 @@ def cmd_hecke_build(args) -> int:
     if args.format == "text":
         print(f"dimension={rep.dimension} words={rep.word_labels()}")
     else:
-        print(_dump(rep.to_json()))
+        rep.write_json(sys.stdout)
     return 0
 
 

@@ -8,22 +8,24 @@ the identity word both finds the word basis and reads off every generator
 matrix column.  It eliminates over F_p, p = 1 (mod e), on labels in
 descending degree, nearly triangular, and certifies each decision over
 Q(zeta_e): a new word by its independence mod p, a column by an exact
-check of its lifted F_p coordinates or by an exact solve.  The
-closure must reach dimension l^n * n! exactly, and every defining relation
-must vanish as a matrix.  Nothing is trusted to the straightening rules alone.
+check of its lifted F_p coordinates or by an exact solve.  When phi(e) = 1
+it computes on ints, through the ring isomorphism Z[zeta_e] -> Z, which
+commutes with reduction mod p, and stores `Cyc` entries.  The closure must
+reach dimension l^n * n! exactly, and every defining relation must vanish as
+a matrix.  Nothing is trusted to the straightening rules alone.
 
 Each check returns `AxiomReport`s: `check_relations` for the presentation,
 `check_jm` for the Jucys-Murphy twist, commutation and centrality,
 `central_characters` for the block spectrum, and `check_block_weights` for
 the match between attained characters and affine weights of the rank-n
 shapes.  Every matrix here, from the saturation on, is a list of sparse rows
-{column: nonzero entry}, multiplied by `mul_rows`; only `to_json` densifies.
-The spectrum is one call of `joint_eigenspaces` on the symmetric JM elements
-e_k.  Its only exact work is the minimal polynomial of each e_k and, at each
-target value, the root's multiplicity and cofactor.  Over F_p follow the
-idempotent polynomials and each joint generalized eigenspace dimension d, the
-trace of right multiplication by a product of them: that is d mod p, and
-0 <= d < p.
+{column: nonzero entry}, multiplied by `mul_rows`; only `write_json`
+densifies, one row at a time.  The spectrum is one call of
+`joint_eigenspaces` on the symmetric JM elements e_k.  Its only exact work is
+the minimal polynomial of each e_k and, at each target value, the root's
+multiplicity and cofactor.  Over F_p follow the idempotent polynomials and
+each joint generalized eigenspace dimension d, the trace of right
+multiplication by a product of them: that is d mod p, and 0 <= d < p.
 
 Derived product rules, writing x = J_{i-1}, y = J_i, T = T_i:
     T x^a y^b = x^b y^a T - (q-1) * sum_{k=1..a-b} x^(a-k) y^(b+k)   (a >= b)
@@ -34,16 +36,18 @@ J_0^l reduces through the cyclotomic relation.
 
 from __future__ import annotations
 
+import json
 import os
 from collections import deque
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import reduce
 from itertools import combinations, count, islice, permutations, product, repeat
 from math import factorial
 from operator import mul
 
 from . import _linalg
-from .cyclotomic import Cyc, dense_rows, mod_p, mul_rows, reduction_primes
+from .cyclotomic import Cyc, mod_p, mul_rows, reduction_primes
 from .multipartition import (
     Multicharge,
     Multipartition,
@@ -86,15 +90,17 @@ class _Engine:
         self.l = l
         self.n = n
         self.e = charge.e
-        self.q = params_from_charge(charge).q
-        self.qm1 = self.q - 1
+        q, one = params_from_charge(charge).q, Cyc.one(self.e)
         # sigma[k - 1] = e_k(q_1..q_l), for J_0^l: q_j = zeta^(s_j) is the
         # residue exponential of the box (1, 1) of component j, so these are
         # the character values of the shape with one box per component
-        self.sigma = a_poly(Multipartition(((1,),) * l), charge).values
+        sigma = a_poly(Multipartition(((1,),) * l), charge).values
+        if Cyc.degree(self.e) == 1:  # Z[zeta_e] = Z: coefficients are ints
+            q, one, sigma = q.coeffs[0], 1, tuple(x.coeffs[0] for x in sigma)
+        self.q, self.qm1, self.sigma, self.one = q, q - 1, sigma, one
 
     def identity_element(self) -> dict:
-        return {((0,) * self.n, tuple(range(self.n))): Cyc.one(self.e)}
+        return {((0,) * self.n, tuple(range(self.n))): self.one}
 
     def mult_gen(self, g: int, element: dict) -> dict:
         out: dict = {}
@@ -184,22 +190,24 @@ class FinDimAlgebraRep:
     def one(self) -> Cyc:
         return Cyc.one(self.charge.e)
 
-    def to_json(self) -> dict:
-        seen: dict = {}  # coeffs -> JSON, once per distinct entry: most are zero
-        zero = self.zero()
-        return {
-            "e": self.charge.e,
-            "s": list(self.charge.s),
-            "l": self.l,
-            "n": self.n,
-            "dimension": self.dimension,
-            "words": self.word_labels(),
-            "generators": [
-                [[seen.get(x.coeffs) or seen.setdefault(x.coeffs, x.to_json()) for x in row]
-                 for row in dense_rows(mat, self.dimension, zero)]
-                for mat in self.gens
-            ],
-        }
+    def write_json(self, out) -> None:
+        """Write the JSON document, as `json.dumps` with separators (",", ":")
+        and a newline would, to the text stream `out`, one dense generator
+        row at a time; each distinct entry is encoded once."""
+        dump = json.JSONEncoder(separators=(",", ":")).encode
+        head = {"e": self.charge.e, "s": list(self.charge.s), "l": self.l, "n": self.n,
+                "dimension": self.dimension, "words": self.word_labels()}
+        zero, cells = dump(self.zero().to_json()), {}
+        out.write(dump(head)[:-1] + ',"generators":[')
+        for g, mat in enumerate(self.gens):
+            out.write(",[" if g else "[")
+            for r, row in enumerate(mat):
+                dense = [zero] * self.dimension
+                for c, x in row.items():
+                    dense[c] = cells.get(x.coeffs) or cells.setdefault(x.coeffs, dump(x.to_json()))
+                out.write((",[" if r else "[") + ",".join(dense) + "]")
+            out.write("]")
+        out.write("]}\n")
 
 
 def build_algebra(
@@ -274,10 +282,16 @@ def _saturate(engine: _Engine, target: int, p: int, omega: int):
     each echelon row's pivot: membership in the F_p span, the F_p coordinates
     (the words are independent mod p) and the exact ones are unique, so
     words, gens, `lifts` and the exact solves do not depend on it.
+
+    When phi(e) = 1, `engine` holds int constants: Cyc(e, (c,)) -> c is a
+    ring isomorphism Z[zeta_e] -> Z that commutes with `mod_p`, so each F_p
+    decision, lifted check and exact solve is the same computation on ints.
+    Integral Fractions from a solve become ints, and `gens` stores `Cyc`
+    entries, equal to those of the `Cyc` computation.
     """
     index = {lab: k for k, lab in enumerate(_all_labels(engine.l, engine.n))}
-    one = Cyc.one(engine.e)
     gens = [[{} for _ in range(target)] for _ in range(engine.n)]
+    cells: dict = {}  # a number coordinate -> its Cyc, shared by equal entries
 
     def sparse(element: dict) -> dict:
         return {index[lab]: c for lab, c in element.items()}
@@ -298,7 +312,7 @@ def _saturate(engine: _Engine, target: int, p: int, omega: int):
         fp = tracker.express(reduced := reduce(vec))
         if fp is None:
             tracker.insert(reduced)
-            coords = {len(words): one}
+            coords = {len(words): engine.one}
             queue.extend((h, len(words)) for h in range(engine.n))
             words.append((g,) + words[k])
             elements.append(product)
@@ -309,9 +323,13 @@ def _saturate(engine: _Engine, target: int, p: int, omega: int):
                 solve.insert(sparse(elements[r]))
             if (exact := solve.express(vec)) is None:
                 return None
-            lifts.update((fp[support[i]], c) for i, c in exact.items())
-            coords = {support[i]: c for i, c in exact.items()}
+            # an integral Fraction becomes an int, as in `Cyc.__init__`
+            coords = {support[i]: int(c) if type(c) is Fraction and c.denominator == 1 else c
+                      for i, c in exact.items()}
+            lifts.update((fp[r], c) for r, c in coords.items())
         for r, c in coords.items():
+            if not isinstance(c, Cyc):
+                c = cells.get(c) or cells.setdefault(c, Cyc(engine.e, (c,)))
             gens[g][r][k] = c
     return words, gens
 

@@ -3,7 +3,9 @@ from __future__ import annotations
 import ast
 import collections
 import dataclasses
+import io
 import itertools
+import json
 import math
 from fractions import Fraction
 from functools import reduce
@@ -44,7 +46,7 @@ from focklab.hecke_desk import (
     _minimal_polynomial,
     _split_root,
 )
-from focklab.multipartition import remove_box
+from focklab.multipartition import Multipartition, remove_box
 from focklab.structure_analysis import AxiomReport
 from test_acceptance import specht_dimension
 from test_linalg import realify
@@ -560,8 +562,12 @@ def test_joint_eigenspaces_without_a_reducing_prime_raise(hecke_reps, monkeypatc
 
 def exact_saturation(l, n, charge):
     """The former exact path: one SpanTracker over Q(zeta_e) on the whole
-    ambient space, every product expressed over all the words."""
+    ambient space, every product expressed over all the words, with `Cyc`
+    constants at every e (the build runs on ints when phi(e) = 1)."""
     engine = hecke_desk._Engine(l, n, charge)
+    engine.q, engine.one = params_from_charge(charge).q, Cyc.one(charge.e)
+    engine.qm1 = engine.q - 1
+    engine.sigma = a_poly(Multipartition(((1,),) * l), charge).values
     index = {lab: k for k, lab in enumerate(hecke_desk._all_labels(l, n))}
     one = Cyc.one(charge.e)
     gens = [[{} for _ in index] for _ in range(n)]
@@ -589,7 +595,8 @@ def exact_saturation(l, n, charge):
 
 
 def test_saturation_matches_exact_oracle():
-    # every configuration of dimension <= 48 at every shift, phi(e) = 1, 2, 2, 4
+    # every configuration of dimension <= 48 at every shift, phi(e) = 1, 2, 2, 4;
+    # at e = 2 the build runs over Z and the oracle over Q(zeta_2)
     cases = [
         (l, n, Multicharge(e, tuple(c + j for j in range(l))))
         for e in (2, 3, 4, 5) for l in (1, 2, 3) for n in (1, 2, 3, 4)
@@ -723,11 +730,80 @@ def test_saturation_in_degree_order_has_little_fill_in(monkeypatch, l, n, charge
     assert sum(map(len, tracker._combos.values())) <= per_word * rep.dimension
 
 
+def dense_document(rep):
+    """The former `to_json`: the document with dense nested generator lists."""
+    seen = {}  # coeffs -> JSON, once per distinct entry: most are zero
+    return {
+        "e": rep.charge.e,
+        "s": list(rep.charge.s),
+        "l": rep.l,
+        "n": rep.n,
+        "dimension": rep.dimension,
+        "words": rep.word_labels(),
+        "generators": [
+            [[seen.get(x.coeffs) or seen.setdefault(x.coeffs, x.to_json()) for x in row]
+             for row in dense_rows(mat, rep.dimension, rep.zero())]
+            for mat in rep.gens
+        ],
+    }
+
+
+def written(rep) -> str:
+    out = io.StringIO()
+    rep.write_json(out)
+    return out.getvalue()
+
+
 def test_to_json_shape(hecke_reps):
-    doc = hecke_reps(1, 2, 2).to_json()
+    doc = json.loads(written(hecke_reps(1, 2, 2)))
     assert doc["dimension"] == 2
     assert len(doc["generators"]) == 2
     assert doc["generators"][0][0][0] == ["1"]  # T_0 = identity scalar here
+
+
+def _fraction_rep():
+    # entries with a true denominator, which no saturation stores
+    charge = Multicharge(3, (0,))
+    return hecke_desk.FinDimAlgebraRep(
+        l=1, n=1, charge=charge, params=params_from_charge(charge), dimension=2,
+        words=((), (0,)),
+        gens=[[{0: Cyc(3, (Fraction(1, 2), -1))}, {0: Cyc(3, (0, Fraction(-3, 4))), 1: Cyc.one(3)}]],
+    )
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_algebra(2, 3, Multicharge(5, (0, 2))),  # phi(e) = 4
+    lambda: build_algebra(3, 2, Multicharge(3, (0, 1, 2))),
+    lambda: build_algebra(3, 3, Multicharge(2, (0, 1, 2))),
+    _fraction_rep,
+], ids=["2-3-5", "3-2-3", "3-3-2", "fractions"])
+def test_write_json_matches_dense_document(make):
+    rep = make()
+    expected = json.dumps(dense_document(rep), separators=(",", ":")) + "\n"
+    assert written(rep) == expected
+
+
+@pytest.mark.parametrize("l, n, charge", [
+    (3, 3, Multicharge(2, (0, 1, 2))),
+    (2, 4, Multicharge(2, (0, 1))),
+])
+def test_saturation_over_z_stores_cyc_entries(monkeypatch, l, n, charge):
+    # at phi(e) = 1 the saturation computes on ints, the exact solves' lifts
+    # included; rep.gens keeps Cyc entries of int coefficients: no bare int,
+    # no integral Fraction
+    lifted, lift_types = hecke_desk._lifted, set()
+
+    def recording(fp, lifts, elements, product):
+        lift_types.update(map(type, lifts.values()))
+        return lifted(fp, lifts, elements, product)
+
+    monkeypatch.setattr(hecke_desk, "_lifted", recording)
+    assert type(hecke_desk._Engine(l, n, charge).q) is int
+    rep = build_algebra(l, n, charge, max_dim=384)
+    assert lift_types == {int}
+    entries = [x for rows in rep.gens for row in rows for x in row.values()]
+    assert {type(x) for x in entries} == {Cyc}
+    assert {type(c) for x in entries for c in x.coeffs} == {int}
 
 
 def test_build_reaches_dim_384():
