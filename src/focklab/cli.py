@@ -138,8 +138,11 @@ def cmd_apply(args) -> int:
     return 0
 
 
-def _node_count(charge: Multicharge, max_rank: int) -> int:
-    """Cheap node-count prediction so oversized graphs fail before building."""
+def _check_node_budget(charge: Multicharge, max_rank: int) -> None:
+    """Refuse, before any work, a negative rank bound or one whose predicted
+    graph node count exceeds MAX_GRAPH_NODES."""
+    if max_rank < 0:
+        raise UsageError("max_rank must be nonnegative")
     single = [0] * (max_rank + 1)
     single[0] = 1
     for part in range(1, max_rank + 1):
@@ -151,18 +154,16 @@ def _node_count(charge: Multicharge, max_rank: int) -> int:
             sum(counts[k] * single[t - k] for k in range(t + 1))
             for t in range(max_rank + 1)
         ]
-    return sum(counts)
-
-
-def cmd_crystal_graph(args) -> int:
-    charge = _charge(args)
-    if args.max_rank < 0:
-        raise UsageError("--max-rank must be nonnegative")
-    predicted = _node_count(charge, args.max_rank)
+    predicted = sum(counts)
     if predicted > MAX_GRAPH_NODES:
         raise UsageError(
             f"resource bound exceeded: {predicted} nodes > {MAX_GRAPH_NODES}"
         )
+
+
+def cmd_crystal_graph(args) -> int:
+    charge = _charge(args)
+    _check_node_budget(charge, args.max_rank)
     graph = build_graph(charge, args.max_rank, BoxOrder(args.order))
     if args.format == "dot":
         sys.stdout.write(graph.to_dot())
@@ -248,6 +249,8 @@ def cmd_verify(args) -> int:
     order = BoxOrder(args.order)
     failures: list[str] = []
     suite = args.suite
+    if suite != "hecke":
+        _check_node_budget(charge, args.max_rank)
     if suite in ("fock", "all"):
         _emit(
             "fock",

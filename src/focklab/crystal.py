@@ -7,6 +7,9 @@ then act at the rightmost surviving '-' (lowering) or the leftmost surviving
 '+' (raising).  The box order depends only on (component, row), never on the
 shape itself, so orders are consistent along strings; both the ascending
 default and its descending mirror are supported.
+
+`signatures` applies the rule to every residue from one listing of the
+boxes; `signature` is one residue of it.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .multipartition import (
     enumerate_multipartitions,
     remove_box,
     removable_boxes,
+    residue,
 )
 from .weight_lattice import AffineWeight, wt
 
@@ -60,36 +64,49 @@ class SignatureReport:
         return "".join(sign for sign, _ in self.reduced)
 
 
+def signatures(
+    mp: Multipartition,
+    charge: Multicharge,
+    order: BoxOrder = BoxOrder.ASC,
+) -> tuple[SignatureReport, ...]:
+    """The i-signature of mp for every residue i in 0..e-1, from one listing
+    of its addable and removable boxes put in order once; a box's residue is
+    its component's residue offset by col - row."""
+    bases = [residue(BoxCoord(1, 1, j), charge) for j in range(1, mp.level + 1)]
+    marked = [("+", box) for box in addable_boxes(mp, charge)]
+    marked += [("-", box) for box in removable_boxes(mp, charge)]
+    marked.sort(key=lambda sb: order.key(sb[1]))
+    by_residue: list[list[tuple[str, BoxCoord]]] = [[] for _ in range(charge.e)]
+    for sign, box in marked:
+        by_residue[(bases[box.comp - 1] + box.col - box.row) % charge.e].append((sign, box))
+    reports = []
+    for symbols in by_residue:
+        stack: list[tuple[str, BoxCoord]] = []
+        for sign, box in symbols:
+            if sign == "-" and stack and stack[-1][0] == "+":
+                stack.pop()
+            else:
+                stack.append((sign, box))
+        epsilon = sum(1 for sign, _ in stack if sign == "-")
+        phi = len(stack) - epsilon
+        reports.append(SignatureReport(
+            symbols=tuple(symbols), reduced=tuple(stack), epsilon=epsilon, phi=phi,
+            good_removable=stack[epsilon - 1][1] if epsilon > 0 else None,
+            good_addable=stack[epsilon][1] if phi > 0 else None))
+    return tuple(reports)
+
+
 def signature(
     i: int,
     mp: Multipartition,
     charge: Multicharge,
     order: BoxOrder = BoxOrder.ASC,
 ) -> SignatureReport:
-    """Compute the i-signature of mp under the given box order."""
-    marked = [("+", box) for box in addable_boxes(mp, charge, i)]
-    marked += [("-", box) for box in removable_boxes(mp, charge, i)]
-    marked.sort(key=lambda sb: order.key(sb[1]))
-
-    stack: list[tuple[str, BoxCoord]] = []
-    for sign, box in marked:
-        if sign == "-" and stack and stack[-1][0] == "+":
-            stack.pop()
-        else:
-            stack.append((sign, box))
-
-    epsilon = sum(1 for sign, _ in stack if sign == "-")
-    phi = len(stack) - epsilon
-    good_removable = stack[epsilon - 1][1] if epsilon > 0 else None
-    good_addable = stack[epsilon][1] if phi > 0 else None
-    return SignatureReport(
-        symbols=tuple(marked),
-        reduced=tuple(stack),
-        epsilon=epsilon,
-        phi=phi,
-        good_removable=good_removable,
-        good_addable=good_addable,
-    )
+    """The i-signature of mp under the given box order: residue i of
+    `signatures`.  Raises ValueError for a residue outside 0..e-1."""
+    if not 0 <= i < charge.e:
+        raise ValueError(f"residue {i} out of 0..{charge.e - 1}")
+    return signatures(mp, charge, order)[i]
 
 
 def crystal_e(
@@ -187,20 +204,16 @@ def build_graph(
 
     for mp in nodes:
         weights[mp] = wt(mp, charge)
-        e_list = []
-        p_list = []
-        for i in range(charge.e):
-            sig = signature(i, mp, charge, order)
-            e_list.append(sig.epsilon)
-            p_list.append(sig.phi)
+        sigs = signatures(mp, charge, order)
+        eps[mp] = tuple(sig.epsilon for sig in sigs)
+        phi[mp] = tuple(sig.phi for sig in sigs)
+        for i, sig in enumerate(sigs):
             if sig.good_addable is not None:
                 target = add_box(mp, sig.good_addable)
                 if target.rank <= max_rank:
                     edges.append((mp, i, target))
                 else:
                     boundary.append((mp, i, target))
-        eps[mp] = tuple(e_list)
-        phi[mp] = tuple(p_list)
 
     return CrystalGraph(
         charge=charge,

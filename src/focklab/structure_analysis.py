@@ -8,24 +8,25 @@ findings on the standard multipartition basis (`support_iff` and
 `residual_strict`) and are treated as informational by the verification
 drivers, never as failures.
 
-`check_fock_relations` asks `apply_e`/`apply_f` for the image of each basis
-vector it meets once, keeps it in tables that live for one call, and
-evaluates every other vector of the sweep (e_i f_j v, f_j e_i v, the depth
-walk, the Pieri sums, each Serre word once per basis vector) as an
-{int id: coeff} dict by linear extension through them.  It looks the
-operators up at call time, so rebinding them (a tracer, a fault-injection
-test) changes what is checked.
+`check_fock_relations` and `check_perfect_basis` ask `apply_e`/`apply_f`
+for the image of each basis vector they meet once, keep it in tables that
+live for one call, and evaluate every other vector of the sweep (e_i f_j v,
+f_j e_i v, the depth walks, the Pieri sums, each Serre word once per basis
+vector, the perfect-basis residuals) as an {int id: coeff} dict by linear
+extension through them.  They look the operators up at call time, so
+rebinding them (a tracer, a fault-injection test) changes what is checked,
+depths included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from math import comb
+from math import comb, inf
 
 from . import _linalg
-from .crystal import BoxOrder, CrystalGraph, build_graph, crystal_e, crystal_f, hw_elements
-from .fock_space import FockVector, apply_e, apply_f, depth, slice_basis
+from .crystal import BoxOrder, CrystalGraph, build_graph, hw_elements, signatures
+from .fock_space import FockVector, apply_e, apply_f, slice_basis
 from .multipartition import (
     Multicharge,
     Multipartition,
@@ -103,10 +104,7 @@ def check_fock_relations(charge: Multicharge, max_rank: int) -> list[AxiomReport
                             bad["weight_step"].append({"mp": mp.to_lists(), "i": i, "op": op})
                 if any(c < 0 for c in (*up.values(), *down.values())):
                     bad["positivity"].append({"mp": mp.to_lists(), "i": i})
-                d, walk = 0, down
-                while walk and d <= n:
-                    d += 1
-                    walk = act("e", i, walk)
+                d = images.depth(i, v, n)
                 if d > n:
                     bad["depth_bound"].append({"mp": mp.to_lists(), "i": i, "depth": d})
                 h = pair_coroot(i, weight)
@@ -135,7 +133,8 @@ class _BasisImages:
     back).  `image(op, i, id)` is e_i (op "e") or f_i (op "f") of a basis
     vector as a tuple of (id, coeff) pairs: asked of the module-level
     `apply_e`/`apply_f` the first time, then kept, integral coefficients as
-    ints.  `act` extends it linearly to any {id: coeff} vector.
+    ints.  `act` extends it linearly to any {id: coeff} vector, and `depth`
+    walks e_i on one.
     """
 
     def __init__(self, charge: Multicharge):
@@ -173,6 +172,17 @@ class _BasisImages:
             for t, a in self.image(op, i, k) if row is None else row:
                 total[t] = total.get(t, 0) + c * a
         return {t: c for t, c in total.items() if c}
+
+    def depth(self, i: int, vec: dict, bound: int) -> int | float:
+        """Largest d with e_i^d vec nonzero, -inf for the zero vector, walked
+        through the tables; the walk stops at the first d above `bound`."""
+        if not vec:
+            return -inf
+        d, walk = 0, self.act("e", i, vec)
+        while walk and d <= bound:
+            d += 1
+            walk = self.act("e", i, walk)
+        return d
 
 
 def _combine(scaled) -> dict:
@@ -262,16 +272,12 @@ def check_crystal_axioms(graph: CrystalGraph) -> list[AxiomReport]:
     for a, i, b in graph.edges:
         out_seen[(a, i)] = out_seen.get((a, i), 0) + 1
         in_seen[(b, i)] = in_seen.get((b, i), 0) + 1
-    for (mp, i), count in sorted(
-        out_seen.items(), key=lambda kv: (kv[0][0].serialize(), kv[0][1])
-    ):
-        if count > 1:
-            uniq_bad.append({"mp": mp.to_lists(), "i": i, "outgoing": count})
-    for (mp, i), count in sorted(
-        in_seen.items(), key=lambda kv: (kv[0][0].serialize(), kv[0][1])
-    ):
-        if count > 1:
-            uniq_bad.append({"mp": mp.to_lists(), "i": i, "incoming": count})
+    for seen, direction in ((out_seen, "outgoing"), (in_seen, "incoming")):
+        repeated = [(key, count) for key, count in seen.items() if count > 1]
+        for (mp, i), count in sorted(
+            repeated, key=lambda kv: (kv[0][0].serialize(), kv[0][1])
+        ):
+            uniq_bad.append({"mp": mp.to_lists(), "i": i, direction: count})
 
     boundary_set = {(a, i) for a, i, _ in graph.boundary}
     completeness_bad = []
@@ -314,63 +320,61 @@ def check_perfect_basis(
     known to produce findings there, which are reported with witnesses and
     must never be silently aggregated away.  `residual_within` asserts the
     weaker bound that subtracting the leading term never reaches depth.
-    Raises ValueError on a negative `max_rank`.
+    Each multipartition's signatures are computed once per call; depths are
+    measured with the swept e_i, and a walk stops at the first value above
+    the rank, as in `check_fock_relations`.  Raises ValueError on a negative
+    `max_rank`.
     """
     if max_rank < 0:
         raise ValueError("max_rank must be nonnegative")
-    mutual_bad = []
-    iff_bad = []
-    leading_bad = []
-    within_bad = []
-    strict_bad = []
+    bad = {axiom: [] for axiom in ("mutual_inverse", "support_iff", "leading_term",
+                                   "residual_within", "residual_strict")}
+    images = _BasisImages(charge)
+    sigs: dict[Multipartition, tuple] = {}
+
+    def crystal(op: str, i: int, mp: Multipartition) -> Multipartition | None:
+        # crystal_e (op "e") or crystal_f (op "f"), one `signatures` per mp
+        if mp not in sigs:
+            sigs[mp] = signatures(mp, charge, order)
+        sig = sigs[mp][i]
+        if op == "e":
+            return None if sig.good_removable is None else remove_box(mp, sig.good_removable)
+        return None if sig.good_addable is None else add_box(mp, sig.good_addable)
 
     for n in range(max_rank + 1):
         for mp in enumerate_multipartitions(n, charge.level):
+            k = images.intern(mp)
             for i in range(charge.e):
-                up = crystal_f(i, mp, charge, order)
-                if up is not None and crystal_e(i, up, charge, order) != mp:
-                    mutual_bad.append({"mp": mp.to_lists(), "i": i,
-                                       "f_image": up.to_lists()})
-                down = crystal_e(i, mp, charge, order)
-                if down is not None and crystal_f(i, down, charge, order) != mp:
-                    mutual_bad.append({"mp": mp.to_lists(), "i": i,
-                                       "e_image": down.to_lists()})
-
-                image = apply_e(i, FockVector.basis(mp), charge)
-                if (down is not None) != (not image.is_zero()):
-                    iff_bad.append(
-                        {"mp": mp.to_lists(), "i": i,
-                         "crystal_e_defined": down is not None,
-                         "e_nonzero": not image.is_zero()}
-                    )
+                up, down = crystal("f", i, mp), crystal("e", i, mp)
+                if up is not None and crystal("e", i, up) != mp:
+                    bad["mutual_inverse"].append(
+                        {"mp": mp.to_lists(), "i": i, "f_image": up.to_lists()})
+                if down is not None and crystal("f", i, down) != mp:
+                    bad["mutual_inverse"].append(
+                        {"mp": mp.to_lists(), "i": i, "e_image": down.to_lists()})
+                image = dict(images.image("e", i, k))
+                if (down is not None) != bool(image):
+                    bad["support_iff"].append(
+                        {"mp": mp.to_lists(), "i": i, "crystal_e_defined": down is not None,
+                         "e_nonzero": bool(image)})
                 if down is None:
                     continue
-                scalar = image.coeff(down)
+                scalar = image.pop(images.intern(down), 0)
                 if scalar == 0:
-                    leading_bad.append({"mp": mp.to_lists(), "i": i,
-                                        "good_box_coeff": "0"})
+                    bad["leading_term"].append(
+                        {"mp": mp.to_lists(), "i": i, "good_box_coeff": "0"})
                     continue
-                residual = image - FockVector.basis(down).scaled(scalar)
-                d_mp = depth(i, FockVector.basis(mp), charge)
-                d_res = depth(i, residual, charge)
+                # with the leading term popped, `image` is the residual
+                d_mp, d_res = images.depth(i, {k: 1}, n), images.depth(i, image, n)
                 if not d_res < d_mp:
-                    within_bad.append(
+                    bad["residual_within"].append(
                         {"mp": mp.to_lists(), "i": i, "scalar": str(scalar),
-                         "residual_depth": d_res, "depth": d_mp}
-                    )
+                         "residual_depth": d_res, "depth": d_mp})
                 if not d_res < d_mp - 1:
-                    strict_bad.append(
+                    bad["residual_strict"].append(
                         {"mp": mp.to_lists(), "i": i, "scalar": str(scalar),
-                         "residual_depth": str(d_res), "depth": d_mp}
-                    )
-
-    return [
-        AxiomReport("mutual_inverse", tuple(mutual_bad)),
-        AxiomReport("support_iff", tuple(iff_bad)),
-        AxiomReport("leading_term", tuple(leading_bad)),
-        AxiomReport("residual_within", tuple(within_bad)),
-        AxiomReport("residual_strict", tuple(strict_bad)),
-    ]
+                         "residual_depth": str(d_res), "depth": d_mp})
+    return [AxiomReport(axiom, tuple(found)) for axiom, found in bad.items()]
 
 
 def kernel_dimension_by_weight(

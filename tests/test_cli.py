@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -125,12 +126,23 @@ def test_verify_fock(capsys):
     assert {doc["axiom"] for doc in lines} >= {"fock.pieri", "fock.serre"}
 
 
-@pytest.mark.parametrize("suite", ["fock", "perfect"])
+@pytest.mark.parametrize("suite", ["fock", "crystal", "perfect", "components", "all"])
 def test_verify_negative_rank_is_usage_error(capsys, suite):
     code = main(["--e", "2", "--s", "0", "verify", suite, "--max-rank", "-1"])
     captured = capsys.readouterr()
     assert code == 2 and not captured.out
     assert "max_rank must be nonnegative" in captured.err
+
+
+@pytest.mark.parametrize("suite", ["fock", "crystal", "perfect", "components", "all"])
+def test_verify_resource_bound(capsys, suite):
+    # 38 361 236 predicted nodes: refused before any sweep starts
+    start = time.perf_counter()
+    code = main(["--e", "3", "--s", "0,1", "verify", suite, "--max-rank", "40"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out and "resource bound" in captured.err
+    assert elapsed < 1
 
 
 def test_verify_hecke(capsys):
@@ -235,7 +247,8 @@ def test_hecke_build_byte_identity(capsys, argv, digest, words):
 
 
 # `verify all` stdout pinned byte for byte, as streamed when the fock and
-# Hecke suites were still implemented inside the CLI.
+# Hecke suites were still implemented inside the CLI; the descending-order
+# case was pinned before the perfect-basis check moved to per-call tables.
 VERIFY_ALL_PINS = [
     (("--e", "2", "--s", "0", "--max-rank", "5", "--n", "2"),
      "aedfbabc37becfd284fd1adbca3eda1183f4e500bbed00526255abd5ab55a1e8"),
@@ -245,6 +258,8 @@ VERIFY_ALL_PINS = [
      "3d03000f45a1e06cc212d2a7d8837fc90785dd5622062855375bde965c897cba"),
     (("--e", "2", "--s", "0,1", "--max-rank", "4", "--n", "3"),
      "ee8e45bfa36df3738217b092d86f16bb30746396b743fd6127551e172abac54c"),
+    (("--e", "3", "--s", "0,1", "--max-rank", "6", "--n", "2", "--order", "desc"),
+     "c6f1cca3c31979228a8d09e3e14751422e4f24e67eb2cd0e8ee18ab3c9e6ed82"),
 ]
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -11,6 +12,7 @@ from focklab import (
     FockVector,
     Multicharge,
     Multipartition,
+    SignatureReport,
     addable_boxes,
     apply_e,
     build_graph,
@@ -23,6 +25,7 @@ from focklab import (
     parse_multipartition,
     removable_boxes,
     signature,
+    signatures,
     wt,
 )
 
@@ -62,6 +65,49 @@ def test_signature_shape_invariant():
                         assert word == "-" * sig.epsilon + "+" * sig.phi
                         assert (sig.good_removable is not None) == (sig.epsilon > 0)
                         assert (sig.good_addable is not None) == (sig.phi > 0)
+
+
+def signature_oracle(i, m, charge, order):
+    """The signature rule for one residue, from its own filtered listing."""
+    marked = [("+", box) for box in addable_boxes(m, charge, i)]
+    marked += [("-", box) for box in removable_boxes(m, charge, i)]
+    marked.sort(key=lambda sb: order.key(sb[1]))
+    stack = []
+    for sign, box in marked:
+        if sign == "-" and stack and stack[-1][0] == "+":
+            stack.pop()
+        else:
+            stack.append((sign, box))
+    epsilon = sum(1 for sign, _ in stack if sign == "-")
+    phi = len(stack) - epsilon
+    return SignatureReport(
+        symbols=tuple(marked),
+        reduced=tuple(stack),
+        epsilon=epsilon,
+        phi=phi,
+        good_removable=stack[epsilon - 1][1] if epsilon > 0 else None,
+        good_addable=stack[epsilon][1] if phi > 0 else None,
+    )
+
+
+def test_signatures_match_single_residue_oracle():
+    for charge in (Multicharge(2, (0,)), Multicharge(3, (0, 1)),
+                   Multicharge(4, (0, 2)), Multicharge(3, (0, 1, 2))):
+        for n in range(6):
+            for m in enumerate_multipartitions(n, charge.level):
+                for order in BoxOrder:
+                    sigs = signatures(m, charge, order)
+                    assert len(sigs) == charge.e
+                    for i, sig in enumerate(sigs):
+                        assert sig == signature_oracle(i, m, charge, order)
+                        assert signature(i, m, charge, order) == sig
+
+
+def test_signature_residue_out_of_range():
+    c = Multicharge(2, (0,))
+    for i in (-1, 2):
+        with pytest.raises(ValueError, match="residue"):
+            signature(i, mp("[[1]]"), c)
 
 
 def test_crystal_e_examples():

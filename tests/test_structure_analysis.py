@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
-from math import comb
+from math import comb, inf
 
 import pytest
 
@@ -19,6 +19,8 @@ from focklab import (
     check_fock_relations,
     check_perfect_basis,
     compare_components,
+    crystal_e,
+    crystal_f,
     depth,
     enumerate_multipartitions,
     parse_multipartition,
@@ -475,3 +477,98 @@ def test_sweep_matches_per_vector_oracle(monkeypatch, fault):
         assert reports == per_vector_sweep(charge, rank), (fault, charge)
         verdicts.append(reports_ok(reports))
     assert all(verdicts) == (fault == "true")
+
+
+def per_vector_perfect(charge, max_rank, order):
+    """Oracle: `check_perfect_basis` with `crystal_e`/`crystal_f` per (mp, i),
+    each e_i image asked of the swept operator afresh as a FockVector, and
+    depths walked on FockVectors with that same operator."""
+    e_op = structure_analysis.apply_e
+
+    def swept_depth(i, v):
+        if v.is_zero():
+            return -inf
+        k = 0
+        while True:
+            v = e_op(i, v, charge)
+            if v.is_zero():
+                return k
+            k += 1
+
+    bad = {name: [] for name in ("mutual_inverse", "support_iff", "leading_term",
+                                 "residual_within", "residual_strict")}
+    for n in range(max_rank + 1):
+        for mp in enumerate_multipartitions(n, charge.level):
+            for i in range(charge.e):
+                up = crystal_f(i, mp, charge, order)
+                if up is not None and crystal_e(i, up, charge, order) != mp:
+                    bad["mutual_inverse"].append({"mp": mp.to_lists(), "i": i,
+                                                  "f_image": up.to_lists()})
+                down = crystal_e(i, mp, charge, order)
+                if down is not None and crystal_f(i, down, charge, order) != mp:
+                    bad["mutual_inverse"].append({"mp": mp.to_lists(), "i": i,
+                                                  "e_image": down.to_lists()})
+                image = e_op(i, FockVector.basis(mp), charge)
+                if (down is not None) != (not image.is_zero()):
+                    bad["support_iff"].append(
+                        {"mp": mp.to_lists(), "i": i,
+                         "crystal_e_defined": down is not None,
+                         "e_nonzero": not image.is_zero()})
+                if down is None:
+                    continue
+                scalar = image.coeff(down)
+                if scalar == 0:
+                    bad["leading_term"].append({"mp": mp.to_lists(), "i": i,
+                                                "good_box_coeff": "0"})
+                    continue
+                residual = image - FockVector.basis(down).scaled(scalar)
+                d_mp = swept_depth(i, FockVector.basis(mp))
+                d_res = swept_depth(i, residual)
+                if not d_res < d_mp:
+                    bad["residual_within"].append(
+                        {"mp": mp.to_lists(), "i": i, "scalar": str(scalar),
+                         "residual_depth": d_res, "depth": d_mp})
+                if not d_res < d_mp - 1:
+                    bad["residual_strict"].append(
+                        {"mp": mp.to_lists(), "i": i, "scalar": str(scalar),
+                         "residual_depth": str(d_res), "depth": d_mp})
+    return [AxiomReport(name, tuple(w)) for name, w in bad.items()]
+
+
+PERFECT_CONFIGS = ((Multicharge(2, (0,)), 6), (Multicharge(3, (0, 1)), 5),
+                   (Multicharge(4, (0, 2)), 5), (Multicharge(3, (0, 1, 2)), 3))
+
+
+@pytest.mark.parametrize("fault", ["true", "e0_negated", "e_drops_leading_one"])
+def test_perfect_basis_matches_per_vector_oracle(monkeypatch, fault):
+    baseline = [check_perfect_basis(charge, rank, order)
+                for charge, rank in PERFECT_CONFIGS for order in BoxOrder]
+    for name, op in FAULTS[fault].items():
+        monkeypatch.setattr(structure_analysis, name, op)
+    found = []
+    for charge, rank in PERFECT_CONFIGS:
+        for order in BoxOrder:
+            reports = check_perfect_basis(charge, rank, order)
+            assert reports == per_vector_perfect(charge, rank, order), (fault, charge, order)
+            found.append(reports)
+    # the faults change what is measured, so the comparison is not vacuous
+    assert (found != baseline) == (fault != "true")
+
+
+def test_perfect_basis_asks_each_e_image_once(monkeypatch):
+    calls = []
+
+    def counted(i, v, charge):
+        assert list(v.terms.values()) == [1], v
+        calls.append((i, *v.terms))
+        return apply_e(i, v, charge)
+
+    monkeypatch.setattr(structure_analysis, "apply_e", counted)
+    for charge, rank in PERFECT_CONFIGS:
+        for order in BoxOrder:
+            calls.clear()
+            check_perfect_basis(charge, rank, order)
+            assert sorted(calls, key=str) == sorted(
+                ((i, mp) for n in range(rank + 1)
+                 for mp in enumerate_multipartitions(n, charge.level)
+                 for i in range(charge.e)), key=str)
