@@ -21,11 +21,11 @@ the match between attained characters and affine weights of the rank-n
 shapes.  Every matrix here, from the saturation on, is a list of sparse rows
 {column: nonzero entry}, multiplied by `mul_rows`; only `write_json`
 densifies, one row at a time.  The spectrum is one call of
-`joint_eigenspaces` on the symmetric JM elements e_k.  Its only exact work is
-the minimal polynomial of each e_k and, at each target value, the root's
-multiplicity and cofactor.  Over F_p follow the idempotent polynomials and
-each joint generalized eigenspace dimension d, the trace of right
-multiplication by a product of them: that is d mod p, and 0 <= d < p.
+`joint_eigenspaces` on the JM elements J_i, which sums each block from its
+residue sequences; no symmetric e_k is formed.  Its only exact work is each
+J_i's minimal polynomial, split at the targets zeta^r.  Over F_p follow the
+idempotents f and each dimension dim A f = tr R_f, from one trace functional:
+that is d mod p, and 0 <= d < p.
 
 Derived product rules, writing x = J_{i-1}, y = J_i, T = T_i:
     T x^a y^b = x^b y^a T - (q-1) * sum_{k=1..a-b} x^(a-k) y^(b+k)   (a >= b)
@@ -177,7 +177,6 @@ class FinDimAlgebraRep:
     words: tuple[tuple[int, ...], ...]
     gens: list  # per generator T_g, its rows {column: nonzero Cyc}
     _jm_cache: list | None = field(default=None, repr=False, compare=False)
-    _sym_cache: list | None = field(default=None, repr=False, compare=False)
 
     def word_labels(self) -> list[str]:
         return [
@@ -403,27 +402,21 @@ def jm_elements(rep: FinDimAlgebraRep) -> list:
     return rep._jm_cache
 
 
-def _sym_rows(rep: FinDimAlgebraRep) -> list:
-    """e_0..e_n of the Jucys-Murphy matrices as sparse rows, cached on `rep`:
-    e_k(J_0..J_i) = e_k(J_0..J_(i-1)) + e_(k-1)(J_0..J_(i-1)) J_i."""
-    if rep._sym_cache is None:
-        table = [[{r: rep.one()} for r in range(rep.dimension)]]
-        for m in jm_elements(rep):
-            prods = [mul_rows(t, m) for t in table]
-            sums = [list(map(_add, t, prod)) for t, prod in zip(table[1:], prods)]
-            table = table[:1] + sums + prods[-1:]
-        rep._sym_cache = table
-    return rep._sym_cache
-
-
 def _add(a: dict, b: dict) -> dict:
     """The sum of two sparse rows, without stored zeros."""
     out = {**a, **b}
-    for c in a.keys() & b.keys():
-        if x := a[c] + b[c]:
-            out[c] = x
-        else:
-            del out[c]
+    out.update((c, a[c] + b[c]) for c in a.keys() & b.keys())
+    return {c: x for c, x in out.items() if x}
+
+
+def _sym_applied(jms: list, rows: list) -> list:
+    """e_0 x .. e_n x, e_k of the Jucys-Murphy matrices `jms`, for sparse rows
+    x: out_k += J_i out_(k-1), J_i in descending index, so each term of e_k x
+    is J_(i1) .. J_(ik) x with i1 < .. < ik, whether or not the J_i commute."""
+    out = [rows] + [[{} for _ in rows] for _ in jms]
+    for j, m in enumerate(reversed(jms), 1):
+        for k in range(j, 0, -1):
+            out[k] = list(map(_add, out[k], mul_rows(m, out[k - 1])))
     return out
 
 
@@ -432,7 +425,7 @@ def symmetric_jm(rep: FinDimAlgebraRep, k: int) -> list:
     sparse rows."""
     if not 0 <= k <= rep.n:
         raise ValueError(f"k={k} out of 0..{rep.n}")
-    return _sym_rows(rep)[k]
+    return _sym_applied(jm_elements(rep), [{r: rep.one()} for r in range(rep.dimension)])[k]
 
 
 def check_jm(rep: FinDimAlgebraRep) -> list[AxiomReport]:
@@ -441,13 +434,13 @@ def check_jm(rep: FinDimAlgebraRep) -> list[AxiomReport]:
     `jm_twist`: T_i J_{i-1} T_i = q J_i; `jm_commute`: the J_i commute
     pairwise; `jm_centrality`: every symmetric JM element commutes with
     every generator.  Each side is applied to e_0, the identity word, as a
-    chain of `mul_rows` matvecs.  That decides the matrix identity when
-    `check_relations` passes and the saturation reaches l^n * n!: the words
-    then span the left regular module A with 1 as word 0, so x in A is 0
-    exactly when x * 1 = 0.  On a rep whose relations fail the verdict
-    certifies nothing.
+    chain of `mul_rows` matvecs, e_k by `_sym_applied`.  That decides the
+    matrix identity when `check_relations` passes and the saturation reaches
+    l^n * n!: the words then span the left regular module A with 1 as word
+    0, so x in A is 0 exactly when x * 1 = 0.  On a rep whose relations fail
+    the verdict certifies nothing.
     """
-    gens, jms, syms = rep.gens, jm_elements(rep), _sym_rows(rep)
+    gens, jms = rep.gens, jm_elements(rep)
     unit = [{0: rep.one()}] + [{} for _ in range(rep.dimension - 1)]
 
     def applied(*mats: list) -> list:  # mats[0] ... mats[-1] e_0
@@ -464,11 +457,13 @@ def check_jm(rep: FinDimAlgebraRep) -> list[AxiomReport]:
         for j in range(i + 1, rep.n)
         if applied(jms[i], jms[j]) != applied(jms[j], jms[i])
     ]
+    syms = _sym_applied(jms, unit)
+    moved = [_sym_applied(jms, applied(gen)) for gen in gens]  # e_k T_g e_0
     central_bad = [
         {"k": k, "generator": g}
         for k in range(1, rep.n + 1)
         for g, gen in enumerate(gens)
-        if applied(syms[k], gen) != applied(gen, syms[k])
+        if moved[g][k] != mul_rows(gen, syms[k])
     ]
     return [
         AxiomReport("jm_twist", tuple(twist_bad)),
@@ -510,12 +505,15 @@ class CentralCharacter:
 def a_poly(mp: Multipartition, charge: Multicharge) -> CentralCharacter:
     """Character of a shape: e_k of {zeta^res(v) : v a box}, k = 1..rank."""
     roots = [Cyc.zeta(charge.e, residue(box, charge)) for box in boxes(mp)]
-    sym = [Cyc.one(charge.e)]
+    return CentralCharacter(charge.e, _elementary(roots, Cyc.one(charge.e)))
+
+
+def _elementary(roots: list, one: Cyc) -> tuple:
+    """e_1 .. e_m of the m `roots`."""
+    sym, zero = [one], one * 0
     for r in roots:
-        sym.append(Cyc.zero(charge.e))
-        for k in range(len(sym) - 1, 0, -1):
-            sym[k] = sym[k] + sym[k - 1] * r
-    return CentralCharacter(charge.e, tuple(sym[1:]))
+        sym = [a + b * r for a, b in zip(sym + [zero], [zero] + sym)]
+    return tuple(sym[1:])
 
 
 @dataclass(frozen=True)
@@ -593,22 +591,20 @@ def _idempotents(minimal: list, roots: dict, rest: bool, p: int, omega: int) -> 
 
 
 def joint_eigenspaces(rep: FinDimAlgebraRep, mats: list, targets: list) -> dict:
-    """Dimensions d_t > 0 of the joint generalized eigenspaces of commuting
-    left multiplications mats[k] = L_{z_k}, given as sparse rows, on the
-    algebra A of `rep`, keyed by tuples t: t_k a value of targets[k], or None
-    for the other roots.
+    """Dimensions d_t > 0 of the joint generalized eigenspaces A e_t of the
+    commuting right multiplications by z_k on the algebra A of `rep`, from
+    mats[k] = L_{z_k} as sparse rows, keyed by tuples t: t_k a value of
+    targets[k], or None for the other roots.
 
     Exactly over Q(zeta_e), z_k gets its minimal polynomial m_k, split at
     each target c into (x - c)^a g (`_split_root`); other roots exist when
     the a sum to less than deg m_k.  The rest is over F_p, p = 1 (mod e):
     the idempotent polynomials pi_{k,c} (`_idempotents`), e_t = prod_k
-    pi_{k,t_k}(z_k) and d_t = tr R_{e_t} = dim A e_t: the eigenspace e_t A
-    when e_t is central, as `jm_centrality` checks for the block spectrum;
-    for f = pi(J_i), dim A f = dim f A, as the anti-involution T_j -> T_j
-    fixes J_i (`_traces`).  Reduction mod p is a ring map, so this gives d_t
-    mod p, and d_t <= dim A < p.  A prime that does not reduce the input, or
-    where some g(c) = 0, is skipped; after CERTIFY_PRIMES primes this raises
-    RuntimeError."""
+    pi_{k,t_k}(z_k), idempotent as the z_k commute (`jm_commute`), and d_t =
+    tr R_{e_t} = dim A e_t (`_traces`), as R_f is idempotent with image A f.
+    That is d_t mod p, and d_t <= dim A < p.  A prime that does not reduce
+    the input, or where some g(c) = 0, is skipped; after CERTIFY_PRIMES
+    primes this raises RuntimeError."""
     one, splits = rep.one(), []
     for mat, values in zip(mats, targets):
         minimal = _minimal_polynomial(mat, one)
@@ -627,18 +623,18 @@ def _traces(rep: FinDimAlgebraRep, mats: list, pis: list, p: int, omega: int) ->
     """`joint_eigenspaces` over F_p, zeta_e -> omega, from the idempotent
     polynomials `pis` mod p: the vectors e_t * 1 prefix by prefix, sharing
     the powers z_k^j v of a prefix vector v; a v = 0 is dropped, as its
-    extensions have d = 0 mod p, and a v != 0 has d > 0.  Then d = tr R_e =
-    sum_i (b_i e)_i, b_i e = T_g (b_j e) for words[i] = (g,) + words[j]."""
-
-    def sparse(rows: list) -> list:
-        return [(tuple(row), tuple(mod_p(x, p, omega) for x in row.values())) for row in rows]
+    extensions have d = 0 mod p, and a v != 0 has d > 0.  Then d = rho(e_t)
+    for the trace functional rho(x) = tr R_x = sum_i (b_i x)_i, one row
+    vector per call: rho = V_0, V_j = e_j + sum V_i T_g over the words[i] =
+    (g,) + words[j], from the last word to the first (the words are
+    breadth-first), each V_j a sparse dict: most are near the leaves."""
 
     def apply(rows: list, v: list) -> list:
         return [sum(map(mul, vals, map(v.__getitem__, cols))) % p for cols, vals in rows]
 
     vectors = {(): [1] + [0] * (rep.dimension - 1)}
     for mat, pi_of in zip(mats, pis):
-        rows = sparse(mat)
+        rows = [(tuple(row), tuple(mod_p(x, p, omega) for x in row.values())) for row in mat]
         grown = {}
         for prefix, v in vectors.items():
             powers = [v]
@@ -650,15 +646,16 @@ def _traces(rep: FinDimAlgebraRep, mats: list, pis: list, p: int, omega: int) ->
                     grown[prefix + (t,)] = w
         vectors = grown
 
-    gens = [sparse(g) for g in rep.gens]
+    gens = [[{c: mod_p(x, p, omega) for c, x in row.items()} for row in g] for g in rep.gens]
     parent = {word: j for j, word in enumerate(rep.words)}
-    dims = {}
-    for t, e in vectors.items():
-        images = [e]
-        for word in rep.words[1:]:
-            images.append(apply(gens[word[0]], images[parent[word[1:]]]))
-        dims[t] = sum(b_e[i] for i, b_e in enumerate(images)) % p
-    return dims
+    V = [{i: 1} for i in range(rep.dimension)]  # e_i, then V_i once its children are in
+    for word in reversed(rep.words[1:]):
+        gen, out = gens[word[0]], V[parent[word[1:]]]
+        for r, x in V.pop().items():
+            for c, y in gen[r].items():
+                out[c] = (out.get(c, 0) + x * y) % p
+    (rho,) = V
+    return {t: sum(x * e[c] for c, x in rho.items()) % p for t, e in vectors.items()}
 
 
 def central_characters(
@@ -666,11 +663,12 @@ def central_characters(
 ) -> CharacterSpectrum:
     """Joint generalized eigenspaces of the symmetric Jucys-Murphy elements.
 
-    Candidate characters chi are read off the rank-n shapes, and
-    `joint_eigenspaces` takes e_1..e_n with the candidate values of each e_k
-    as targets: d_chi is the dimension at the tuple chi, exact by construction.
-    `spectral_support` fails at k when a tuple with None at k has positive
-    dimension: e_k has an eigenvalue that is no candidate's.
+    Candidate characters chi are read off the rank-n shapes.  The e_k are
+    polynomials in the J_i, so d_t, t_k = e_k(zeta^(i_1), .., zeta^(i_n)) or
+    None where no candidate has that value (all None if i has a foreign root),
+    sums the dimensions d(i) of `joint_eigenspaces` on the J_i, exact by
+    construction.  `spectral_support` fails at k when a tuple with None at k
+    has d > 0: e_k has an eigenvalue that is no candidate's.
     `spectral_mass` requires the d_chi to sum to l^n * n!.
     """
     if n != rep.n:
@@ -679,11 +677,13 @@ def central_characters(
     for mp in enumerate_multipartitions(n, rep.l):
         candidates.setdefault(a_poly(mp, charge), []).append(mp)
 
-    dims = joint_eigenspaces(
-        rep,
-        _sym_rows(rep)[1:],
-        [list(dict.fromkeys(char.values[k] for char in candidates)) for k in range(n)],
-    )
+    e, values = rep.charge.e, [{char.values[k] for char in candidates} for k in range(n)]
+    sequences = joint_eigenspaces(rep, jm_elements(rep), [[Cyc.zeta(e, r) for r in range(e)]] * n)
+    dims: dict = {}
+    for seq, d in sequences.items():
+        sym = (None,) * n if None in seq else _elementary(seq, rep.one())
+        t = tuple(x if x in vals else None for x, vals in zip(sym, values))
+        dims[t] = dims.get(t, 0) + d
     attained = tuple(
         AttainedCharacter(char, dims[char.values], tuple(members))
         for char, members in candidates.items()

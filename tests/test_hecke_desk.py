@@ -270,6 +270,39 @@ def test_check_jm_witnesses_scaled_generator(hecke_reps):
     assert by_axiom["jm_commute"].status == "pass"
 
 
+def formed_sym_rows(rep):
+    """The former `_sym_rows`: e_0..e_n of the JM matrices formed as sparse
+    rows, e_k(J_0..J_i) = e_k(J_0..J_(i-1)) + e_(k-1)(J_0..J_(i-1)) J_i."""
+    table = [[{r: rep.one()} for r in range(rep.dimension)]]
+    for m in jm_elements(rep):
+        prods = [mul_rows(t, m) for t in table]
+        sums = [list(map(hecke_desk._add, t, prod)) for t, prod in zip(table[1:], prods)]
+        table = table[:1] + sums + prods[-1:]
+    return table
+
+
+@pytest.mark.parametrize("l,n,e,g,col", [(1, 3, 2, 0, 1), (2, 3, 2, 1, 3), (2, 3, 3, 1, 3)])
+def test_check_jm_centrality_matches_formed_symmetric_jm(hecke_reps, l, n, e, g, col):
+    # 1 added at (0, col) of T_g, JM matrices recomputed: the J_i no longer
+    # commute, and e_k applied through them must still be the formed e_k
+    rep = hecke_reps(l, n, e)
+    gens = list(rep.gens)
+    gens[g] = [hecke_desk._add(gens[g][0], {col: rep.one()}), *gens[g][1:]]
+    bad = dataclasses.replace(rep, gens=gens, _jm_cache=None)
+    syms = formed_sym_rows(bad)
+    assert [symmetric_jm(bad, k) for k in range(n + 1)] == syms
+    unit = [{0: rep.one()}] + [{} for _ in range(rep.dimension - 1)]
+    central_bad = tuple(
+        {"k": k, "generator": h}
+        for k in range(1, n + 1)
+        for h, gen in enumerate(bad.gens)
+        if mul_rows(syms[k], mul_rows(gen, unit)) != mul_rows(gen, mul_rows(syms[k], unit))
+    )
+    by_axiom = {r.axiom: r for r in check_jm(bad)}
+    assert by_axiom["jm_commute"].witnesses
+    assert by_axiom["jm_centrality"].witnesses == central_bad
+
+
 def test_check_block_weights_witnesses_dropped_block(hecke_reps):
     charge = Multicharge(2, (0, 1))
     spectrum = central_characters(hecke_reps(2, 2, 2), 2, charge)
@@ -297,13 +330,34 @@ def test_spectrum_reports_witness_foreign_charge(hecke_reps):
     )
 
 
+@pytest.mark.parametrize("l,n,e", [(2, 2, 2), (1, 3, 2)])
+def test_spectrum_reports_witness_scaled_generator(hecke_reps, l, n, e):
+    # T_1 scaled by 2 and the JM matrices recomputed: J_1 has roots that are
+    # no power of zeta, so no tuple is a character, as with the formed e_k
+    rep = hecke_reps(l, n, e)
+    gens = list(rep.gens)
+    gens[1] = hecke_desk._scale(gens[1], 2)
+    bad = dataclasses.replace(rep, gens=gens, _jm_cache=None)
+    spectrum = central_characters(bad, n, Multicharge(e, tuple(range(l))))
+    assert spectrum.attained == ()
+    mass, support = spectrum.reports
+    assert mass.witnesses == ({"total_generalized_dim": 0, "expected": rep.dimension},)
+    assert support.witnesses == tuple({"k": k, "nilpotent": False} for k in range(1, n + 1))
+
+
 def _poly_at(coeffs, rows):
     """Exact Horner evaluation of an ascending polynomial at sparse rows."""
     out = [{} for _ in rows]
     for c in reversed(coeffs):
-        out = [hecke_desk._add(row, {r: c} if c else {})
-               for r, row in enumerate(mul_rows(out, rows))]
+        out = [hecke_desk._add(row, {r: c}) for r, row in enumerate(mul_rows(out, rows))]
     return out
+
+
+def test_add_stores_no_zero():
+    zero, one = Cyc.zero(3), Cyc.one(3)
+    assert hecke_desk._add({}, {0: zero}) == {}
+    assert hecke_desk._add({0: zero, 1: one}, {}) == {1: one}
+    assert hecke_desk._add({0: one, 1: one}, {0: -one, 2: zero}) == {1: one}
 
 
 def _times_power(poly, c, a):
@@ -375,23 +429,26 @@ def exact_idempotents(minimal, values):
     (2, 2, 3, (0, 0)),  # a foreign charge: e_1 has a root that is no candidate's
 ])
 def test_idempotents_mod_p_match_exact_oracle(hecke_reps, monkeypatch, l, n, e, s):
-    # the F_p idempotents that reach the traces are the images of the exact ones
+    # the F_p idempotents that reach the traces are the images of the exact
+    # ones of the J_k at the targets zeta^r; every root of a J_k is one, so no
+    # pi_None, and a foreign charge shows only in the folded tuples
     rep, charge = hecke_reps(l, n, e), Multicharge(e, s)
-    seen = []
+    traces, seen = hecke_desk._traces, []
 
-    def traces(rep, mats, pis, p, omega):
+    def recording(rep, mats, pis, p, omega):
         seen.append((pis, p, omega))
-        return {}
+        return traces(rep, mats, pis, p, omega)
 
-    monkeypatch.setattr(hecke_desk, "_traces", traces)
-    central_characters(rep, n, charge)
+    monkeypatch.setattr(hecke_desk, "_traces", recording)
+    spectrum = central_characters(rep, n, charge)
     ((pis, p, omega),) = seen
-    chars = dict.fromkeys(a_poly(mp, charge).values for mp in enumerate_multipartitions(n, l))
-    for k, fp in enumerate(pis):
-        minimal = _minimal_polynomial(symmetric_jm(rep, k + 1), rep.one())
-        exact = exact_idempotents(minimal, [v[k] for v in chars])
+    zetas = [Cyc.zeta(e, r) for r in range(e)]
+    for fp, jm in zip(pis, jm_elements(rep), strict=True):
+        exact = exact_idempotents(_minimal_polynomial(jm, rep.one()), zetas)
         assert fp == {c: [mod_p(x, p, omega) for x in pi] for c, pi in exact.items()}
-    assert (None in pis[0]) == (s == (0, 0))
+        assert None not in fp
+    support = spectrum.reports[1]
+    assert support.witnesses == (({"k": 1, "nilpotent": False},) if s == (0, 0) else ())
 
 
 def test_idempotents_raise_where_the_cofactor_vanishes_mod_p():
@@ -456,16 +513,18 @@ def realified_spectrum(rep, n, charge):
     )
 
 
+# every configuration of dimension <= 18 at every shift, and foreign charges:
+# (l, n, the charge the rep is built on, the charge of the candidates or None)
+ORACLE_CASES = [
+    (l, n, Multicharge(e, tuple(c + j for j in range(l))), None)
+    for l in (1, 2, 3) for n in (1, 2, 3) for e in (2, 3) for c in range(e)
+    if l**n * [1, 1, 2, 6][n] <= 18
+] + [(2, 2, Multicharge(3, (0, 1)), Multicharge(3, (0, 0))),
+     (1, 2, Multicharge(3, (0,)), Multicharge(3, (1,)))]
+
+
 def test_spectrum_matches_realified_oracle():
-    # every configuration of dimension <= 18 at every shift, and foreign charges
-    cases = [
-        (l, n, Multicharge(e, tuple(c + j for j in range(l))), None)
-        for l in (1, 2, 3) for n in (1, 2, 3) for e in (2, 3) for c in range(e)
-        if l**n * [1, 1, 2, 6][n] <= 18
-    ]
-    cases += [(2, 2, Multicharge(3, (0, 1)), Multicharge(3, (0, 0))),
-              (1, 2, Multicharge(3, (0,)), Multicharge(3, (1,)))]
-    for l, n, built, charge in cases:
+    for l, n, built, charge in ORACLE_CASES:
         rep = build_algebra(l, n, built)
         charge = charge or built
         expected = realified_spectrum(rep, n, charge)
@@ -494,6 +553,107 @@ def test_joint_eigenspaces_of_last_jm_restrict(hecke_reps, l, n, e):
         assert [dims[(z,)] for z in zetas] == [3, 3, 2]
 
 
+def residue_tableaux(mp, charge):
+    """Residue sequences of the standard tableaux of shape mp, with their
+    counts |Std(mp, i)|: the box holding the largest entry is removable."""
+    if not any(mp.components):
+        return collections.Counter({(): 1})
+    out = collections.Counter()
+    for box in removable_boxes(mp, charge):
+        for seq, count in residue_tableaux(remove_box(mp, box), charge).items():
+            out[seq + (residue(box, charge),)] += count
+    return out
+
+
+@pytest.mark.parametrize("l,n,charge", [
+    (2, 3, Multicharge(3, (0, 1))),
+    (3, 3, Multicharge(2, (0, 1, 1))),
+], ids=["2-3-3-s01", "3-3-2-s011"])
+def test_residue_sequence_dimensions(l, n, charge):
+    # dim A e(i) = sum over lambda of dim S^lambda |Std(lambda, i)|, for the
+    # residue sequences i that the block spectrum sums
+    rep = build_algebra(l, n, charge)
+    zetas = [Cyc.zeta(charge.e, r) for r in range(charge.e)]
+    dims = hecke_desk.joint_eigenspaces(rep, jm_elements(rep), [zetas] * n)
+    expected = collections.Counter()
+    for mp in enumerate_multipartitions(n, l):
+        for seq, count in residue_tableaux(mp, charge).items():
+            expected[tuple(zetas[r] for r in seq)] += specht_dimension(mp) * count
+    assert dims == expected
+    assert sum(dims.values()) == rep.dimension
+
+
+def tree_traces(rep, mats, pis, p, omega):
+    """The former `_traces`: per tuple t, the images b_i e_t along the word
+    tree and d = sum_i (b_i e_t)_i."""
+    def sparse(rows):
+        return [(tuple(row), tuple(mod_p(x, p, omega) for x in row.values())) for row in rows]
+
+    def apply(rows, v):
+        return [sum(a * v[c] for c, a in zip(cols, vals)) % p for cols, vals in rows]
+
+    vectors = {(): [1] + [0] * (rep.dimension - 1)}
+    for mat, pi_of in zip(mats, pis):
+        rows, grown = sparse(mat), {}
+        for prefix, v in vectors.items():
+            powers = [v]
+            for _ in range(max(map(len, pi_of.values())) - 1):
+                powers.append(apply(rows, powers[-1]))
+            for t, pi in pi_of.items():
+                w = [sum(a * x for a, x in zip(pi, col)) % p for col in zip(*powers)]
+                if any(w):
+                    grown[prefix + (t,)] = w
+        vectors = grown
+    gens = [sparse(g) for g in rep.gens]
+    parent = {word: j for j, word in enumerate(rep.words)}
+    dims = {}
+    for t, e in vectors.items():
+        images = [e]
+        for word in rep.words[1:]:
+            images.append(apply(gens[word[0]], images[parent[word[1:]]]))
+        dims[t] = sum(b_e[i] for i, b_e in enumerate(images)) % p
+    return dims
+
+
+def _recorded_traces(monkeypatch, rep, n, charge):
+    """central_characters' spectrum and the input it hands to `_traces`."""
+    traces, seen = hecke_desk._traces, []
+
+    def recording(*args):
+        seen.append(args)
+        return traces(*args)
+
+    monkeypatch.setattr(hecke_desk, "_traces", recording)
+    spectrum = central_characters(rep, n, charge)
+    monkeypatch.undo()
+    (args,) = seen
+    return spectrum, args
+
+
+def test_trace_functional_matches_word_tree_oracle(monkeypatch):
+    # rho(v) = sum_i (b_i v)_i on every prefix vector e_t * 1
+    for l, n, built, charge in ORACLE_CASES:
+        rep = build_algebra(l, n, built)
+        _, (_, mats, pis, p, omega) = _recorded_traces(monkeypatch, rep, n, charge or built)
+        for k in range(1, n + 1):
+            prefix = (rep, mats[:k], pis[:k], p, omega)
+            assert hecke_desk._traces(*prefix) == tree_traces(*prefix), (l, n, built, k)
+
+
+@pytest.mark.parametrize("l,n,e", [(2, 2, 3), (2, 3, 2), (3, 2, 2)])
+def test_trace_functional_follows_every_word_tree_edge(hecke_reps, l, n, e):
+    # mutation: the last word, a leaf, hangs off another word; some d moves
+    # or the mass no longer adds up
+    rep = hecke_reps(l, n, e)
+    charge = Multicharge(e, tuple(range(l)))
+    spectrum = central_characters(rep, n, charge)
+    g, tail = rep.words[-1][0], rep.words[-1][1:]
+    other = next(w for w in rep.words if w != tail and (g,) + w not in rep.words)
+    mutated = dataclasses.replace(rep, words=rep.words[:-1] + ((g,) + other,))
+    moved = central_characters(mutated, n, charge)
+    assert moved.attained != spectrum.attained or moved.reports[0].witnesses
+
+
 @pytest.mark.parametrize("l,n,charge", [
     (3, 3, Multicharge(2, (0, 1, 2))),
     # the configurations of test_cli's VERIFY_HECKE_PINS, whose streams are
@@ -501,10 +661,13 @@ def test_joint_eigenspaces_of_last_jm_restrict(hecke_reps, l, n, e):
     (3, 3, Multicharge(2, (0, 1, 1))),
     (2, 3, Multicharge(4, (0, 1))),
     (2, 2, Multicharge(5, (0, 2))),
-], ids=["3-3-2-s012", "3-3-2-s011", "2-3-4-s01", "2-2-5-s02"])
+    # dimension 384, at e = 5 and e = 2
+    (2, 4, Multicharge(5, (0, 2))),
+    (2, 4, Multicharge(2, (0, 1))),
+], ids=["3-3-2-s012", "3-3-2-s011", "2-3-4-s01", "2-2-5-s02", "2-4-5-s02", "2-4-2-s01"])
 def test_block_dimensions_match_cellular_formula(l, n, charge):
     # each block B has dimension sum over B of (dim S^lambda)^2
-    rep = build_algebra(l, n, charge)
+    rep = build_algebra(l, n, charge, max_dim=384)
     spectrum = central_characters(rep, n, charge)
     assert all(r.status == "pass" for r in spectrum.reports)
     dims = [block.dimension for block in spectrum.attained]
@@ -840,7 +1003,8 @@ def test_hecke_coefficients_are_ints(hecke_reps, l, n, e):
     # off the Fraction operators
     rep = hecke_reps(l, n, e)
     entries = []
-    for rows in rep.gens + jm_elements(rep) + hecke_desk._sym_rows(rep):
+    syms = [symmetric_jm(rep, k) for k in range(rep.n + 1)]
+    for rows in rep.gens + jm_elements(rep) + syms:
         entries += [x for row in rows for x in row.values()]
     assert {type(c) for x in entries for c in x.coeffs} == {int}
     # and none is a stored zero, which the == of check_relations and
