@@ -1,18 +1,20 @@
 """Desk-scale cyclotomic Hecke algebra workbench over Q(zeta_e).
 
 The algebra on generators T_0..T_{n-1} is realized through its left regular
-representation.  Products against a normal-form coordinate space (exponent
-vectors of the commuting Jucys-Murphy elements times symmetric-group words)
-provide the ambient coordinates; a single-pass spanning-set saturation from
-the identity word both finds the word basis and reads off every generator
-matrix column.  It eliminates over F_p, p = 1 (mod e), on labels in
-descending degree, nearly triangular, and certifies each decision over
-Q(zeta_e): a new word by its independence mod p, a column by an exact
-check of its lifted F_p coordinates or by an exact solve.  When phi(e) = 1
-it computes on ints, through the ring isomorphism Z[zeta_e] -> Z, which
-commutes with reduction mod p, and stores `Cyc` entries.  The closure must
-reach dimension l^n * n! exactly, and every defining relation must vanish as
-a matrix.  Nothing is trusted to the straightening rules alone.
+representation.  The ambient coordinates are the normal-form labels J^a T_w
+(exponents of the commuting Jucys-Murphy elements, symmetric-group words),
+and T_g x is the linear extension of the per-label rows T_g J^a T_w, each
+computed once per saturation by the product rules below.  A single-pass
+spanning-set saturation from the identity word both finds the word basis
+and reads off every generator matrix column.  It eliminates over F_p, p = 1
+(mod e), on labels in descending degree, nearly triangular, and certifies
+each decision over Q(zeta_e): a new word by its independence mod p, a
+column by an exact check of its lifted F_p coordinates or by an exact
+solve.  When phi(e) = 1 it computes on ints, through the ring isomorphism
+Z[zeta_e] -> Z, which commutes with reduction mod p, and stores `Cyc`
+entries.  The closure must reach dimension l^n * n! exactly, and every
+defining relation must vanish as a matrix.  Nothing is trusted to the
+straightening rules alone.
 
 Each check returns `AxiomReport`s: `check_relations` for the presentation,
 `check_jm` for the Jucys-Murphy twist, commutation and centrality,
@@ -106,14 +108,10 @@ class _Engine:
         out: dict = {}
 
         def emit(label, coeff):
-            if not coeff:
-                return
-            acc = out.get(label)
-            total = coeff if acc is None else acc + coeff
-            if total:
-                out[label] = total
-            elif acc is not None:
-                del out[label]
+            if label in out:
+                coeff = out.pop(label) + coeff
+            if coeff:
+                out[label] = coeff
 
         for (exps, w), c in element.items():
             if g == 0:
@@ -130,9 +128,7 @@ class _Engine:
                 continue
 
             a, b = exps[g - 1], exps[g]
-            swapped = list(exps)
-            swapped[g - 1], swapped[g] = b, a
-            swapped = tuple(swapped)
+            swapped = exps[:g - 1] + (b, a) + exps[g + 1:]
             # main term: the generator passes the J-monomial and hits T_w
             value = g - 1  # reflection exchanges values g-1, g
             if w.index(value) < w.index(value + 1):
@@ -141,16 +137,11 @@ class _Engine:
                 emit((swapped, w), c * self.qm1)
                 emit((swapped, _swap_values(w, value)), c * self.q)
             # spawned terms keep the word and redistribute the exponent pair
-            if a > b:
-                for k in range(1, a - b + 1):
-                    spawned = list(exps)
-                    spawned[g - 1], spawned[g] = a - k, b + k
-                    emit((tuple(spawned), w), -(c * self.qm1))
-            elif a < b:
-                for k in range(1, b - a + 1):
-                    spawned = list(exps)
-                    spawned[g - 1], spawned[g] = b - k, a + k
-                    emit((tuple(spawned), w), c * self.qm1)
+            if a != b:
+                hi, lo = max(a, b), min(a, b)
+                spawn = -(c * self.qm1) if a > b else c * self.qm1
+                for k in range(1, hi - lo + 1):
+                    emit((exps[:g - 1] + (hi - k, lo + k) + exps[g + 1:], w), spawn)
         return out
 
 
@@ -229,7 +220,11 @@ def build_algebra(
         raise ValueError("n must be at least 1")
     target = l**n * factorial(n)
     if max_dim is None:
-        max_dim = int(os.environ.get("FOCK_MAX_DIM", DEFAULT_DIM_BOUND))
+        raw = os.environ.get("FOCK_MAX_DIM", str(DEFAULT_DIM_BOUND))
+        try:
+            max_dim = int(raw)
+        except ValueError:
+            raise ValueError(f"FOCK_MAX_DIM must be an integer, got {raw!r}") from None
     if target > max_dim:
         raise ValueError(
             f"dimension overflow: l^n*n! = {target} exceeds bound {max_dim}"
@@ -267,6 +262,10 @@ def _saturate(engine: _Engine, target: int, p: int, omega: int):
     """(words, gens) of the exact saturation, found over F_p, zeta_e -> omega,
     or None when a certificate fails at p.
 
+    Elements are sparse dicts over label indices (positions in `_all_labels`).
+    T_g x extends linearly the rows T_g (label k), each asked of `mult_gen` on
+    one term the first time; a unit constant adds its term unmultiplied.
+
     The engine's coefficients lie in Z[zeta_e], so every product reduces.  A
     product outside the F_p span of the words joins them: the words stay
     independent mod p, and reduction cannot raise a rank, so it is outside
@@ -288,12 +287,25 @@ def _saturate(engine: _Engine, target: int, p: int, omega: int):
     Integral Fractions from a solve become ints, and `gens` stores `Cyc`
     entries, equal to those of the `Cyc` computation.
     """
-    index = {lab: k for k, lab in enumerate(_all_labels(engine.l, engine.n))}
+    labels, one = _all_labels(engine.l, engine.n), engine.one
+    index = {lab: k for k, lab in enumerate(labels)}
+    rows = [[None] * len(labels) for _ in range(engine.n)]  # rows[g][k] = T_g (label k)
     gens = [[{} for _ in range(target)] for _ in range(engine.n)]
     cells: dict = {}  # a number coordinate -> its Cyc, shared by equal entries
 
-    def sparse(element: dict) -> dict:
-        return {index[lab]: c for lab, c in element.items()}
+    def times(g: int, vec: dict) -> dict:
+        out, rows_g = {}, rows[g]
+        for k, c in vec.items():
+            if (row := rows_g[k]) is None:
+                row = rows_g[k] = {index[lab]: one if x == one else x
+                                   for lab, x in engine.mult_gen(g, {labels[k]: one}).items()}
+            for j, x in row.items():
+                t = c if x is one else c * x
+                if s := out[j] + t if j in out else t:
+                    out[j] = s
+                else:
+                    del out[j]
+        return out
 
     def reduce(vec: dict) -> dict:
         return {r: mod_p(c, p, omega) for r, c in vec.items()}
@@ -301,25 +313,24 @@ def _saturate(engine: _Engine, target: int, p: int, omega: int):
     tracker = _linalg.SpanTracker(p)
     lifts: dict = {}  # F_p coordinate -> the exact one last solved with it
     words: list[tuple[int, ...]] = [()]
-    elements = [engine.identity_element()]
-    tracker.insert(reduce(sparse(elements[0])))
+    elements = [{index[lab]: c for lab, c in engine.identity_element().items()}]
+    tracker.insert(reduce(elements[0]))
     queue: deque = deque((g, 0) for g in range(engine.n))
     while queue:
         g, k = queue.popleft()
-        product = engine.mult_gen(g, elements[k])
-        vec = sparse(product)
+        vec = times(g, elements[k])
         fp = tracker.express(reduced := reduce(vec))
         if fp is None:
             tracker.insert(reduced)
-            coords = {len(words): engine.one}
+            coords = {len(words): one}
             queue.extend((h, len(words)) for h in range(engine.n))
             words.append((g,) + words[k])
-            elements.append(product)
-        elif (coords := _lifted(fp, lifts, elements, product)) is None:
+            elements.append(vec)
+        elif (coords := _lifted(fp, lifts, elements, vec)) is None:
             support = sorted(fp)
             solve = _linalg.SpanTracker()
             for r in support:
-                solve.insert(sparse(elements[r]))
+                solve.insert(elements[r])
             if (exact := solve.express(vec)) is None:
                 return None
             # an integral Fraction becomes an int, as in `Cyc.__init__`

@@ -207,8 +207,34 @@ def test_dim_bound_env(capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_dim_bound_env_names_the_variable(capsys, monkeypatch):
+    monkeypatch.setenv("FOCK_MAX_DIM", "abc")
+    assert main(["--e", "2", "--s", "0,1", "--n", "2", "hecke-build"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: FOCK_MAX_DIM must be an integer, got 'abc'\n"
+
+
+# the BFS word basis of every level-two build at n = 3 pinned below
+_WORDS_L2_N3 = (
+    "Id T0 T1 T2 T1*T0 T2*T0 T0*T1 T2*T1 T1*T2 T0*T1*T0 T2*T1*T0 T1*T2*T0 "
+    "T1*T0*T1 T2*T0*T1 T1*T2*T1 T0*T1*T2 T1*T0*T1*T0 T2*T0*T1*T0 "
+    "T1*T2*T1*T0 T0*T1*T2*T0 T2*T1*T0*T1 T1*T2*T0*T1 T0*T1*T2*T1 "
+    "T1*T0*T1*T2 T2*T1*T0*T1*T0 T1*T2*T0*T1*T0 T0*T1*T2*T1*T0 "
+    "T1*T0*T1*T2*T0 T1*T2*T1*T0*T1 T0*T1*T2*T0*T1 T1*T0*T1*T2*T1 "
+    "T2*T1*T0*T1*T2 T1*T2*T1*T0*T1*T0 T0*T1*T2*T0*T1*T0 "
+    "T1*T0*T1*T2*T1*T0 T2*T1*T0*T1*T2*T0 T0*T1*T2*T1*T0*T1 "
+    "T1*T0*T1*T2*T0*T1 T2*T1*T0*T1*T2*T1 T0*T1*T2*T1*T0*T1*T0 "
+    "T1*T0*T1*T2*T0*T1*T0 T2*T1*T0*T1*T2*T1*T0 T1*T0*T1*T2*T1*T0*T1 "
+    "T2*T1*T0*T1*T2*T0*T1 T1*T0*T1*T2*T1*T0*T1*T0 "
+    "T2*T1*T0*T1*T2*T0*T1*T0 T2*T1*T0*T1*T2*T1*T0*T1 "
+    "T2*T1*T0*T1*T2*T1*T0*T1*T0"
+)
+
+
 # `hecke-build` stdout pinned byte for byte: sha256 of the JSON document and
-# its BFS word basis, as produced by the original dense two-pass saturation.
+# its BFS word basis, the first four as produced by the original dense
+# two-pass saturation.
 HECKE_BUILD_PINS = [
     (("--e", "2", "--s", "0,1", "--n", "2"),
      "3703d68c2fc20a3403ed25c8ad9a2918af79663aed1fe780b7e84708088135bc",
@@ -223,18 +249,73 @@ HECKE_BUILD_PINS = [
      "T1*T0*T1*T0*T0 T1*T0*T0*T1*T0 T1*T0*T0*T1*T0*T0"),
     (("--e", "2", "--s", "0,1", "--n", "3"),
      "b6e215ec79895717bfb628e79ae5cff3067070de0733cd64505fa69841163111",
-     "Id T0 T1 T2 T1*T0 T2*T0 T0*T1 T2*T1 T1*T2 T0*T1*T0 T2*T1*T0 T1*T2*T0 "
-     "T1*T0*T1 T2*T0*T1 T1*T2*T1 T0*T1*T2 T1*T0*T1*T0 T2*T0*T1*T0 "
-     "T1*T2*T1*T0 T0*T1*T2*T0 T2*T1*T0*T1 T1*T2*T0*T1 T0*T1*T2*T1 "
-     "T1*T0*T1*T2 T2*T1*T0*T1*T0 T1*T2*T0*T1*T0 T0*T1*T2*T1*T0 "
-     "T1*T0*T1*T2*T0 T1*T2*T1*T0*T1 T0*T1*T2*T0*T1 T1*T0*T1*T2*T1 "
-     "T2*T1*T0*T1*T2 T1*T2*T1*T0*T1*T0 T0*T1*T2*T0*T1*T0 "
-     "T1*T0*T1*T2*T1*T0 T2*T1*T0*T1*T2*T0 T0*T1*T2*T1*T0*T1 "
-     "T1*T0*T1*T2*T0*T1 T2*T1*T0*T1*T2*T1 T0*T1*T2*T1*T0*T1*T0 "
-     "T1*T0*T1*T2*T0*T1*T0 T2*T1*T0*T1*T2*T1*T0 T1*T0*T1*T2*T1*T0*T1 "
-     "T2*T1*T0*T1*T2*T0*T1 T1*T0*T1*T2*T1*T0*T1*T0 "
-     "T2*T1*T0*T1*T2*T0*T1*T0 T2*T1*T0*T1*T2*T1*T0*T1 "
-     "T2*T1*T0*T1*T2*T1*T0*T1*T0"),
+     _WORDS_L2_N3),
+    # pinned before the saturation formed products from per-label rows
+    pytest.param(("--e", "2", "--s", "0,1,2", "--n", "3"),  # perfbench saturation-c0
+                 "2b8935b46dedd9da9791cedce615cfbd05be2c215a2bcc2aa7205b3c1bab0188",
+                 "Id T0 T1 T2 T0*T0 T1*T0 T2*T0 T0*T1 T2*T1 T1*T2 T1*T0*T0 T2*T0*T0 "
+                 "T0*T1*T0 T2*T1*T0 T1*T2*T0 T0*T0*T1 T1*T0*T1 T2*T0*T1 T1*T2*T1 "
+                 "T0*T1*T2 T0*T1*T0*T0 T2*T1*T0*T0 T1*T2*T0*T0 T0*T0*T1*T0 T1*T0*T1*T0 "
+                 "T2*T0*T1*T0 T1*T2*T1*T0 T0*T1*T2*T0 T1*T0*T0*T1 T2*T0*T0*T1 "
+                 "T2*T1*T0*T1 T1*T2*T0*T1 T0*T1*T2*T1 T0*T0*T1*T2 T1*T0*T1*T2 "
+                 "T0*T0*T1*T0*T0 T1*T0*T1*T0*T0 T2*T0*T1*T0*T0 T1*T2*T1*T0*T0 "
+                 "T0*T1*T2*T0*T0 T1*T0*T0*T1*T0 T2*T0*T0*T1*T0 T2*T1*T0*T1*T0 "
+                 "T1*T2*T0*T1*T0 T0*T1*T2*T1*T0 T0*T0*T1*T2*T0 T1*T0*T1*T2*T0 "
+                 "T2*T1*T0*T0*T1 T1*T2*T0*T0*T1 T1*T2*T1*T0*T1 T0*T1*T2*T0*T1 "
+                 "T0*T0*T1*T2*T1 T1*T0*T1*T2*T1 T1*T0*T0*T1*T2 T2*T1*T0*T1*T2 "
+                 "T1*T0*T0*T1*T0*T0 T2*T0*T0*T1*T0*T0 T2*T1*T0*T1*T0*T0 "
+                 "T1*T2*T0*T1*T0*T0 T0*T1*T2*T1*T0*T0 T0*T0*T1*T2*T0*T0 "
+                 "T1*T0*T1*T2*T0*T0 T2*T1*T0*T0*T1*T0 T1*T2*T0*T0*T1*T0 "
+                 "T1*T2*T1*T0*T1*T0 T0*T1*T2*T0*T1*T0 T0*T0*T1*T2*T1*T0 "
+                 "T1*T0*T1*T2*T1*T0 T1*T0*T0*T1*T2*T0 T2*T1*T0*T1*T2*T0 "
+                 "T1*T2*T1*T0*T0*T1 T0*T1*T2*T0*T0*T1 T0*T1*T2*T1*T0*T1 "
+                 "T0*T0*T1*T2*T0*T1 T1*T0*T1*T2*T0*T1 T1*T0*T0*T1*T2*T1 "
+                 "T2*T1*T0*T1*T2*T1 T2*T1*T0*T0*T1*T2 T2*T1*T0*T0*T1*T0*T0 "
+                 "T1*T2*T0*T0*T1*T0*T0 T1*T2*T1*T0*T1*T0*T0 T0*T1*T2*T0*T1*T0*T0 "
+                 "T0*T0*T1*T2*T1*T0*T0 T1*T0*T1*T2*T1*T0*T0 T1*T0*T0*T1*T2*T0*T0 "
+                 "T2*T1*T0*T1*T2*T0*T0 T1*T2*T1*T0*T0*T1*T0 T0*T1*T2*T0*T0*T1*T0 "
+                 "T0*T1*T2*T1*T0*T1*T0 T0*T0*T1*T2*T0*T1*T0 T1*T0*T1*T2*T0*T1*T0 "
+                 "T1*T0*T0*T1*T2*T1*T0 T2*T1*T0*T1*T2*T1*T0 T2*T1*T0*T0*T1*T2*T0 "
+                 "T0*T1*T2*T1*T0*T0*T1 T0*T0*T1*T2*T0*T0*T1 T1*T0*T1*T2*T0*T0*T1 "
+                 "T0*T0*T1*T2*T1*T0*T1 T1*T0*T1*T2*T1*T0*T1 T1*T0*T0*T1*T2*T0*T1 "
+                 "T2*T1*T0*T1*T2*T0*T1 T2*T1*T0*T0*T1*T2*T1 T1*T2*T1*T0*T0*T1*T0*T0 "
+                 "T0*T1*T2*T0*T0*T1*T0*T0 T0*T1*T2*T1*T0*T1*T0*T0 "
+                 "T0*T0*T1*T2*T0*T1*T0*T0 T1*T0*T1*T2*T0*T1*T0*T0 "
+                 "T1*T0*T0*T1*T2*T1*T0*T0 T2*T1*T0*T1*T2*T1*T0*T0 "
+                 "T2*T1*T0*T0*T1*T2*T0*T0 T0*T1*T2*T1*T0*T0*T1*T0 "
+                 "T0*T0*T1*T2*T0*T0*T1*T0 T1*T0*T1*T2*T0*T0*T1*T0 "
+                 "T0*T0*T1*T2*T1*T0*T1*T0 T1*T0*T1*T2*T1*T0*T1*T0 "
+                 "T1*T0*T0*T1*T2*T0*T1*T0 T2*T1*T0*T1*T2*T0*T1*T0 "
+                 "T2*T1*T0*T0*T1*T2*T1*T0 T0*T0*T1*T2*T1*T0*T0*T1 "
+                 "T1*T0*T1*T2*T1*T0*T0*T1 T1*T0*T0*T1*T2*T0*T0*T1 "
+                 "T2*T1*T0*T1*T2*T0*T0*T1 T1*T0*T0*T1*T2*T1*T0*T1 "
+                 "T2*T1*T0*T1*T2*T1*T0*T1 T2*T1*T0*T0*T1*T2*T0*T1 "
+                 "T0*T1*T2*T1*T0*T0*T1*T0*T0 T0*T0*T1*T2*T0*T0*T1*T0*T0 "
+                 "T1*T0*T1*T2*T0*T0*T1*T0*T0 T0*T0*T1*T2*T1*T0*T1*T0*T0 "
+                 "T1*T0*T1*T2*T1*T0*T1*T0*T0 T1*T0*T0*T1*T2*T0*T1*T0*T0 "
+                 "T2*T1*T0*T1*T2*T0*T1*T0*T0 T2*T1*T0*T0*T1*T2*T1*T0*T0 "
+                 "T0*T0*T1*T2*T1*T0*T0*T1*T0 T1*T0*T1*T2*T1*T0*T0*T1*T0 "
+                 "T1*T0*T0*T1*T2*T0*T0*T1*T0 T2*T1*T0*T1*T2*T0*T0*T1*T0 "
+                 "T1*T0*T0*T1*T2*T1*T0*T1*T0 T2*T1*T0*T1*T2*T1*T0*T1*T0 "
+                 "T2*T1*T0*T0*T1*T2*T0*T1*T0 T1*T0*T0*T1*T2*T1*T0*T0*T1 "
+                 "T2*T1*T0*T1*T2*T1*T0*T0*T1 T2*T1*T0*T0*T1*T2*T0*T0*T1 "
+                 "T2*T1*T0*T0*T1*T2*T1*T0*T1 T0*T0*T1*T2*T1*T0*T0*T1*T0*T0 "
+                 "T1*T0*T1*T2*T1*T0*T0*T1*T0*T0 T1*T0*T0*T1*T2*T0*T0*T1*T0*T0 "
+                 "T2*T1*T0*T1*T2*T0*T0*T1*T0*T0 T1*T0*T0*T1*T2*T1*T0*T1*T0*T0 "
+                 "T2*T1*T0*T1*T2*T1*T0*T1*T0*T0 T2*T1*T0*T0*T1*T2*T0*T1*T0*T0 "
+                 "T1*T0*T0*T1*T2*T1*T0*T0*T1*T0 T2*T1*T0*T1*T2*T1*T0*T0*T1*T0 "
+                 "T2*T1*T0*T0*T1*T2*T0*T0*T1*T0 T2*T1*T0*T0*T1*T2*T1*T0*T1*T0 "
+                 "T2*T1*T0*T0*T1*T2*T1*T0*T0*T1 T1*T0*T0*T1*T2*T1*T0*T0*T1*T0*T0 "
+                 "T2*T1*T0*T1*T2*T1*T0*T0*T1*T0*T0 T2*T1*T0*T0*T1*T2*T0*T0*T1*T0*T0 "
+                 "T2*T1*T0*T0*T1*T2*T1*T0*T1*T0*T0 T2*T1*T0*T0*T1*T2*T1*T0*T0*T1*T0 "
+                 "T2*T1*T0*T0*T1*T2*T1*T0*T0*T1*T0*T0",
+                 id="e2-s012-n3"),
+    pytest.param(("--e", "5", "--s", "0,2", "--n", "3"),
+                 "40d75e92d4502838c11d7ddb276fd51f1734d382056ebce4789daf10cf06d422",
+                 _WORDS_L2_N3, id="e5-s02-n3"),
+    pytest.param(("--e", "4", "--s", "0,1", "--n", "3"),
+                 "a77e363a80e22c919ed1a3ee2ddf3d10985938c793cd61cc4ff392151108116c",
+                 _WORDS_L2_N3, id="e4-s01-n3"),
 ]
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import collections
 import dataclasses
+import hashlib
 import io
 import itertools
 import json
@@ -831,6 +832,26 @@ def test_saturation_refuses_a_wrong_lift(monkeypatch):
     assert (rep.words, rep.gens) == exact_saturation(1, 2, charge)
 
 
+
+@pytest.mark.parametrize("l, n, charge", [
+    (3, 3, Multicharge(2, (0, 1, 2))),
+    (2, 3, Multicharge(5, (0, 2))),
+])
+def test_saturation_asks_each_generator_row_once(monkeypatch, l, n, charge):
+    # T_g x is the linear extension of the rows T_g (label): each is asked of
+    # mult_gen on one term, once per (g, label), so at most n * dim times
+    calls = []
+
+    class Counting(hecke_desk._Engine):
+        def mult_gen(self, g, element):
+            calls.append((g, tuple(element)))
+            return super().mult_gen(g, element)
+
+    monkeypatch.setattr(hecke_desk, "_Engine", Counting)
+    rep = build_algebra(l, n, charge)
+    assert calls and all(len(labels) == 1 for _, labels in calls)
+    assert len(set(calls)) == len(calls) <= n * rep.dimension
+
 @pytest.mark.parametrize("l, n, charge", [
     (3, 3, Multicharge(2, (0, 1, 2))),
     (2, 3, Multicharge(5, (0, 2))),
@@ -968,6 +989,31 @@ def test_saturation_over_z_stores_cyc_entries(monkeypatch, l, n, charge):
     assert {type(x) for x in entries} == {Cyc}
     assert {type(c) for x in entries for c in x.coeffs} == {int}
 
+
+
+class _Sha256Stream:
+    """A text stream that hashes what is written to it and keeps none of it."""
+
+    def __init__(self):
+        self.hash = hashlib.sha256()
+
+    def write(self, text: str) -> None:
+        self.hash.update(text.encode())
+
+
+@pytest.mark.parametrize("l, n, charge, digest", [
+    (2, 4, Multicharge(5, (0, 2)),  # 10.6 MB
+     "897352d1ff68688190ed51a86c7bfd06047bc088e390ff50deeb7288ab212354"),
+    (2, 4, Multicharge(2, (0, 1)),  # 3.6 MB
+     "08d4b71d8736917a0c0909ada6d4dd0d3384e80c9b61c710e1523a36efc97cd4"),
+], ids=["2-4-5", "2-4-2"])
+def test_write_json_byte_identity_at_dim_384(l, n, charge, digest):
+    # pinned before the saturation formed products from per-label rows; the
+    # exact oracle stops at dim 162, and no CLI pin reaches the cyclotomic
+    # saturation above dim 48
+    out = _Sha256Stream()
+    build_algebra(l, n, charge, max_dim=384).write_json(out)
+    assert out.hash.hexdigest() == digest
 
 def test_build_reaches_dim_384():
     # above the default FOCK_MAX_DIM bound
