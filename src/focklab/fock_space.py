@@ -6,11 +6,11 @@ Operators never truncate: applying a raising operator to a rank-n vector
 produces honest rank-(n+1) terms, so commutator and Serre sweeps on a finite
 slice are exact as long as the caller evaluates on basis vectors.  Nothing
 is memoized across calls.  `structure_analysis.check_fock_relations` and
-`check_perfect_basis` keep per-call tables of `apply_e`/`apply_f` on basis
+`check_perfect_basis` keep per-call rows of `apply_e`/`apply_f` on basis
 vectors, filled through the names they look up at call time, so a tracer or
 a fault-injection test that rebinds them still sees every image that is
-checked; their depth walks run on those tables, with the swept e_i, not
-through `depth` here.
+checked; their products, Serre sums and depth walks are loops over those
+rows, with the swept e_i, not through `depth` here.
 """
 
 from __future__ import annotations

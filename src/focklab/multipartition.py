@@ -31,11 +31,13 @@ class Multicharge:
     s: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if any(type(v) is not int for v in (self.e, *self.s)):
+            raise ValueError(f"e and s must be integers, got {self.e!r}, {self.s!r}")
         if self.e < 2:
             raise ValueError(f"e must be >= 2, got {self.e}")
         if len(self.s) < 1:
             raise ValueError("multicharge needs at least one component")
-        object.__setattr__(self, "s", tuple(int(v) for v in self.s))
+        object.__setattr__(self, "s", tuple(self.s))
 
     @property
     def level(self) -> int:
@@ -48,12 +50,14 @@ class Multicharge:
     def from_json(cls, data: dict) -> "Multicharge":
         if not isinstance(data, dict) or set(data) != {"e", "s"}:
             raise ValueError(f"expected {{'e':..,'s':[..]}}, got {data!r}")
-        return cls(int(data["e"]), tuple(data["s"]))
+        return cls(data["e"], tuple(data["s"]))
 
 
 def _validate_parts(parts: tuple[int, ...]) -> tuple[int, ...]:
     """Canonicalize one partition: strip trailing zeros, reject bad parts."""
-    parts = tuple(int(p) for p in parts)
+    if any(type(p) is not int for p in parts):  # bools and floats included
+        raise ValueError(f"parts must be integers, got {parts!r}")
+    parts = tuple(parts)
     while parts and parts[-1] == 0:
         parts = parts[:-1]
     for a, b in zip(parts, parts[1:]):
@@ -85,10 +89,6 @@ class Multipartition:
     def from_lists(cls, data: list) -> "Multipartition":
         if not isinstance(data, list) or not all(isinstance(c, list) for c in data):
             raise ValueError(f"expected a list of lists, got {data!r}")
-        for comp in data:
-            for part in comp:
-                if isinstance(part, bool) or not isinstance(part, int):
-                    raise ValueError(f"parts must be integers, got {part!r}")
         return cls(tuple(tuple(c) for c in data))
 
     @classmethod

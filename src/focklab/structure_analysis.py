@@ -9,13 +9,14 @@ findings on the standard multipartition basis (`support_iff` and
 drivers, never as failures.
 
 `check_fock_relations` and `check_perfect_basis` ask `apply_e`/`apply_f`
-for the image of each basis vector they meet once, keep it in tables that
-live for one call, and evaluate every other vector of the sweep (e_i f_j v,
-f_j e_i v, the depth walks, the Pieri sums, each Serre word once per basis
-vector, the perfect-basis residuals) as an {int id: coeff} dict by linear
-extension through them.  They look the operators up at call time, so
-rebinding them (a tracer, a fault-injection test) changes what is checked,
-depths included.
+for the image of each basis vector they meet once, as a row of (int id,
+coeff) pairs kept for one call, and form every product of the sweep (e_i f_j
+v - f_j e_i v - h_i v into one dict, the Pieri sums, the depth walks, the
+perfect-basis residuals) as flat loops over those rows.  Each Serre sum is
+evaluated grouped by leading letter, sum_a op_a(sum_k c_k suffix_k v), on
+suffix words kept per basis vector.  They look the operators up at call
+time, so rebinding them (a tracer, a fault-injection test) changes what is
+checked, depths included.
 """
 
 from __future__ import annotations
@@ -80,7 +81,8 @@ def check_fock_relations(charge: Multicharge, max_rank: int) -> list[AxiomReport
     `positivity`: no negative coefficients.  The depth is measured with the
     swept e_i, and the walk stops at the first value above the rank, so a
     faulty e_i that never lowers the rank is witnessed with depth rank + 1.
-    Raises ValueError on a negative `max_rank`.
+    Products are summed by `_add` over the basis images' rows, Serre sums
+    by `_serre_sum`.  Raises ValueError on a negative `max_rank`.
     """
     if max_rank < 0:
         raise ValueError("max_rank must be nonnegative")
@@ -88,66 +90,61 @@ def check_fock_relations(charge: Multicharge, max_rank: int) -> list[AxiomReport
                                    "pieri", "depth_bound", "positivity")}
     alphas = [simple_root(i, charge.e) for i in range(charge.e)]
     images = _BasisImages(charge)
-    act = images.act
+    E, F = ([_Rows(images, op, i) for i in range(charge.e)] for op in "ef")
+    serre, suffixes = _serre_groups(charge.e)
     for n in range(max_rank + 1):
         for mp in enumerate_multipartitions(n, charge.level):
             k = images.intern(mp)
-            v, weight = {k: 1}, images.weight(k)
-            ups = [dict(images.image("f", i, k)) for i in range(charge.e)]
-            downs = [dict(images.image("e", i, k)) for i in range(charge.e)]
+            v, weight = ((k, 1),), images.weight(k)
+            ups, downs = [F[i][k] for i in range(charge.e)], [E[i][k] for i in range(charge.e)]
             for i, (up, down) in enumerate(zip(ups, downs)):
                 for op, image, target_weight in (
                     ("f", up, weight - alphas[i]), ("e", down, weight + alphas[i])
                 ):
-                    for target in image:
+                    for target, _ in image:
                         if images.weight(target) != target_weight:
                             bad["weight_step"].append({"mp": mp.to_lists(), "i": i, "op": op})
-                if any(c < 0 for c in (*up.values(), *down.values())):
+                if any(c < 0 for _, c in (*up, *down)):
                     bad["positivity"].append({"mp": mp.to_lists(), "i": i})
-                d = images.depth(i, v, n)
+                d = _depth(E[i], v, n)
                 if d > n:
                     bad["depth_bound"].append({"mp": mp.to_lists(), "i": i, "depth": d})
                 h = pair_coroot(i, weight)
-                for j, fj in enumerate(ups):
-                    if _combine([(1, act("e", i, fj)), (-1, act("f", j, down)),
-                                 (-h if i == j else 0, v)]):
+                for j, up_j in enumerate(ups):
+                    total = _add({k: -h} if i == j else {}, 1, E[i], up_j)
+                    if any(_add(total, -1, F[j], down).values()):
                         bad["sl2_commutators"].append({"mp": mp.to_lists(), "i": i, "j": j})
-            removed = {images.intern(remove_box(mp, b)): 1
+            removed = {images.intern(remove_box(mp, b)): -1
                        for b in removable_boxes(mp, charge)}
-            added = {images.intern(add_box(mp, b)): 1
+            added = {images.intern(add_box(mp, b)): -1
                      for b in addable_boxes(mp, charge)}
-            if (_combine((1, x) for x in downs) != removed
-                    or _combine((1, x) for x in ups) != added):
+            for total, ones in ((removed, downs), (added, ups)):
+                for t, a in (pair for one in ones for pair in one):
+                    total[t] = total.get(t, 0) + a
+            if any(removed.values()) or any(added.values()):
                 bad["pieri"].append({"mp": mp.to_lists()})
-            sums = [_serre_sums(act, "e", downs), _serre_sums(act, "f", ups)]
-            for i, j in sums[0]:
-                if any(s[i, j] for s in sums):
+            words = [_serre_words(E, downs, suffixes), _serre_words(F, ups, suffixes)]
+            for (i, j), groups in serre.items():
+                sums = [_serre_sum(rows, w, groups) for rows, w in zip((E, F), words)]
+                if any(c for total in sums for c in total.values()):
                     bad["serre"].append({"mp": mp.to_lists(), "i": i, "j": j})
     return [AxiomReport(axiom, tuple(found)) for axiom, found in bad.items()]
 
 
 class _BasisImages:
-    """One sweep's tables of e_i and f_i on basis vectors, over int ids.
-
-    `intern` numbers the multipartitions the sweep meets (`mps[id]` maps
-    back).  `image(op, i, id)` is e_i (op "e") or f_i (op "f") of a basis
-    vector as a tuple of (id, coeff) pairs: asked of the module-level
-    `apply_e`/`apply_f` the first time, then kept, integral coefficients as
-    ints.  `act` extends it linearly to any {id: coeff} vector, and `depth`
-    walks e_i on one.
-    """
+    """One sweep's numbering of the multipartitions it meets by int ids
+    (`mps[id]` maps back), with their weights.  The sweep holds its `_Rows`,
+    one per operator and residue; they point here, not the reverse."""
 
     def __init__(self, charge: Multicharge):
         self.charge = charge
         self.ids: dict[Multipartition, int] = {}
         self.mps: list[Multipartition] = []
         self._weights: dict[int, object] = {}
-        self._rows = {op: [{} for _ in range(charge.e)] for op in "ef"}
 
     def intern(self, mp: Multipartition) -> int:
-        k = self.ids.get(mp)
-        if k is None:
-            k = self.ids[mp] = len(self.mps)
+        k = self.ids.setdefault(mp, len(self.mps))
+        if k == len(self.mps):
             self.mps.append(mp)
         return k
 
@@ -156,67 +153,79 @@ class _BasisImages:
             self._weights[k] = wt(self.mps[k], self.charge)
         return self._weights[k]
 
-    def image(self, op: str, i: int, k: int) -> tuple:
-        rows = self._rows[op][i]
-        if k not in rows:
-            apply = apply_e if op == "e" else apply_f
-            terms = apply(i, FockVector.basis(self.mps[k]), self.charge).terms
-            rows[k] = tuple((self.intern(mp), int(c) if c.denominator == 1 else c)
-                            for mp, c in terms.items())
-        return rows[k]
 
-    def act(self, op: str, i: int, vec: dict) -> dict:
-        rows, total = self._rows[op][i], {}
-        for k, c in vec.items():
-            row = rows.get(k)
-            for t, a in self.image(op, i, k) if row is None else row:
-                total[t] = total.get(t, 0) + c * a
-        return {t: c for t, c in total.items() if c}
+class _Rows(dict):
+    """op_i on basis vectors, {id: ((id, coeff), ...)}: asked of the
+    module-level `apply_e` (op "e") or `apply_f` (op "f") the first time an
+    id is looked up, then kept, integral coefficients as ints."""
 
-    def depth(self, i: int, vec: dict, bound: int) -> int | float:
-        """Largest d with e_i^d vec nonzero, -inf for the zero vector, walked
-        through the tables; the walk stops at the first d above `bound`."""
-        if not vec:
-            return -inf
-        d, walk = 0, self.act("e", i, vec)
-        while walk and d <= bound:
-            d += 1
-            walk = self.act("e", i, walk)
-        return d
+    def __init__(self, images: _BasisImages, op: str, i: int):
+        self.images, self.op, self.i = images, op, i
+
+    def __missing__(self, k: int) -> tuple:
+        images, apply = self.images, apply_e if self.op == "e" else apply_f
+        terms = apply(self.i, FockVector.basis(images.mps[k]), images.charge).terms
+        row = self[k] = tuple((images.intern(mp), int(c) if c.denominator == 1 else c)
+                              for mp, c in terms.items())
+        return row
 
 
-def _combine(scaled) -> dict:
-    """The sum of c * vec over the (c, vec) pairs, zeros dropped."""
-    total: dict = {}
-    for scale, vec in scaled:
-        for t, c in vec.items():
-            total[t] = total.get(t, 0) + scale * c
-    return {t: c for t, c in total.items() if c}
+def _add(total: dict, scale, rows: _Rows, vec) -> dict:
+    """total += scale * op_i(vec), op_i given by its `rows` and vec by its
+    (id, coeff) pairs; entries that sum to zero are kept."""
+    for k, c in vec:
+        c *= scale
+        for t, a in rows[k]:
+            total[t] = total.get(t, 0) + c * a
+    return total
 
 
-def _serre_sums(act, op: str, ones: list[dict]) -> dict[tuple[int, int], dict]:
-    """{(i, j): sum_k (-1)^k C(m, k) op_i^(m-k) op_j op_i^k v} over i != j,
-    m = 1 - a_ij.  Each word op_{a_1}...op_{a_k} v is built once, right to
-    left from the words `ones[i]` = op_i v, and shared by the sums it is in."""
-    e = len(ones)
-    words = {(i,): one for i, one in enumerate(ones)}
+def _depth(rows: _Rows, vec, bound: int) -> int | float:
+    """Largest d with e_i^d vec nonzero (-inf for zero), e_i given by its
+    `rows`, vec by its pairs; the walk stops at the first d above `bound`."""
+    d, walk = -inf, dict(vec)  # d runs -inf, 0, 1, ...
+    while any(walk.values()) and d <= bound:
+        d, walk = max(d + 1, 0), _add({}, 1, rows, walk.items())
+    return d
 
-    def word(letters: tuple[int, ...]) -> dict:
-        # a loop, not recursion: a self-referencing closure would be a
-        # reference cycle keeping every word alive until the next gc pass
-        for start in range(len(letters) - 2, -1, -1):
-            if letters[start:] not in words:
-                words[letters[start:]] = act(
-                    op, letters[start], words[letters[start + 1:]])
-        return words[letters]
 
+def _serre_groups(e: int) -> tuple[dict, list]:
+    """{(i, j): groups} over i != j: the Serre sum sum_k (-1)^k C(m, k)
+    op_i^(m-k) op_j op_i^k, m = 1 - a_ij, with its words grouped by leading
+    letter a into (a, [(c_k, rest of word k), ...]); and the suffixes of
+    length >= 2 of those rests, shortest first."""
     sums = {}
     for i, j in permutations(range(e), 2):
-        m = 1 - cartan_entry(i, j, e)
-        sums[i, j] = _combine(
-            ((-1) ** k * comb(m, k), word((i,) * (m - k) + (j,) + (i,) * k))
-            for k in range(m + 1))
-    return sums
+        m, groups = 1 - cartan_entry(i, j, e), {}
+        for k in range(m + 1):
+            word = (i,) * (m - k) + (j,) + (i,) * k
+            groups.setdefault(word[0], []).append(((-1) ** k * comb(m, k), word[1:]))
+        sums[i, j] = tuple(groups.items())
+    rests = {rest for groups in sums.values() for _, terms in groups for _, rest in terms}
+    return sums, sorted({rest[r:] for rest in rests for r in range(len(rest) - 1)}, key=len)
+
+
+def _serre_words(rows: list[_Rows], ones: list[tuple], suffixes: list) -> dict:
+    """{letters: op_{a_1}...op_{a_r} v} on one basis vector v, from its images
+    `ones` under op_0, op_1, ... and the `suffixes` of `_serre_groups`."""
+    words = {(i,): dict(one) for i, one in enumerate(ones)}
+    for letters in suffixes:
+        words[letters] = _add({}, 1, rows[letters[0]], words[letters[1:]].items())
+    return words
+
+
+def _serre_sum(rows: list[_Rows], words: dict, groups: tuple) -> dict:
+    """One Serre sum on a basis vector v, sum_a op_a(sum_k c_k suffix_k v)
+    over `groups` of `_serre_groups`, on the `_serre_words` of v; zero
+    entries kept."""
+    total: dict = {}
+    for a, terms in groups:
+        inner: dict = {}
+        for c, suffix in terms:
+            for t, x in words[suffix].items():
+                inner[t] = inner.get(t, 0) + c * x
+        _add(total, 1, rows[a], inner.items())
+    return total
 
 
 def check_crystal_axioms(graph: CrystalGraph) -> list[AxiomReport]:
@@ -330,6 +339,7 @@ def check_perfect_basis(
     bad = {axiom: [] for axiom in ("mutual_inverse", "support_iff", "leading_term",
                                    "residual_within", "residual_strict")}
     images = _BasisImages(charge)
+    E = [_Rows(images, "e", i) for i in range(charge.e)]
     sigs: dict[Multipartition, tuple] = {}
 
     def crystal(op: str, i: int, mp: Multipartition) -> Multipartition | None:
@@ -352,7 +362,7 @@ def check_perfect_basis(
                 if down is not None and crystal("f", i, down) != mp:
                     bad["mutual_inverse"].append(
                         {"mp": mp.to_lists(), "i": i, "e_image": down.to_lists()})
-                image = dict(images.image("e", i, k))
+                image = dict(E[i][k])
                 if (down is not None) != bool(image):
                     bad["support_iff"].append(
                         {"mp": mp.to_lists(), "i": i, "crystal_e_defined": down is not None,
@@ -365,7 +375,7 @@ def check_perfect_basis(
                         {"mp": mp.to_lists(), "i": i, "good_box_coeff": "0"})
                     continue
                 # with the leading term popped, `image` is the residual
-                d_mp, d_res = images.depth(i, {k: 1}, n), images.depth(i, image, n)
+                d_mp, d_res = _depth(E[i], ((k, 1),), n), _depth(E[i], image.items(), n)
                 if not d_res < d_mp:
                     bad["residual_within"].append(
                         {"mp": mp.to_lists(), "i": i, "scalar": str(scalar),

@@ -341,6 +341,13 @@ VERIFY_ALL_PINS = [
      "ee8e45bfa36df3738217b092d86f16bb30746396b743fd6127551e172abac54c"),
     (("--e", "3", "--s", "0,1", "--max-rank", "6", "--n", "2", "--order", "desc"),
      "c6f1cca3c31979228a8d09e3e14751422e4f24e67eb2cd0e8ee18ab3c9e6ed82"),
+    # the perfbench verify-all workload, one pin per multicharge shift
+    (("--e", "3", "--s", "0,1", "--max-rank", "8", "--n", "2"),
+     "77ebfc4c56b165b3cd714c718f2be7831c25e6c597e7971e5a5d6dd3d98525da"),
+    (("--e", "3", "--s", "1,2", "--max-rank", "8", "--n", "2"),
+     "abe323cdfddc0560be72cdb779e7e5c722e87cc5eba48b1f12356ed5566a749a"),
+    (("--e", "3", "--s", "2,0", "--max-rank", "8", "--n", "2"),
+     "c9bb31375c2bfc5471b44d734ea2b89e822240ed3ebe02ba7636b089a1111112"),
 ]
 
 

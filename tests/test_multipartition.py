@@ -186,6 +186,25 @@ def test_multicharge_json_roundtrip():
         Multicharge(1, (0,))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Multicharge.from_json({"e": 2.7, "s": [0, 1.9]}),
+    lambda: Multicharge.from_json({"e": 3, "s": [0, 1.0]}),
+    lambda: Multicharge(3, (0, 1.5)),
+    lambda: Multicharge(3.0, (0, 1)),
+    lambda: Multicharge(True, (0,)),
+    lambda: Multicharge(3, (0, False)),
+    lambda: Multicharge(3, ("1",)),
+    lambda: Multipartition(((2.5, 1),)),
+    lambda: Multipartition(((2, 1.0),)),
+    lambda: Multipartition(((True,),)),
+    lambda: Multipartition.from_lists([[2], [1.5]]),
+])
+def test_constructors_reject_non_integers(build):
+    # int() used to truncate these silently: e = 2.7 became 2, s = 1.5 became 1
+    with pytest.raises(ValueError, match="must be integers"):
+        build()
+
+
 partitions = st.lists(st.integers(min_value=1, max_value=6), max_size=5).map(
     lambda parts: tuple(sorted(parts, reverse=True))
 )

@@ -276,16 +276,18 @@ def serre_sum_per_term(op, i, j, v, charge):
 
 
 def shared_serre_sums(op, v, charge):
-    """The sweep's shared sums for op "e" or "f" on the basis vector v, read
-    back as Fock vectors."""
+    """The sweep's Serre sums for op "e" or "f" on the basis vector v, grouped
+    by leading letter on shared suffix words, read back as Fock vectors."""
     images = structure_analysis._BasisImages(charge)
+    rows = [structure_analysis._Rows(images, op, i) for i in range(charge.e)]
     (mp,) = v.terms
-    one = {images.intern(mp): 1}
-    ones = [images.act(op, i, one) for i in range(charge.e)]
-    sums = structure_analysis._serre_sums(images.act, op, ones)
+    k = images.intern(mp)
+    serre, suffixes = structure_analysis._serre_groups(charge.e)
+    words = structure_analysis._serre_words(rows, [row[k] for row in rows], suffixes)
     return {
-        key: FockVector({images.mps[t]: c for t, c in total.items()})
-        for key, total in sums.items()
+        key: FockVector({images.mps[t]: c for t, c in
+                         structure_analysis._serre_sum(rows, words, groups).items()})
+        for key, groups in serre.items()
     }
 
 
