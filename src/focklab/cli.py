@@ -4,9 +4,10 @@ blocks, the Hecke workbench, and the verification suites.
 The module parses arguments and streams results.  Every check that `verify`
 runs lives in the library (`structure_analysis`, `hecke_desk`) and returns
 `AxiomReport`s; the CLI prefixes each axiom with its suite name and prints
-one JSON line per report.  The one check of its own is
-`crystal.graph_determinism`, which rebuilds the graph and compares the
-serialized JSON.
+one JSON line per report.  `verify` builds the crystal graph once per run
+and hands it to `check_crystal_axioms` and `compare_components`.  The one
+check of its own is `crystal.graph_determinism`, which builds a second
+graph and compares the serialized JSON.
 
 Output is deterministic byte-for-byte for identical invocations: fixed term
 and node orders, no timestamps.  Exit codes: 0 success, 1 verification
@@ -221,17 +222,16 @@ def _emit(suite: str, reports, failures: list) -> None:
         print(_dump(doc))
 
 
-def _suite_crystal(charge, max_rank, order, failures) -> None:
-    first = build_graph(charge, max_rank, order)
-    second = build_graph(charge, max_rank, order)
-    same = _dump(first.to_json()) == _dump(second.to_json())
+def _suite_crystal(graph, failures) -> None:
+    rebuilt = build_graph(graph.charge, graph.max_rank, graph.order)
+    same = _dump(graph.to_json()) == _dump(rebuilt.to_json())
     _emit(
         "crystal",
         [AxiomReport("graph_determinism",
                      () if same else ({"rebuilt_equal": False},))],
         failures,
     )
-    _emit("crystal", structure_analysis.check_crystal_axioms(first), failures)
+    _emit("crystal", structure_analysis.check_crystal_axioms(graph), failures)
 
 
 def _suite_hecke(charge, n, failures) -> None:
@@ -257,8 +257,10 @@ def cmd_verify(args) -> int:
             structure_analysis.check_fock_relations(charge, args.max_rank),
             failures,
         )
+    if suite in ("crystal", "components", "all"):  # not held through the fock sweep
+        graph = build_graph(charge, args.max_rank, order)
     if suite in ("crystal", "all"):
-        _suite_crystal(charge, args.max_rank, order, failures)
+        _suite_crystal(graph, failures)
     if suite in ("perfect", "all"):
         _emit(
             "perfect",
@@ -266,11 +268,7 @@ def cmd_verify(args) -> int:
             failures,
         )
     if suite in ("components", "all"):
-        _emit(
-            "components",
-            structure_analysis.compare_components(charge, args.max_rank, order),
-            failures,
-        )
+        _emit("components", structure_analysis.compare_components(graph), failures)
     if suite in ("hecke", "all"):
         _suite_hecke(charge, args.n, failures)
     return 0 if not failures else 1

@@ -48,7 +48,8 @@ class Multicharge:
 
     @classmethod
     def from_json(cls, data: dict) -> "Multicharge":
-        if not isinstance(data, dict) or set(data) != {"e", "s"}:
+        if (not isinstance(data, dict) or set(data) != {"e", "s"}
+                or not isinstance(data["s"], list)):
             raise ValueError(f"expected {{'e':..,'s':[..]}}, got {data!r}")
         return cls(data["e"], tuple(data["s"]))
 

@@ -16,7 +16,8 @@ perfect-basis residuals) as flat loops over those rows.  Each Serre sum is
 evaluated grouped by leading letter, sum_a op_a(sum_k c_k suffix_k v), on
 suffix words kept per basis vector.  They look the operators up at call
 time, so rebinding them (a tracer, a fault-injection test) changes what is
-checked, depths included.
+checked, depths included.  `check_crystal_axioms` and `compare_components`
+read a `CrystalGraph` they are given and build none.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from itertools import permutations
 from math import comb, inf
 
 from . import _linalg
-from .crystal import BoxOrder, CrystalGraph, build_graph, hw_elements, signatures
+from .crystal import BoxOrder, CrystalGraph, hw_elements, signatures
 from .fock_space import FockVector, apply_e, apply_f, slice_basis
 from .multipartition import (
     Multicharge,
@@ -232,90 +233,62 @@ def check_crystal_axioms(graph: CrystalGraph) -> list[AxiomReport]:
     """Verify the crystal axioms on a built graph, from its cached data.
 
     The checks use only the stored nodes, edges, statistics and weights, so
-    a mutated graph (edge deleted or redirected) is detectable.  Boundary
-    marks excuse missing top-rank outgoing edges.
+    a mutated graph (edge deleted or redirected) is detectable.  One pass
+    over the edges tests each edge a -i-> b once: `f_step` asks that the
+    rank rise by one and the weight drop by alpha_i, and that eps_i rise
+    and phi_i drop by one; `e_step` witnesses, from b, every edge that
+    breaks the weight or statistics law (the same laws read backwards).
+    The pass also counts each node's outgoing and incoming i-edges for
+    `mutual_inverse`; one pass over the nodes then checks `phi_eps_pairing`
+    and `string_completeness`, where boundary marks excuse missing top-rank
+    outgoing edges.
     """
-    e = graph.charge.e
+    e, weights, eps, phi = graph.charge.e, graph.weights, graph.eps, graph.phi
     alphas = [simple_root(i, e) for i in range(e)]
-
-    pairing_bad = []
-    for mp in graph.nodes:
-        for i in range(e):
-            expected = graph.eps[mp][i] + pair_coroot(i, graph.weights[mp])
-            if graph.phi[mp][i] != expected:
-                pairing_bad.append(
-                    {"mp": mp.to_lists(), "i": i,
-                     "observed": graph.phi[mp][i], "expected": expected}
-                )
-
-    e_step_bad = []
-    f_step_bad = []
-    for a, i, b in graph.edges:
-        if b.rank != a.rank + 1 or graph.weights[b] != graph.weights[a] - alphas[i]:
-            f_step_bad.append(
-                {"mp": a.to_lists(), "i": i, "to": b.to_lists(),
-                 "observed": str(graph.weights[b]),
-                 "expected": str(graph.weights[a] - alphas[i])}
-            )
-        if (
-            graph.eps[b][i] != graph.eps[a][i] + 1
-            or graph.phi[b][i] != graph.phi[a][i] - 1
-        ):
-            f_step_bad.append(
-                {"mp": a.to_lists(), "i": i, "to": b.to_lists(),
-                 "observed": [graph.eps[b][i], graph.phi[b][i]],
-                 "expected": [graph.eps[a][i] + 1, graph.phi[a][i] - 1]}
-            )
-        if (
-            graph.weights[a] != graph.weights[b] + alphas[i]
-            or graph.eps[a][i] != graph.eps[b][i] - 1
-            or graph.phi[a][i] != graph.phi[b][i] + 1
-        ):
-            e_step_bad.append(
-                {"mp": b.to_lists(), "i": i, "to": a.to_lists()}
-            )
-
-    uniq_bad = []
+    bad = {axiom: [] for axiom in ("phi_eps_pairing", "e_step", "f_step", "mutual_inverse",
+                                   "string_completeness", "neg_infinity_clause")}
     out_seen: dict[tuple[Multipartition, int], int] = {}
     in_seen: dict[tuple[Multipartition, int], int] = {}
     for a, i, b in graph.edges:
-        out_seen[(a, i)] = out_seen.get((a, i), 0) + 1
-        in_seen[(b, i)] = in_seen.get((b, i), 0) + 1
+        out_seen[a, i] = out_seen.get((a, i), 0) + 1
+        in_seen[b, i] = in_seen.get((b, i), 0) + 1
+        expected = weights[a] - alphas[i]
+        moved = weights[b] != expected
+        stats = eps[b][i] != eps[a][i] + 1 or phi[b][i] != phi[a][i] - 1
+        if b.rank != a.rank + 1 or moved:
+            bad["f_step"].append(
+                {"mp": a.to_lists(), "i": i, "to": b.to_lists(),
+                 "observed": str(weights[b]), "expected": str(expected)})
+        if stats:
+            bad["f_step"].append(
+                {"mp": a.to_lists(), "i": i, "to": b.to_lists(),
+                 "observed": [eps[b][i], phi[b][i]],
+                 "expected": [eps[a][i] + 1, phi[a][i] - 1]})
+        if moved or stats:
+            bad["e_step"].append({"mp": b.to_lists(), "i": i, "to": a.to_lists()})
+
     for seen, direction in ((out_seen, "outgoing"), (in_seen, "incoming")):
         repeated = [(key, count) for key, count in seen.items() if count > 1]
-        for (mp, i), count in sorted(
-            repeated, key=lambda kv: (kv[0][0].serialize(), kv[0][1])
-        ):
-            uniq_bad.append({"mp": mp.to_lists(), "i": i, direction: count})
+        for (mp, i), count in sorted(repeated, key=lambda kv: (kv[0][0].serialize(), kv[0][1])):
+            bad["mutual_inverse"].append({"mp": mp.to_lists(), "i": i, direction: count})
 
-    boundary_set = {(a, i) for a, i, _ in graph.boundary}
-    completeness_bad = []
+    boundary = {(a, i) for a, i, _ in graph.boundary}
     for mp in graph.nodes:
         for i in range(e):
-            has_out = (mp, i) in out_seen
-            has_boundary = (mp, i) in boundary_set
-            if (graph.phi[mp][i] > 0) != (has_out or has_boundary) or (
-                has_out and has_boundary
-            ):
-                completeness_bad.append(
-                    {"mp": mp.to_lists(), "i": i, "phi": graph.phi[mp][i],
-                     "outgoing": has_out, "boundary": has_boundary}
-                )
+            expected = eps[mp][i] + pair_coroot(i, weights[mp])
+            if phi[mp][i] != expected:
+                bad["phi_eps_pairing"].append(
+                    {"mp": mp.to_lists(), "i": i, "observed": phi[mp][i], "expected": expected})
+            has_out, has_boundary = (mp, i) in out_seen, (mp, i) in boundary
+            if (phi[mp][i] > 0) != (has_out or has_boundary) or (has_out and has_boundary):
+                bad["string_completeness"].append(
+                    {"mp": mp.to_lists(), "i": i, "phi": phi[mp][i],
+                     "outgoing": has_out, "boundary": has_boundary})
             has_in = (mp, i) in in_seen
-            if (graph.eps[mp][i] > 0) != has_in:
-                completeness_bad.append(
-                    {"mp": mp.to_lists(), "i": i, "eps": graph.eps[mp][i],
-                     "incoming": has_in}
-                )
-
-    return [
-        AxiomReport("phi_eps_pairing", tuple(pairing_bad)),
-        AxiomReport("e_step", tuple(e_step_bad)),
-        AxiomReport("f_step", tuple(f_step_bad)),
-        AxiomReport("mutual_inverse", tuple(uniq_bad)),
-        AxiomReport("string_completeness", tuple(completeness_bad)),
-        AxiomReport("neg_infinity_clause", ()),
-    ]
+            if (eps[mp][i] > 0) != has_in:
+                bad["string_completeness"].append(
+                    {"mp": mp.to_lists(), "i": i, "eps": eps[mp][i], "incoming": has_in})
+    return [AxiomReport(axiom, tuple(found)) for axiom, found in bad.items()]
 
 
 def check_perfect_basis(
@@ -408,25 +381,17 @@ def kernel_dimension_by_weight(
             for tau, rows in by_weight.items()}
 
 
-def compare_components(
-    charge: Multicharge, max_rank: int, order: BoxOrder = BoxOrder.ASC
-) -> list[AxiomReport]:
-    """Crystal-primitive node counts against kernel dimensions, slicewise."""
-    graph = build_graph(charge, max_rank, order)
+def compare_components(graph: CrystalGraph) -> list[AxiomReport]:
+    """Crystal-primitive node counts of a built graph against the kernel
+    dimensions of its charge, slicewise up to its `max_rank`."""
     hw = hw_elements(graph)
     witnesses = []
-    for n in range(max_rank + 1):
-        kernel_dims = kernel_dimension_by_weight(n, charge)
-        seen_keys = set(kernel_dims) | {k for k in hw if k[0] == n}
-        for key in sorted(
-            seen_keys, key=lambda k: (k[0], tuple(k[1].lam), k[1].delta)
-        ):
-            crystal_count = len(hw.get(key, []))
-            kernel_dim = kernel_dims.get(key, 0)
-            if crystal_count != kernel_dim:
-                witnesses.append(
-                    {"rank": key[0], "wt": key[1].to_json(),
-                     "crystal_primitive": crystal_count,
-                     "kernel_dim": kernel_dim}
-                )
+    for n in range(graph.max_rank + 1):
+        dims = kernel_dimension_by_weight(n, graph.charge)
+        for key in sorted(dims.keys() | {k for k in hw if k[0] == n},
+                          key=lambda k: (k[1].lam, k[1].delta)):
+            count, dim = len(hw.get(key, ())), dims.get(key, 0)
+            if count != dim:
+                witnesses.append({"rank": n, "wt": key[1].to_json(),
+                                  "crystal_primitive": count, "kernel_dim": dim})
     return [AxiomReport("component_count", tuple(witnesses))]

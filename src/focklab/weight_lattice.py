@@ -23,8 +23,9 @@ class AffineWeight:
     def __post_init__(self) -> None:
         if len(self.lam) < 2:
             raise ValueError("need at least two fundamental-weight coordinates")
-        object.__setattr__(self, "lam", tuple(int(v) for v in self.lam))
-        object.__setattr__(self, "delta", int(self.delta))
+        if any(type(v) is not int for v in (*self.lam, self.delta)):  # bools, floats too
+            raise ValueError(f"coordinates must be integers, got {self.lam!r}, {self.delta!r}")
+        object.__setattr__(self, "lam", tuple(self.lam))
 
     @property
     def e(self) -> int:

@@ -195,10 +195,10 @@ def test_criterion_5_component_counting():
     started = time.time()
     for charge in CONFIGS:
         for order in BoxOrder:
-            (result,) = compare_components(charge, 5, order)
+            graph = build_graph(charge, 5, order)
+            (result,) = compare_components(graph)
             assert result.status == "pass", (charge, order, result.witnesses[:2])
             # the counts themselves, slice by slice
-            graph = build_graph(charge, 5, order)
             hw = hw_elements(graph)
             for n in range(6):
                 dims = kernel_dimension_by_weight(n, charge)

@@ -185,6 +185,20 @@ def test_verify_determinism(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("suite,builds", [
+    ("all", 2), ("crystal", 2), ("components", 1),
+    ("fock", 0), ("perfect", 0), ("hecke", 0),
+])
+def test_verify_builds_one_graph_per_run(capsys, monkeypatch, suite, builds):
+    # one graph for every crystal check, plus the rebuild graph_determinism compares
+    from focklab import cli
+
+    original, calls = cli.build_graph, []
+    monkeypatch.setattr(cli, "build_graph", lambda *a: calls.append(a) or original(*a))
+    code, _ = run(capsys, "verify", suite, "--e", "2", "--s", "0", "--max-rank", "3")
+    assert code == 0 and len(calls) == builds
+
+
 def test_unknown_suite_usage_error():
     with pytest.raises(SystemExit) as err:
         main(["verify", "bogus"])

@@ -182,6 +182,8 @@ def test_multicharge_json_roundtrip():
     assert Multicharge.from_json({"e": 2, "s": [0, 1]}) == charge
     with pytest.raises(ValueError):
         Multicharge.from_json({"e": 2})
+    with pytest.raises(ValueError, match="expected"):  # was a TypeError from tuple(3)
+        Multicharge.from_json({"e": 2, "s": 3})
     with pytest.raises(ValueError):
         Multicharge(1, (0,))
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 from fractions import Fraction
 from math import comb, inf
 
@@ -115,6 +117,65 @@ def test_edge_redirection_detected():
     assert found > 0
 
 
+def crystal_mutations(graph):
+    """(label, graph): the graph itself, then one fault each: an edge
+    dropped, relabelled, reversed or duplicated; one eps or phi entry
+    bumped; the vacuum's weight copied onto a node; a boundary mark dropped."""
+    e, edges, boundary = graph.charge.e, list(graph.edges), list(graph.boundary)
+    yield "clean", graph
+    for k, (a, i, b) in enumerate(edges):
+        for label, changed in (("drop", []), ("relabel", [(a, (i + 1) % e, b)]),
+                               ("reverse", [(b, i, a)]), ("duplicate", [(a, i, b)] * 2)):
+            yield f"{label} {k}", dataclasses.replace(
+                graph, edges=tuple(edges[:k] + changed + edges[k + 1:]))
+    for field in ("eps", "phi"):
+        for node in graph.nodes:
+            for i in range(e):
+                stats = dict(getattr(graph, field))
+                stats[node] = tuple(v + (r == i) for r, v in enumerate(stats[node]))
+                yield f"{field} {node} {i}", dataclasses.replace(graph, **{field: stats})
+    for node in graph.nodes[1:]:
+        weights = dict(graph.weights)
+        weights[node] = weights[graph.nodes[0]]
+        yield f"weight {node}", dataclasses.replace(graph, weights=weights)
+    for k in range(len(boundary)):
+        yield f"boundary {k}", dataclasses.replace(
+            graph, boundary=tuple(boundary[:k] + boundary[k + 1:]))
+
+
+# sha256 of the JSON list of (label, [report.to_json() ...]) over
+# `crystal_mutations` of the rank-4 graph, with the number of graphs that
+# fail some axiom; the reports' order, witness lists and key order are pinned
+CRYSTAL_MUTATION_PINS = {
+    ((2, (0,)), "asc"): (
+        "bd8d87ef29d72d5855d156cbe843b19fb6efbc3e95aa08379ab3388a3fd4ab0c", 96),
+    ((2, (0,)), "desc"): (
+        "882a4a9ece055dba780bc5cb4045f7f14c744dc2ba929d9c6ff0f5b859679c87", 96),
+    ((3, (0, 1)), "asc"): (
+        "6ba507725177b67f63d5a25f427bad9636be2fc075b19e4c9cd3d6531186b492", 450),
+    ((3, (0, 1)), "desc"): (
+        "7584540123b4b96d77934c9feabfa5e743781fa10b6990de6e8c572f9aa6901d", 450),
+}
+
+
+@pytest.mark.parametrize("key", CRYSTAL_MUTATION_PINS, ids=str)
+def test_crystal_axiom_reports_on_mutations_pinned(key):
+    (e, s), order = key
+    graph = build_graph(Multicharge(e, s), 4, BoxOrder(order))
+    results, failing = [], 0
+    for label, mutated in crystal_mutations(graph):
+        reports = check_crystal_axioms(mutated)
+        results.append((label, [r.to_json() for r in reports]))
+        failing += not all(r.status == "pass" for r in reports)
+        # e_step reads f_step's weight and statistics laws from the target
+        found = by_axiom(reports)
+        f_edges = {(str(w["mp"]), w["i"], str(w["to"])) for w in found["f_step"].witnesses}
+        e_edges = {(str(w["to"]), w["i"], str(w["mp"])) for w in found["e_step"].witnesses}
+        assert e_edges == f_edges, label
+    digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
+    assert (digest, failing) == CRYSTAL_MUTATION_PINS[key]
+
+
 def test_perfect_basis_hard_bullets_pass():
     for charge in CONFIGS:
         for order in BoxOrder:
@@ -165,18 +226,18 @@ def test_reports_ok_ignores_informational():
 
 
 def test_report_json_shape():
-    (report,) = compare_components(Multicharge(2, (0,)), 2)
+    (report,) = compare_components(build_graph(Multicharge(2, (0,)), 2))
     doc = report.to_json()
     assert doc == {"axiom": "component_count", "status": "pass", "witnesses": []}
 
 
 def test_compare_components_examples():
     charge = Multicharge(2, (0,))
-    (report,) = compare_components(charge, 2)
+    (report,) = compare_components(build_graph(charge, 2))
     assert report.status == "pass"
     dims = kernel_dimension_by_weight(2, charge)
     assert sum(dims.values()) == 1  # spanned by (2) - (1,1)
-    (report2,) = compare_components(Multicharge(2, (0, 1)), 3)
+    (report2,) = compare_components(build_graph(Multicharge(2, (0, 1)), 3))
     assert report2.status == "pass"
 
 
@@ -215,18 +276,19 @@ def test_kernel_slices_match_dense_stacked_ranks(charge, max_rank):
 
 
 def test_compare_components_detects_mismatch():
-    # sanity: a wrong kernel count would be witnessed; simulate by checking
-    # the report for a crystal-primitive-only key built from a fake weight
+    # zeroing eps on a node that is not highest weight makes it one more
+    # crystal-primitive node in its slice than the kernel has dimensions
     charge = Multicharge(2, (0,))
-    (report,) = compare_components(charge, 4)
-    assert report.status == "pass"
     graph = build_graph(charge, 4)
-    hw_count = sum(
-        1 for node in graph.nodes if all(v == 0 for v in graph.eps[node])
-    )
-    assert hw_count == sum(
-        len(primitive_basis(n, charge)) for n in range(5)
-    )
+    (report,) = compare_components(graph)
+    assert report.status == "pass"
+    node = parse_multipartition("[[2,1]]")
+    assert any(graph.eps[node])
+    k = kernel_dimension_by_weight(3, charge)[3, graph.weights[node]]
+    mutated = dataclasses.replace(graph, eps={**graph.eps, node: (0,) * charge.e})
+    (report,) = compare_components(mutated)
+    assert report.witnesses == ({"rank": 3, "wt": graph.weights[node].to_json(),
+                                 "crystal_primitive": k + 1, "kernel_dim": k},)
 
 
 def test_fock_relations_pass():

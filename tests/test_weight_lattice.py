@@ -136,6 +136,17 @@ def test_weight_arithmetic_and_json():
         w + AffineWeight((1, 0, 0), 0)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: AffineWeight((1.5, 0), 0.9),
+    lambda: AffineWeight((1, 0), 0).scaled(0.5),
+    lambda: AffineWeight((True, 0), 0),
+])
+def test_weight_rejects_non_integers(build):
+    # int() used to truncate these silently: (1.5, 0; 0.9) became (1,0;0)
+    with pytest.raises(ValueError, match="must be integers"):
+        build()
+
+
 def wt_by_roots(m, charge) -> AffineWeight:
     """Oracle: Lambda_s - sum_i n_i alpha_i, counting residues box by box."""
     counts = [0] * charge.e
