@@ -2,14 +2,14 @@
 truthiness (Fraction, cyclotomic numbers), and over plain ints read as
 rationals: +-1 is its own inverse, another int pivot becomes a Fraction.
 
-Elimination works on sparse dicts (column -> nonzero entry), as the Hecke
-side keeps its matrices; the dense `mat_mul` serves test oracles and tracer.
+Every library matrix is sparse dicts (column -> nonzero entry); the dense
+`rref`, `matrix_rank` and `mat_mul` serve only tests and the benchmark tracer.
 
 `echelon`, the exact forward elimination, never scales a row: the pivot's
 inverse enters only each step's multiplier, so entries stay in Z or Z[zeta_e]
 while the multipliers do.  `rref` scales once, then back-substitutes; reduced
-forms are canonical, so `rref`, ranks and kernel bases do not depend on the
-order of the rows.  `SpanTracker(p)` works over F_p by `_reduce_mod_p`.
+forms are canonical, so `rref` and ranks do not depend on the order of the
+rows.  `SpanTracker(p)` works over F_p by `_reduce_mod_p`.
 """
 
 from __future__ import annotations
@@ -51,25 +51,6 @@ def rref(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
 
 def matrix_rank(rows: Sequence[Sequence], ncols: int) -> int:
     return len(echelon(dict(enumerate(row)) for row in rows)[0])
-
-
-def kernel_basis(rows: Sequence[Sequence], ncols: int, zero, one) -> list[list]:
-    """Basis of {x : A x = 0}, one vector per free column, in column order.
-
-    Each basis vector has entry `one` at its free column; the form is the
-    deterministic echelon parametrization.
-    """
-    red, pivots = rref(list(rows), ncols)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        x = [zero] * ncols
-        x[f] = one
-        for r, pc in enumerate(pivots):
-            x[pc] = -red[r][f]
-        basis.append(x)
-    return basis
 
 
 class SpanTracker:

@@ -1,16 +1,14 @@
 """The level-l Fock space over exact rationals: sparse vectors indexed by
 multipartitions, Chevalley operator actions, depth filtrations and primitive
-subspaces.
+subspaces.  `primitive_basis` and `kernel_dimension_by_weight` (in
+`structure_analysis`) reduce the same sparse rows, `_removal_rows`; the dense
+`operator_matrix` serves test oracles and the benchmark tracer only.
 
 Operators never truncate: applying a raising operator to a rank-n vector
 produces honest rank-(n+1) terms, so commutator and Serre sweeps on a finite
 slice are exact as long as the caller evaluates on basis vectors.  Nothing
-is memoized across calls.  `structure_analysis.check_fock_relations` and
-`check_perfect_basis` keep per-call rows of `apply_e`/`apply_f` on basis
-vectors, filled through the names they look up at call time, so a tracer or
-a fault-injection test that rebinds them still sees every image that is
-checked; their products, Serre sums and depth walks are loops over those
-rows, with the swept e_i, not through `depth` here.
+is memoized across calls; the `structure_analysis` sweeps keep per-call rows
+of `apply_e`/`apply_f`, looked up at call time, and walk depths on them.
 """
 
 from __future__ import annotations
@@ -114,13 +112,18 @@ class FockVector:
     def from_json(cls, data: list, level: int | None = None) -> "FockVector":
         terms: dict[Multipartition, Fraction] = {}
         for entry in data:
+            if not isinstance(entry, dict) or entry.keys() != {"mp", "coeff"}:
+                raise ValueError(f'term {entry!r} is not {{"mp": ..., "coeff": ...}}')
             mp = Multipartition.from_lists(entry["mp"])
             if level is not None and mp.level != level:
                 raise ValueError(f"expected level {level}, got {mp.level}")
             coeff = entry["coeff"]
             if isinstance(coeff, bool) or not isinstance(coeff, (int, Fraction, str)):
                 raise ValueError(f"coefficient {coeff!r} is not an exact rational")
-            terms[mp] = terms.get(mp, Fraction(0)) + Fraction(coeff)
+            try:
+                terms[mp] = terms.get(mp, Fraction(0)) + Fraction(coeff)
+            except ZeroDivisionError:
+                raise ValueError(f"coefficient {coeff!r} has a zero denominator") from None
         return cls(terms)
 
 
@@ -183,11 +186,6 @@ def in_filtration(i: int, bound: int, v: FockVector, charge: Multicharge) -> boo
     return depth(i, v, charge) < bound
 
 
-def slice_basis(n: int, charge: Multicharge) -> tuple[Multipartition, ...]:
-    """The rank-n basis slice in enumeration order."""
-    return enumerate_multipartitions(n, charge.level)
-
-
 def operator_matrix(
     i: int,
     charge: Multicharge,
@@ -203,21 +201,35 @@ def operator_matrix(
     return rows
 
 
+def _removal_rows(n: int, charge: Multicharge):
+    """(mp, wt(mp), {index of mp minus a removable box: 1}) per rank-n shape
+    in enumeration order: mp's image under e = sum e_i on the rank-(n-1)
+    slice.  e_i moves weight tau to tau + alpha_i, so on one weight slice the
+    e_i land in distinct weight spaces and their joint kernel is the kernel
+    of e; across weights e mixes images, so callers reduce per weight."""
+    codomain = enumerate_multipartitions(n - 1, charge.level) if n > 0 else ()
+    index = {mp: r for r, mp in enumerate(codomain)}
+    for mp in enumerate_multipartitions(n, charge.level):
+        yield mp, wt(mp, charge), {
+            index[remove_box(mp, box)]: 1 for box in removable_boxes(mp, charge)}
+
+
 def primitive_basis(n: int, charge: Multicharge) -> list[FockVector]:
-    """Deterministic echelon basis of the joint kernel of all e_i on rank n."""
-    domain = slice_basis(n, charge)
-    if not domain:
-        return []
-    if n == 0:
-        return [FockVector.basis(domain[0])]
-    codomain = slice_basis(n - 1, charge)
-    rows: list[list[Fraction | int]] = []
-    for i in range(charge.e):
-        rows.extend(operator_matrix(i, charge, domain, codomain))
-    kernel = _linalg.kernel_basis(rows, len(domain), Fraction(0), Fraction(1))
-    return [
-        FockVector({mp: c for mp, c in zip(domain, vec) if c}) for vec in kernel
-    ]
+    """Deterministic echelon basis of the joint kernel of all e_i on rank n:
+    each weight's `_removal_rows` enter one exact `SpanTracker` in order; a
+    shape mp whose row is sum_j c_j row(gen_j) over the shapes gen_j inserted
+    before it gives mp - sum_j c_j gen_j, the reduced-echelon kernel vector
+    of mp's free column in the stacked e_i matrices."""
+    spans: dict[object, tuple[_linalg.SpanTracker, list[Multipartition]]] = {}
+    basis = []
+    for mp, weight, row in _removal_rows(n, charge):
+        tracker, gens = spans.setdefault(weight, (_linalg.SpanTracker(), []))
+        if tracker.insert(row):
+            gens.append(mp)
+        else:
+            coords = tracker.express(row).items()
+            basis.append(FockVector({mp: 1, **{gens[j]: -c for j, c in coords}}))
+    return basis
 
 
 def verify_pieri(mp: Multipartition, charge: Multicharge) -> bool:

@@ -28,7 +28,7 @@ from math import comb, inf
 
 from . import _linalg
 from .crystal import BoxOrder, CrystalGraph, hw_elements, signatures
-from .fock_space import FockVector, apply_e, apply_f, slice_basis
+from .fock_space import FockVector, _removal_rows, apply_e, apply_f
 from .multipartition import (
     Multicharge,
     Multipartition,
@@ -363,20 +363,12 @@ def check_perfect_basis(
 def kernel_dimension_by_weight(
     n: int, charge: Multicharge
 ) -> dict[tuple[int, object], int]:
-    """Exact dimension of the joint kernel of all e_i per (rank, weight).
-
-    e_i moves a shape of weight tau to shapes of weight tau + alpha_i, so on
-    a weight slice the e_i land in distinct weight spaces and their joint
-    kernel is the kernel of e = sum e_i.  e sends a shape to each shape with
-    one removable box less, with coefficient 1: one sparse int row per shape
-    holds that image, the transpose of e's slice matrix, of the same rank.
-    """
-    codomain = slice_basis(n - 1, charge) if n > 0 else ()
-    index = {mp: r for r, mp in enumerate(codomain)}
+    """Exact dimension of the joint kernel of all e_i per (rank, weight): per
+    weight, the number of `_removal_rows` (the columns of e = sum e_i, see
+    there) less their rank, taken by `_linalg.echelon`."""
     by_weight: dict[object, list[dict]] = {}
-    for mp in slice_basis(n, charge):
-        row = {index[remove_box(mp, box)]: 1 for box in removable_boxes(mp, charge)}
-        by_weight.setdefault(wt(mp, charge), []).append(row)
+    for _, tau, row in _removal_rows(n, charge):
+        by_weight.setdefault(tau, []).append(row)
     return {(n, tau): len(rows) - len(_linalg.echelon(rows)[0])
             for tau, rows in by_weight.items()}
 

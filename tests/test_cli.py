@@ -68,6 +68,18 @@ def test_apply_boolean_coefficient_is_usage_error(capsys):
     assert code == 2 and captured.out == "" and "error" in captured.err
 
 
+@pytest.mark.parametrize("vector", [
+    '[{"coeff": "1"}]',
+    '[{"mp": [[1]]}]',
+    '[{"mp": [[1]], "coeff": "1", "extra": 0}]',
+    '[{"mp": [[1]], "coeff": "1/0"}]',
+], ids=["no-mp", "no-coeff", "extra-key", "zero-denominator"])
+def test_apply_malformed_vector_is_usage_error(capsys, vector):
+    code = main(["--e", "2", "--s", "0", "apply", "e", "0", vector])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and captured.err.startswith("error:")
+
+
 def test_apply_bad_residue(capsys):
     code = main(["--e", "2", "--s", "0", "apply", "e", "5", "[[]]"])
     assert code == 2

@@ -26,7 +26,8 @@ from focklab import (
     verify_pieri,
     wt,
 )
-from focklab.fock_space import parse_vector
+from focklab.fock_space import operator_matrix, parse_vector
+from test_linalg import dense_rref
 
 CONFIGS = (
     Multicharge(2, (0,)),
@@ -125,6 +126,36 @@ def test_primitive_basis_killed_by_every_operator():
             for vec in primitive_basis(n, charge):
                 for i in range(charge.e):
                     assert apply_e(i, vec, charge).is_zero()
+
+
+def dense_primitive_basis(n, charge):
+    """The joint kernel of all e_i on the rank-n slice by the dense route:
+    every e_i matrix stacked, reduced by the test-local Gauss-Jordan oracle,
+    one vector per free column f with x_f = 1 and x_pc = -red[r][f]."""
+    domain = enumerate_multipartitions(n, charge.level)
+    codomain = enumerate_multipartitions(n - 1, charge.level) if n else ()
+    rows = [row for i in range(charge.e)
+            for row in operator_matrix(i, charge, domain, codomain)]
+    red, pivots = dense_rref(rows, len(domain))
+    basis = []
+    for f in (c for c in range(len(domain)) if c not in pivots):
+        x = {domain[f]: Fraction(1)}
+        for r, pc in enumerate(pivots):
+            x[domain[pc]] = -red[r][f]
+        basis.append(FockVector(x))
+    return basis
+
+
+# e = 2..5; levels 1 to 3, a reversed and a negative charge
+PRIMITIVE_CHARGES = [Multicharge(e, s) for e in (2, 3, 4, 5)
+                     for s in ((0,), (0, 1), (0, 1, e - 1), (1, 0), (-2, 0))]
+
+
+@pytest.mark.parametrize("charge", PRIMITIVE_CHARGES, ids=str)
+def test_primitive_basis_matches_dense_oracle(charge):
+    # equal vectors in the same order, ranks 0-6 (0-4 at level 3)
+    for n in range(7 if charge.level < 3 else 5):
+        assert primitive_basis(n, charge) == dense_primitive_basis(n, charge), n
 
 
 def test_verify_pieri_examples():

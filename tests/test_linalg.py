@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from focklab._linalg import (
     SpanTracker,
     echelon,
-    kernel_basis,
     mat_mul,
     matrix_rank,
     rref,
@@ -141,34 +140,25 @@ def matrices(draw, entries, zero):
     return ncols, rows
 
 
-def _check_elimination(ncols, rows, zero, one):
+def _check_elimination(ncols, rows):
     red, pivots = rref(rows, ncols)
     assert (red, pivots) == dense_rref(rows, ncols)
     assert rref(rows[::-1], ncols) == (red, pivots)
-    rank = matrix_rank(rows, ncols)
-    assert rank == len(pivots)
-    kernel = kernel_basis(rows, ncols, zero, one)
-    assert len(kernel) == ncols - rank
-    for x in kernel:
-        for row in rows:
-            total = zero
-            for a, b in zip(row, x):
-                total = total + a * b
-            assert not total
+    assert matrix_rank(rows, ncols) == len(pivots)
 
 
 @settings(max_examples=200, deadline=None)
 @given(matrices(rationals, Fraction(0)))
 def test_rref_matches_dense_oracle_over_q(matrix):
     ncols, rows = matrix
-    _check_elimination(ncols, rows, Fraction(0), Fraction(1))
+    _check_elimination(ncols, rows)
 
 
 @settings(max_examples=100, deadline=None)
 @given(matrices(cyclotomics, Cyc.zero(3)))
 def test_rref_matches_dense_oracle_over_q_zeta3(matrix):
     ncols, rows = matrix
-    _check_elimination(ncols, rows, Cyc.zero(3), Cyc.one(3))
+    _check_elimination(ncols, rows)
 
 
 def cyc_matrices(rows, cols):
@@ -250,11 +240,10 @@ def test_int_entries_eliminate_exactly():
         assert tracker.insert({0: form(3), 1: form(1)})
         results.append((
             rref([[form(2), form(1)], [form(4), form(3)]], 2),
-            kernel_basis([[form(2), form(4)]], 2, form(0), form(1)),
             tracker.express({0: form(6), 1: form(2)}),
         ))
     assert _exact(results) and results[0] == results[1]
-    assert results[0][1:] == ([[-2, 1]], {0: 2})
+    assert results[0][1:] == ({0: 2},)
 
 
 def cyclotomics_over(e):

@@ -30,7 +30,7 @@ from focklab import (
     reports_ok,
 )
 from focklab import structure_analysis
-from focklab.fock_space import operator_matrix, slice_basis
+from focklab.fock_space import operator_matrix
 from focklab.structure_analysis import kernel_dimension_by_weight
 from focklab.multipartition import add_box, addable_boxes, remove_box, removable_boxes
 from focklab.weight_lattice import cartan_entry, pair_coroot, simple_root, wt
@@ -262,9 +262,9 @@ def test_kernel_slices_match_dense_stacked_ranks(charge, max_rank):
     # oracle: the joint kernel as defined, the dense e_i matrices of each
     # weight slice stacked, its rank taken by the test-local dense oracle
     for n in range(max_rank + 1):
-        codomain = slice_basis(n - 1, charge) if n else ()
+        codomain = enumerate_multipartitions(n - 1, charge.level) if n else ()
         by_weight = {}
-        for mp in slice_basis(n, charge):
+        for mp in enumerate_multipartitions(n, charge.level):
             by_weight.setdefault(wt(mp, charge), []).append(mp)
         expected = {}
         for tau, members in by_weight.items():
