@@ -21,12 +21,11 @@ from .multipartition import (
     BoxCoord,
     Multicharge,
     Multipartition,
-    add_box,
+    _charge_of,
+    _with_component,
     addable_boxes,
     enumerate_multipartitions,
-    remove_box,
     removable_boxes,
-    residue,
 )
 from .weight_lattice import AffineWeight, wt
 
@@ -72,7 +71,7 @@ def signatures(
     """The i-signature of mp for every residue i in 0..e-1, from one listing
     of its addable and removable boxes put in order once; a box's residue is
     its component's residue offset by col - row."""
-    bases = [residue(BoxCoord(1, 1, j), charge) for j in range(1, mp.level + 1)]
+    bases = [_charge_of(j, charge) for j in range(1, mp.level + 1)]
     marked = [("+", box) for box in addable_boxes(mp, charge)]
     marked += [("-", box) for box in removable_boxes(mp, charge)]
     marked.sort(key=lambda sb: order.key(sb[1]))
@@ -119,7 +118,7 @@ def crystal_e(
     sig = signature(i, mp, charge, order)
     if sig.good_removable is None:
         return None
-    return remove_box(mp, sig.good_removable)
+    return _with_component(mp, sig.good_removable, -1)
 
 
 def crystal_f(
@@ -132,7 +131,7 @@ def crystal_f(
     sig = signature(i, mp, charge, order)
     if sig.good_addable is None:
         return None
-    return add_box(mp, sig.good_addable)
+    return _with_component(mp, sig.good_addable, 1)
 
 
 @dataclass(frozen=True)
@@ -209,7 +208,7 @@ def build_graph(
         phi[mp] = tuple(sig.phi for sig in sigs)
         for i, sig in enumerate(sigs):
             if sig.good_addable is not None:
-                target = add_box(mp, sig.good_addable)
+                target = _with_component(mp, sig.good_addable, 1)
                 if target.rank <= max_rank:
                     edges.append((mp, i, target))
                 else:

@@ -4,28 +4,28 @@ subspaces.  `primitive_basis` and `kernel_dimension_by_weight` (in
 `structure_analysis`) reduce the same sparse rows, `_removal_rows`; the dense
 `operator_matrix` serves test oracles and the benchmark tracer only.
 
-Operators never truncate: applying a raising operator to a rank-n vector
-produces honest rank-(n+1) terms, so commutator and Serre sweeps on a finite
-slice are exact as long as the caller evaluates on basis vectors.  Nothing
-is memoized across calls; the `structure_analysis` sweeps keep per-call rows
-of `apply_e`/`apply_f`, looked up at call time, and walk depths on them.
+e_i and f_i make one pass per term, moving each listed residue-i box by the
+trusted `multipartition._with_component`, with no second validation.  They
+never truncate, so sweeps on a finite slice are exact on basis vectors.
+Nothing is memoized across calls; the `structure_analysis` sweeps keep
+per-call rows of `apply_e`/`apply_f`, looked up at call time.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from fractions import Fraction
 
 from . import _linalg
 from .multipartition import (
     Multicharge,
     Multipartition,
-    add_box,
+    _with_component,
     addable_boxes,
     enumerate_multipartitions,
     parse_multipartition,
-    remove_box,
     removable_boxes,
 )
 from .weight_lattice import pair_coroot, wt
@@ -39,6 +39,7 @@ class FockVector:
     """
 
     __slots__ = ("terms",)
+    _one = Fraction(1)  # immutable, so every basis vector shares it
 
     def __init__(self, terms: dict[Multipartition, Fraction] | None = None):
         clean: dict[Multipartition, Fraction] = {}
@@ -63,7 +64,14 @@ class FockVector:
 
     @classmethod
     def basis(cls, mp: Multipartition) -> "FockVector":
-        return cls({mp: Fraction(1)})
+        return cls._trusted({mp: cls._one})
+
+    @classmethod
+    def _trusted(cls, terms: dict[Multipartition, Fraction]) -> "FockVector":
+        """A vector on terms that are clean already: nonzero Fractions, one level."""
+        out = object.__new__(cls)
+        out.terms = terms
+        return out
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -121,15 +129,26 @@ class FockVector:
             if isinstance(coeff, bool) or not isinstance(coeff, (int, Fraction, str)):
                 raise ValueError(f"coefficient {coeff!r} is not an exact rational")
             try:
-                terms[mp] = terms.get(mp, Fraction(0)) + Fraction(coeff)
+                terms[mp] = terms.get(mp, Fraction(0)) + _exact(coeff)
             except ZeroDivisionError:
                 raise ValueError(f"coefficient {coeff!r} has a zero denominator") from None
         return cls(terms)
 
 
+def _exact(value) -> Fraction:
+    """An int, Fraction, or decimal or "p/q" string as a Fraction; ValueError,
+    unexpanded, when its digits + |exponent| pass `sys.get_int_max_str_digits()`."""
+    digits, _, exponent = str(value).lower().partition("e")
+    numeric = exponent.lstrip("+-").replace("_", "").isdigit()  # else Fraction refuses it
+    limit = sys.get_int_max_str_digits()
+    if limit and len(digits) + (abs(int(exponent)) if numeric else 0) > limit:
+        raise ValueError(f"coefficient {value!s:.40} expands past {limit} digits")
+    return Fraction(value)
+
+
 def parse_vector(text: str, level: int | None = None) -> FockVector:
     """Accept either a multipartition document or a Fock vector document."""
-    data = json.loads(text, parse_float=Fraction)  # decimals read exactly
+    data = json.loads(text, parse_float=_exact)  # decimals read exactly
     if isinstance(data, list) and data and all(isinstance(x, dict) for x in data):
         return FockVector.from_json(data, level)
     if isinstance(data, list) and not data:
@@ -139,22 +158,25 @@ def parse_vector(text: str, level: int | None = None) -> FockVector:
 
 def apply_e(i: int, v: FockVector, charge: Multicharge) -> FockVector:
     """Remove one residue-i box in every admissible way, extended linearly."""
-    return _move_boxes(removable_boxes, remove_box, i, v, charge)
+    return _move_boxes(removable_boxes, -1, i, v, charge)
 
 
 def apply_f(i: int, v: FockVector, charge: Multicharge) -> FockVector:
     """Add one residue-i box in every admissible way, extended linearly."""
-    return _move_boxes(addable_boxes, add_box, i, v, charge)
+    return _move_boxes(addable_boxes, 1, i, v, charge)
 
 
-def _move_boxes(listing, move, i: int, v: FockVector, charge: Multicharge):
+def _move_boxes(listing, step: int, i: int, v: FockVector, charge: Multicharge):
+    """One pass per term of v, targets built by the trusted move: they keep v's
+    level and Fraction sums, so the image is not re-validated; zero sums (only
+    across terms) are dropped."""
     out: dict[Multipartition, Fraction] = {}
     for mp, c in v.terms.items():
         for box in listing(mp, charge, i):
-            target = move(mp, box)
+            target = _with_component(mp, box, step)
             prev = out.get(target)
             out[target] = c if prev is None else prev + c
-    return FockVector(out)
+    return FockVector._trusted({t: c for t, c in out.items() if c} if len(v.terms) > 1 else out)
 
 
 def apply_h(i: int, v: FockVector, charge: Multicharge) -> FockVector:
@@ -211,7 +233,7 @@ def _removal_rows(n: int, charge: Multicharge):
     index = {mp: r for r, mp in enumerate(codomain)}
     for mp in enumerate_multipartitions(n, charge.level):
         yield mp, wt(mp, charge), {
-            index[remove_box(mp, box)]: 1 for box in removable_boxes(mp, charge)}
+            index[_with_component(mp, box, -1)]: 1 for box in removable_boxes(mp, charge)}
 
 
 def primitive_basis(n: int, charge: Multicharge) -> list[FockVector]:
@@ -235,12 +257,8 @@ def primitive_basis(n: int, charge: Multicharge) -> list[FockVector]:
 def verify_pieri(mp: Multipartition, charge: Multicharge) -> bool:
     """Residue-summed operators match the unfiltered one-box rules."""
     v = FockVector.basis(mp)
-    e_expected = FockVector(
-        {remove_box(mp, box): Fraction(1) for box in removable_boxes(mp, charge)}
-    )
-    f_expected = FockVector(
-        {add_box(mp, box): Fraction(1) for box in addable_boxes(mp, charge)}
-    )
+    e_expected = FockVector({_with_component(mp, b, -1): 1 for b in removable_boxes(mp, charge)})
+    f_expected = FockVector({_with_component(mp, b, 1): 1 for b in addable_boxes(mp, charge)})
     zero = FockVector.zero()
     e_sum = sum((apply_e(i, v, charge) for i in range(charge.e)), zero)
     f_sum = sum((apply_f(i, v, charge) for i in range(charge.e)), zero)

@@ -4,7 +4,8 @@ cells, enumeration and serialization.
 Conventions: rows, columns and components are 1-based.  A box is the triple
 (row, col, comp) and belongs to the diagram of ``mp`` when
 ``0 < col <= mp.components[comp-1][row-1]``.  All values here are immutable
-and every operation is a pure function.
+and every operation is a pure function.  `add_box`/`remove_box` check a
+caller's box; a box the listings give moves by the trusted `_with_component`.
 """
 
 from __future__ import annotations
@@ -143,22 +144,27 @@ def boxes(mp: Multipartition) -> set[BoxCoord]:
 
 def residue(box: BoxCoord, charge: Multicharge) -> int:
     """(col - row + s_comp) mod e."""
-    if not 1 <= box.comp <= charge.level:
-        raise ValueError(f"component {box.comp} out of 1..{charge.level}")
-    return (box.col - box.row + charge.s[box.comp - 1]) % charge.e
+    return (box.col - box.row + _charge_of(box.comp, charge)) % charge.e
+
+
+def _charge_of(j: int, charge: Multicharge) -> int:
+    """s_j, or ValueError for a component outside 1..level."""
+    if not 1 <= j <= len(charge.s):
+        raise ValueError(f"component {j} out of 1..{len(charge.s)}")
+    return charge.s[j - 1]
 
 
 def removable_boxes(
     mp: Multipartition, charge: Multicharge, i: int | None = None
 ) -> list[BoxCoord]:
     """Boxes whose removal leaves a valid multipartition, optionally filtered
-    to residue i, in canonical (comp, row, col) order.  A component's s_comp
-    is read, through `residue` of its box (1, 1), only where it has a
-    candidate box, so a level mismatch raises exactly as `residue` would."""
+    to residue i, in canonical (comp, row, col) order.  The filter reads
+    s_comp only for a component with a candidate box, so a component beyond
+    the charge's level raises ValueError there, as `residue` would."""
     found = []
     for j, comp in enumerate(mp.components, start=1):
         if i is not None and comp:
-            base = residue(BoxCoord(1, 1, j), charge)
+            base = _charge_of(j, charge)
         for a, width in enumerate(comp, start=1):
             below = comp[a] if a < len(comp) else 0
             if width > below and (i is None or (base + width - a) % charge.e == i):
@@ -170,11 +176,11 @@ def addable_boxes(
     mp: Multipartition, charge: Multicharge, i: int | None = None
 ) -> list[BoxCoord]:
     """Boxes whose addition gives a valid multipartition, dual to
-    removable_boxes."""
+    removable_boxes (every component has one to filter)."""
     found = []
     for j, comp in enumerate(mp.components, start=1):
         if i is not None:
-            base = residue(BoxCoord(1, 1, j), charge)
+            base = _charge_of(j, charge)
         above = None
         for a, width in enumerate(comp + (0,), start=1):
             if (above is None or above > width) and (
@@ -190,17 +196,11 @@ def add_box(mp: Multipartition, box: BoxCoord) -> Multipartition:
     a, b, j = box
     if not 1 <= j <= mp.level:
         raise ValueError(f"component {j} out of 1..{mp.level}")
-    comp = list(mp.components[j - 1])
-    if a == len(comp) + 1:
-        comp.append(0)
-    elif not 1 <= a <= len(comp):
+    comp = mp.components[j - 1]
+    width = comp[a - 1] if 1 <= a <= len(comp) else 0
+    if not (1 <= a <= len(comp) + 1 and width + 1 == b and (a == 1 or comp[a - 2] > width)):
         raise ValueError(f"box {box} is not addable for {mp}")
-    if comp[a - 1] + 1 != b:
-        raise ValueError(f"box {box} is not addable for {mp}")
-    comp[a - 1] += 1
-    if a >= 2 and comp[a - 2] < comp[a - 1]:
-        raise ValueError(f"box {box} is not addable for {mp}")
-    return _with_component(mp, j, comp)
+    return _with_component(mp, box, 1)
 
 
 def remove_box(mp: Multipartition, box: BoxCoord) -> Multipartition:
@@ -208,25 +208,23 @@ def remove_box(mp: Multipartition, box: BoxCoord) -> Multipartition:
     a, b, j = box
     if not 1 <= j <= mp.level:
         raise ValueError(f"component {j} out of 1..{mp.level}")
-    comp = list(mp.components[j - 1])
-    if not 1 <= a <= len(comp) or comp[a - 1] != b:
+    comp = mp.components[j - 1]
+    below = comp[a] if 1 <= a < len(comp) else 0
+    if not (1 <= a <= len(comp) and comp[a - 1] == b and b > below):
         raise ValueError(f"box {box} is not removable for {mp}")
-    below = comp[a] if a < len(comp) else 0
-    if comp[a - 1] - 1 < below:
-        raise ValueError(f"box {box} is not removable for {mp}")
-    comp[a - 1] -= 1
-    return _with_component(mp, j, comp)
+    return _with_component(mp, box, -1)
 
 
-def _with_component(mp: Multipartition, j: int, comp: list[int]) -> Multipartition:
-    """mp with component j replaced by comp, without validation: a one-box
-    move of a canonical mp leaves comp weakly decreasing, with at most one
-    trailing 0 part (a row emptied by `remove_box`), dropped here."""
-    if comp and not comp[-1]:
-        comp.pop()
+def _with_component(mp: Multipartition, box: BoxCoord, step: int) -> Multipartition:
+    """mp with the box's row grown by `step` (1 adds it, -1 removes it),
+    unvalidated: canonical for a box the listings give (an emptied row, the
+    last, is dropped); `add_box`/`remove_box` check a caller's box first."""
+    a, _, j = box
+    comp = mp.components[j - 1]
+    width = (comp[a - 1] if a <= len(comp) else 0) + step
     out = object.__new__(Multipartition)
-    components = mp.components[: j - 1] + (tuple(comp),) + mp.components[j:]
-    object.__setattr__(out, "components", components)
+    object.__setattr__(out, "components", mp.components[: j - 1] + (
+        comp[: a - 1] + ((width,) if width else ()) + comp[a:],) + mp.components[j:])
     return out
 
 

@@ -32,10 +32,9 @@ from .fock_space import FockVector, _removal_rows, apply_e, apply_f
 from .multipartition import (
     Multicharge,
     Multipartition,
-    add_box,
+    _with_component,
     addable_boxes,
     enumerate_multipartitions,
-    remove_box,
     removable_boxes,
 )
 from .weight_lattice import cartan_entry, pair_coroot, simple_root, wt
@@ -115,9 +114,9 @@ def check_fock_relations(charge: Multicharge, max_rank: int) -> list[AxiomReport
                     total = _add({k: -h} if i == j else {}, 1, E[i], up_j)
                     if any(_add(total, -1, F[j], down).values()):
                         bad["sl2_commutators"].append({"mp": mp.to_lists(), "i": i, "j": j})
-            removed = {images.intern(remove_box(mp, b)): -1
+            removed = {images.intern(_with_component(mp, b, -1)): -1
                        for b in removable_boxes(mp, charge)}
-            added = {images.intern(add_box(mp, b)): -1
+            added = {images.intern(_with_component(mp, b, 1)): -1
                      for b in addable_boxes(mp, charge)}
             for total, ones in ((removed, downs), (added, ups)):
                 for t, a in (pair for one in ones for pair in one):
@@ -320,9 +319,8 @@ def check_perfect_basis(
         if mp not in sigs:
             sigs[mp] = signatures(mp, charge, order)
         sig = sigs[mp][i]
-        if op == "e":
-            return None if sig.good_removable is None else remove_box(mp, sig.good_removable)
-        return None if sig.good_addable is None else add_box(mp, sig.good_addable)
+        box = sig.good_removable if op == "e" else sig.good_addable
+        return None if box is None else _with_component(mp, box, -1 if op == "e" else 1)
 
     for n in range(max_rank + 1):
         for mp in enumerate_multipartitions(n, charge.level):

@@ -80,6 +80,20 @@ def test_apply_malformed_vector_is_usage_error(capsys, vector):
     assert code == 2 and captured.out == "" and captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize("coeff", ["1e1000000", "1e4000000", '"1e4000000"'])
+def test_apply_refuses_a_huge_decimal_before_expanding_it(capsys, coeff):
+    # the refusal reads the exponent: 10**4000000 is never built (it took
+    # seconds), and the message is focklab's, not Python's digit-limit error
+    vector = f'[{{"mp": [[1]], "coeff": {coeff}}}]'
+    start = time.perf_counter()
+    code = main(["--e", "2", "--s", "0", "apply", "f", "1", vector])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"expands past {sys.get_int_max_str_digits()} digits" in captured.err
+    assert elapsed < 1.0
+
+
 def test_apply_bad_residue(capsys):
     code = main(["--e", "2", "--s", "0", "apply", "e", "5", "[[]]"])
     assert code == 2
@@ -209,6 +223,34 @@ def test_verify_builds_one_graph_per_run(capsys, monkeypatch, suite, builds):
     monkeypatch.setattr(cli, "build_graph", lambda *a: calls.append(a) or original(*a))
     code, _ = run(capsys, "verify", suite, "--e", "2", "--s", "0", "--max-rank", "3")
     assert code == 0 and len(calls) == builds
+
+
+@pytest.mark.parametrize("fault", ["edge_dropped", "eps_changed"])
+def test_verify_graph_determinism_witnesses_a_different_rebuild(capsys, monkeypatch, fault):
+    # the rebuild is compared by value: one edge or one eps entry off fails it
+    from dataclasses import replace
+
+    from focklab import cli
+
+    original, builds = cli.build_graph, []
+
+    def build(*args):
+        graph = original(*args)
+        builds.append(graph)
+        if len(builds) == 1:
+            return graph
+        if fault == "edge_dropped":
+            return replace(graph, edges=graph.edges[:-1])
+        mp = graph.nodes[-1]
+        return replace(graph, eps={**graph.eps, mp: (9,) + graph.eps[mp][1:]})
+
+    monkeypatch.setattr(cli, "build_graph", build)
+    code, out = run(capsys, "verify", "crystal", "--e", "2", "--s", "0", "--max-rank", "3")
+    docs = [json.loads(line) for line in out.splitlines()]
+    assert code == 1 and len(builds) == 2
+    assert [d for d in docs if d["status"] == "fail"] == [
+        {"axiom": "crystal.graph_determinism", "status": "fail",
+         "witnesses": [{"rebuilt_equal": False}]}]
 
 
 def test_unknown_suite_usage_error():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -74,6 +75,8 @@ def test_apply_e_examples():
     assert apply_e(0, basis("[[2,2]]"), c) == basis("[[2,1]]")
     two = basis("[[2]]") + basis("[[1,1]]")
     assert apply_e(1, two, c) == basis("[[1]]").scaled(2)
+    # both terms reach [[1]] and cancel: no zero coefficient is kept
+    assert apply_e(1, basis("[[2]]") - basis("[[1,1]]"), c).terms == {}
 
 
 def test_apply_f_examples():
@@ -84,6 +87,18 @@ def test_apply_f_examples():
     assert apply_f(0, FockVector.basis(Multipartition.empty(2)), c2) == basis(
         "[[1],[]]"
     )
+
+
+def test_operators_refuse_components_beyond_the_charge():
+    # a basis vector with more components than the charge has no residues
+    # there: e_i and f_i raise instead of reading a missing s_j
+    short = Multicharge(2, (0,))
+    for op in (apply_e, apply_f):
+        for i in range(short.e):
+            with pytest.raises(ValueError, match=r"component 2 out of 1\.\.1"):
+                op(i, basis("[[1],[1]]"), short)
+    with pytest.raises(ValueError, match=r"component 2 out of 1\.\.1"):
+        apply_f(0, basis("[[1],[]]"), short)
 
 
 def test_apply_h_examples():
@@ -194,10 +209,20 @@ def test_operators_are_linear_on_basis_combinations(case):
             assert op(i, v, charge) == expected
 
 
+#: (charge, top rank) beyond CONFIGS: e = 4 and 5, negative and large
+#: charges, level 3
+WIDE_ORACLE_CASES = (
+    (Multicharge(4, (0, 2)), 6),
+    (Multicharge(5, (-3, 7)), 6),
+    (Multicharge(3, (0, 1, 2)), 4),
+    (Multicharge(4, (-5, 9, 2)), 4),
+)
+
+
 def test_operators_match_brute_force_oracle():
     # spot check of the one-box rules for both operator directions
-    for charge in CONFIGS:
-        for n in range(6 + 1):
+    for charge, top in tuple((c, 6) for c in CONFIGS) + WIDE_ORACLE_CASES:
+        for n in range(top + 1):
             for m in enumerate_multipartitions(n, charge.level):
                 v = FockVector.basis(m)
                 for i in range(charge.e):
@@ -319,3 +344,17 @@ def test_vector_json_coefficients_are_exact():
     for bad in ("true", "false", "null", "NaN", "Infinity", "[1]"):
         with pytest.raises(ValueError):
             parse_vector(f'[{{"coeff": {bad}, "mp": [[1]]}}]')
+
+
+def test_vector_json_refuses_coefficients_past_the_digit_limit():
+    # a decimal or string coefficient whose digits plus |exponent| pass
+    # Python's int digit limit is refused from its text, before expanding it
+    limit = sys.get_int_max_str_digits()
+    at_limit = parse_vector(f'[{{"coeff": 1e{limit - 1}, "mp": [[1]]}}]')
+    assert at_limit.terms == {parse_multipartition("[[1]]"): Fraction(10) ** (limit - 1)}
+    assert parse_vector('[{"coeff": "2.5e-3", "mp": [[1]]}]') == basis("[[1]]").scaled(
+        Fraction(1, 400))
+    for coeff in (f"1e{limit}", f"1e-{limit}", "1e4000000", "1.5E+4000000",
+                  '"1e4000000"', '"1e4_000_000"'):
+        with pytest.raises(ValueError, match=f"expands past {limit} digits"):
+            parse_vector(f'[{{"coeff": {coeff}, "mp": [[1]]}}]')
