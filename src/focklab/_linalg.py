@@ -7,9 +7,11 @@ Every library matrix is sparse dicts (column -> nonzero entry); the dense
 
 `echelon`, the exact forward elimination, never scales a row: the pivot's
 inverse enters only each step's multiplier, so entries stay in Z or Z[zeta_e]
-while the multipliers do.  `rref` scales once, then back-substitutes; reduced
-forms are canonical, so `rref` and ranks do not depend on the order of the
-rows.  `SpanTracker(p)` works over F_p by `_reduce_mod_p`.
+while the multipliers do.  An integral Fraction, as a multiplier or as an
+entry `SpanTracker` stores, becomes an int, which keeps int arithmetic on ints
+past a pivot other than +-1.  `rref` scales once, then back-substitutes;
+reduced forms are canonical, so `rref` and ranks do not depend on the order of
+the rows.
 """
 
 from __future__ import annotations
@@ -59,15 +61,12 @@ class SpanTracker:
     Vectors are sparse: dicts from column to nonzero entry.  `insert` adds a
     vector as a new generator when it enlarges the span; `express` rewrites
     any vector of the span as exact coordinates over the inserted generators,
-    again as a dict (generator index -> nonzero coefficient).  Given a prime
-    `p`, entries are ints, the span is taken over F_p and coordinates come
-    back in 1..p-1.
+    again as a dict (generator index -> nonzero coefficient).
     """
 
-    def __init__(self, p: int | None = None):
-        self.p = p
-        # pivot column -> echelon row (unscaled, or 1 at the pivot over F_p),
-        # its pivot's inverse and its combination over the generators
+    def __init__(self):
+        # pivot column -> unscaled echelon row, its pivot's inverse and its
+        # combination over the generators
         self._rows: dict[int, dict] = {}
         self._pinvs: dict[int, object] = {}
         self._combos: dict[int, dict] = {}
@@ -78,20 +77,14 @@ class SpanTracker:
 
     def insert(self, vec: dict) -> bool:
         """Insert as a generator; False when already in the span."""
-        p = self.p
         pc, w, combo = self._eliminate(vec)
         if pc is None:
             return False
-        # the stored row is scale * w, and w = vec - sum combo[k] * gen_k
-        if p is None:
-            self._pinvs[pc], scale = _inverse(w[pc]), 1
-            row, row_combo = w, {k: -v for k, v in combo.items()}
-        else:
-            scale = pow(w[pc], -1, p)
-            row = {c: v * scale % p for c, v in w.items()}
-            row_combo = {k: -v * scale % p for k, v in combo.items()}
-        row_combo[len(self._rows)] = scale
-        self._rows[pc], self._combos[pc] = row, row_combo
+        # the stored row is w = vec - sum combo[k] * gen_k
+        row = {c: _integral(v) for c, v in w.items()}
+        row_combo = {k: _integral(-v) for k, v in combo.items()}
+        row_combo[len(self._rows)] = 1
+        self._rows[pc], self._pinvs[pc], self._combos[pc] = row, _inverse(row[pc]), row_combo
         return True
 
     def express(self, vec: dict) -> dict | None:
@@ -100,14 +93,9 @@ class SpanTracker:
         return combo if pc is None else None
 
     def _eliminate(self, vec: dict) -> tuple:
-        """(c, w, combo): vec reduced to w by `_reduce` or `_reduce_mod_p`."""
-        p = self.p
-        if p is None:
-            w = {c: v for c, v in vec.items() if v}
-            pc, combo = _reduce(self._rows, self._pinvs, w, self._combos)
-        else:
-            w = {c: x for c, v in vec.items() if (x := v % p)}
-            pc, combo = _reduce_mod_p(self._rows, w, self._combos, p)
+        """(c, w, combo): vec reduced to w by `_reduce`."""
+        w = {c: v for c, v in vec.items() if v}
+        pc, combo = _reduce(self._rows, self._pinvs, w, self._combos)
         return pc, w, combo
 
 
@@ -127,7 +115,7 @@ def _reduce(rows: dict[int, dict], pinvs: dict, w: dict, combos: dict | None = N
         row = rows.get(c)
         if row is None:
             return c, combo
-        f = w[c] * pinvs[c]
+        f = _integral(w[c] * pinvs[c])
         _axpy(w, -f, row)
         if combos is not None:
             _axpy(combo, f, combos[c])
@@ -141,6 +129,11 @@ def _inverse(x):
     return x ** (-1)
 
 
+def _integral(x):
+    """An integral Fraction as an int; any other value unchanged."""
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
+
+
 def _axpy(y: dict, f, x: dict) -> None:
     """y += f * x in place on sparse vectors, dropping cancelled entries."""
     for j, v in x.items():
@@ -149,32 +142,6 @@ def _axpy(y: dict, f, x: dict) -> None:
             y[j] = new
         else:
             del y[j]
-
-
-def _reduce_mod_p(echelon: dict[int, dict], w: dict, combos: dict[int, dict], p: int):
-    """`_reduce` over F_p, with every entry kept in 1..p-1.
-
-    An entry absent before an update cannot become 0 mod p, as f and the
-    row's entries are units, so a 0 result always deletes a present entry.
-    """
-    combo: dict = {}
-    while w:
-        c = min(w)
-        row = echelon.get(c)
-        if row is None:
-            return c, combo
-        f = w[c]
-        for j, v in row.items():
-            if new := (w.get(j, 0) - f * v) % p:
-                w[j] = new
-            else:
-                del w[j]
-        for j, v in combos[c].items():
-            if new := (combo.get(j, 0) + f * v) % p:
-                combo[j] = new
-            else:
-                del combo[j]
-    return None, combo
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence], zero) -> list[list]:

@@ -356,13 +356,10 @@ def reduction_primes(e: int):
             yield p, next(w for w in roots if 1 not in (pow(w, k, p) for k in range(1, e)))
 
 
-def mod_p(x: Cyc | int, p: int, omega: int) -> int:
+def mod_p(x: Cyc, p: int, omega: int) -> int:
     """Image of x under the ring homomorphism Z_(p)[zeta_e] -> F_p sending
     zeta_e to omega, a root of Phi_e mod p; ZeroDivisionError off Z_(p)[zeta_e].
-    An int x stands for the Cyc of one coefficient x (phi(e) = 1).
     """
-    if type(x) is int:
-        return x % p
     out = 0
     for c in reversed(x.coeffs):
         if type(c) is not int:

@@ -157,12 +157,14 @@ def parse_vector(text: str, level: int | None = None) -> FockVector:
 
 
 def apply_e(i: int, v: FockVector, charge: Multicharge) -> FockVector:
-    """Remove one residue-i box in every admissible way, extended linearly."""
+    """Remove one residue-i box in every admissible way, extended linearly.
+    Raises ValueError for a residue outside 0..e-1."""
     return _move_boxes(removable_boxes, -1, i, v, charge)
 
 
 def apply_f(i: int, v: FockVector, charge: Multicharge) -> FockVector:
-    """Add one residue-i box in every admissible way, extended linearly."""
+    """Add one residue-i box in every admissible way, extended linearly.
+    Raises ValueError for a residue outside 0..e-1."""
     return _move_boxes(addable_boxes, 1, i, v, charge)
 
 
@@ -170,6 +172,8 @@ def _move_boxes(listing, step: int, i: int, v: FockVector, charge: Multicharge):
     """One pass per term of v, targets built by the trusted move: they keep v's
     level and Fraction sums, so the image is not re-validated; zero sums (only
     across terms) are dropped."""
+    if not 0 <= i < charge.e:
+        raise ValueError(f"residue {i} out of 0..{charge.e - 1}")
     out: dict[Multipartition, Fraction] = {}
     for mp, c in v.terms.items():
         for box in listing(mp, charge, i):

@@ -6,15 +6,13 @@ representation.  The ambient coordinates are the normal-form labels J^a T_w
 and T_g x is the linear extension of the per-label rows T_g J^a T_w, each
 computed once per saturation by the product rules below.  A single-pass
 spanning-set saturation from the identity word both finds the word basis
-and reads off every generator matrix column.  It eliminates over F_p, p = 1
-(mod e), on labels in descending degree, nearly triangular, and certifies
-each decision over Q(zeta_e): a new word by its independence mod p, a
-column by an exact check of its lifted F_p coordinates or by an exact
-solve.  When phi(e) = 1 it computes on ints, through the ring isomorphism
-Z[zeta_e] -> Z, which commutes with reduction mod p, and stores `Cyc`
-entries.  The closure must reach dimension l^n * n! exactly, and every
-defining relation must vanish as a matrix.  Nothing is trusted to the
-straightening rules alone.
+and reads off every generator matrix column.  It eliminates exactly over
+Q(zeta_e), on labels in descending degree, nearly triangular: a product
+outside the span of the words joins them, and one inside gives its column
+as its exact coordinates.  When phi(e) = 1 it computes on ints, through the
+ring isomorphism Z[zeta_e] -> Z, and stores `Cyc` entries.  The closure
+must reach dimension l^n * n! exactly, and every defining relation must
+vanish as a matrix.  Nothing is trusted to the straightening rules alone.
 
 Each check returns `AxiomReport`s: `check_relations` for the presentation,
 `check_jm` for the Jucys-Murphy twist, commutation and centrality,
@@ -42,7 +40,6 @@ import json
 import os
 from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import reduce
 from itertools import combinations, count, islice, permutations, product, repeat
 from math import factorial
@@ -61,7 +58,7 @@ from .structure_analysis import AxiomReport
 from .weight_lattice import wt
 
 DEFAULT_DIM_BOUND = 200
-# primes tried before a saturation or a spectrum gives up and raises
+# primes tried before the spectrum gives up and raises
 CERTIFY_PRIMES = 3
 
 
@@ -203,16 +200,13 @@ class FinDimAlgebraRep:
 def build_algebra(
     l: int, n: int, charge: Multicharge, max_dim: int | None = None
 ) -> FinDimAlgebraRep:
-    """Saturate words from the identity into a certified regular representation.
+    """Saturate words from the identity into the regular representation.
 
     Left-multiplies known basis words by generators breadth-first and
-    reduces each product once against the current words, by sparse
-    elimination over F_p (`_saturate`), every decision certified over
-    Q(zeta_e): a product in the span yields its generator matrix column, by
-    an exact check of lifted coordinates or an exact solve; one outside it
-    joins the basis as a unit column.  A prime whose certificate fails is
-    replaced by the next; after CERTIFY_PRIMES primes this raises
-    RuntimeError.  The closure dimension must equal l^n * n!; else it raises.
+    reduces each product once against the current words, by exact sparse
+    elimination over Q(zeta_e) (`_saturate`): a product in the span yields
+    its generator matrix column, one outside it joins the basis as a unit
+    column.  The closure dimension must equal l^n * n!; else it raises.
     """
     if l != charge.level:
         raise ValueError(f"level mismatch: l={l} but charge has {charge.level}")
@@ -230,17 +224,7 @@ def build_algebra(
             f"dimension overflow: l^n*n! = {target} exceeds bound {max_dim}"
         )
 
-    engine = _Engine(l, n, charge)
-    for p, omega in islice(reduction_primes(charge.e), CERTIFY_PRIMES):
-        try:
-            saturated = _saturate(engine, target, p, omega)
-        except ZeroDivisionError:  # an entry off Z_(p)[zeta_e]
-            continue
-        if saturated is not None:
-            break
-    else:
-        raise RuntimeError(f"saturation not certified by {CERTIFY_PRIMES} primes")
-    words, gens = saturated
+    words, gens = _saturate(_Engine(l, n, charge), target)
     if len(words) != target:
         raise RuntimeError(
             f"closure dimension {len(words)} != l^n*n! = {target}; "
@@ -258,34 +242,24 @@ def build_algebra(
     )
 
 
-def _saturate(engine: _Engine, target: int, p: int, omega: int):
-    """(words, gens) of the exact saturation, found over F_p, zeta_e -> omega,
-    or None when a certificate fails at p.
+def _saturate(engine: _Engine, target: int):
+    """(words, gens) of the greedy saturation, by one exact `SpanTracker`.
 
     Elements are sparse dicts over label indices (positions in `_all_labels`).
     T_g x extends linearly the rows T_g (label k), each asked of `mult_gen` on
     one term the first time; a unit constant adds its term unmultiplied.
 
-    The engine's coefficients lie in Z[zeta_e], so every product reduces.  A
-    product outside the F_p span of the words joins them: the words stay
-    independent mod p, and reduction cannot raise a rank, so it is outside
-    their exact span too.  So the words are exactly independent, and a
-    product inside has at most one exact coordinate vector.  `_lifted` maps
-    each F_p coordinate to what the last exact solve gave with that residue,
-    and keeps the guess only if it combines the words to the product exactly;
-    else it is solved exactly on the words of its F_p support, filling
-    `lifts`, with no solution outside the span or if a coordinate is 0 mod p.
-
-    Columns in `_all_labels` order keep fill-in low.  The order only picks
-    each echelon row's pivot: membership in the F_p span, the F_p coordinates
-    (the words are independent mod p) and the exact ones are unique, so
-    words, gens, `lifts` and the exact solves do not depend on it.
+    A product outside the span of the words joins them, so the words stay
+    independent and a product inside has exactly one coordinate vector over
+    them: its column.  Columns in `_all_labels` order keep fill-in low.  The
+    order only picks each echelon row's pivot, so words and gens do not
+    depend on it.
 
     When phi(e) = 1, `engine` holds int constants: Cyc(e, (c,)) -> c is a
-    ring isomorphism Z[zeta_e] -> Z that commutes with `mod_p`, so each F_p
-    decision, lifted check and exact solve is the same computation on ints.
-    Integral Fractions from a solve become ints, and `gens` stores `Cyc`
-    entries, equal to those of the `Cyc` computation.
+    ring isomorphism Z[zeta_e] -> Z, so the elimination is the same
+    computation on ints (a Fraction only where a multiplier or an entry is
+    not integral), and `gens` stores `Cyc` entries, equal to those of the
+    `Cyc` computation.
     """
     labels, one = _all_labels(engine.l, engine.n), engine.one
     index = {lab: k for k, lab in enumerate(labels)}
@@ -307,51 +281,25 @@ def _saturate(engine: _Engine, target: int, p: int, omega: int):
                     del out[j]
         return out
 
-    def reduce(vec: dict) -> dict:
-        return {r: mod_p(c, p, omega) for r, c in vec.items()}
-
-    tracker = _linalg.SpanTracker(p)
-    lifts: dict = {}  # F_p coordinate -> the exact one last solved with it
+    tracker = _linalg.SpanTracker()
     words: list[tuple[int, ...]] = [()]
     elements = [{index[lab]: c for lab, c in engine.identity_element().items()}]
-    tracker.insert(reduce(elements[0]))
+    tracker.insert(elements[0])
     queue: deque = deque((g, 0) for g in range(engine.n))
     while queue:
         g, k = queue.popleft()
         vec = times(g, elements[k])
-        fp = tracker.express(reduced := reduce(vec))
-        if fp is None:
-            tracker.insert(reduced)
+        if (coords := tracker.express(vec)) is None:
+            tracker.insert(vec)
             coords = {len(words): one}
             queue.extend((h, len(words)) for h in range(engine.n))
             words.append((g,) + words[k])
             elements.append(vec)
-        elif (coords := _lifted(fp, lifts, elements, vec)) is None:
-            support = sorted(fp)
-            solve = _linalg.SpanTracker()
-            for r in support:
-                solve.insert(elements[r])
-            if (exact := solve.express(vec)) is None:
-                return None
-            # an integral Fraction becomes an int, as in `Cyc.__init__`
-            coords = {support[i]: int(c) if type(c) is Fraction and c.denominator == 1 else c
-                      for i, c in exact.items()}
-            lifts.update((fp[r], c) for r, c in coords.items())
         for r, c in coords.items():
             if not isinstance(c, Cyc):
                 c = cells.get(c) or cells.setdefault(c, Cyc(engine.e, (c,)))
             gens[g][r][k] = c
     return words, gens
-
-
-def _lifted(fp: dict, lifts: dict, elements: list, product: dict) -> dict | None:
-    """`fp` mapped by `lifts`, if that combines `elements` to `product`."""
-    if any(c not in lifts for c in fp.values()):
-        return None
-    guess, total = {r: lifts[c] for r, c in fp.items()}, {}
-    for r, c in guess.items():
-        _linalg._axpy(total, c, elements[r])
-    return guess if total == product else None
 
 
 def _scale(rows: list, f: Cyc) -> list:

@@ -101,6 +101,15 @@ def test_operators_refuse_components_beyond_the_charge():
         apply_f(0, basis("[[1],[]]"), short)
 
 
+def test_operators_refuse_a_residue_outside_0_to_e_minus_1():
+    # as apply_h and crystal.signature do, rather than return the zero vector
+    c = Multicharge(2, (0,))
+    for op in (apply_e, apply_f):
+        for i in (5, -1):
+            with pytest.raises(ValueError, match=rf"residue {i} out of 0\.\.1"):
+                op(i, basis("[[1]]"), c)
+
+
 def test_apply_h_examples():
     c2 = Multicharge(2, (0, 1))
     empty2 = FockVector.basis(Multipartition.empty(2))

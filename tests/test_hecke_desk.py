@@ -782,30 +782,31 @@ class _FakeEngine(hecke_desk._Engine):
         return {lab: c for lab, c in ((one, a), (x, 5 * a + b)) if c}
 
 
-def test_saturation_certificate_moves_past_failing_prime(monkeypatch):
+def test_saturation_is_exact_where_a_prime_would_fail(monkeypatch):
+    # mod 5, T_0 * 1 = 1 + 5x would look like the word 1; exactly it is a new word
     charge = Multicharge(2, (0, 1))
     monkeypatch.setattr(hecke_desk, "_Engine", _FakeEngine)
-    expected = build_algebra(2, 1, charge)
-    assert expected.words == ((), (0,))
+    rep = build_algebra(2, 1, charge)
+    assert rep.words == ((), (0,))
     # T_0 (1 + 5x) = 1 + 10x = 2 (1 + 5x) - 1
-    assert expected.gens[0] == [
+    assert rep.gens[0] == [
         {1: Cyc.from_rational(-1, 2)},
         {0: Cyc.one(2), 1: Cyc.from_rational(2, 2)},
     ]
 
-    tried = []
 
-    def primes(e):
-        for p in (5, 7):
-            tried.append(p)
-            yield p, p - 1  # zeta_2 = -1
+def test_build_reduces_nothing_mod_p(monkeypatch):
+    # the build is exact: it never asks for a prime or reduces an entry
+    charge = Multicharge(2, (0, 1, 2))
+    expected = build_algebra(3, 3, charge)
 
-    monkeypatch.setattr(hecke_desk, "reduction_primes", primes)
-    assert build_algebra(2, 1, charge) == expected
-    assert tried == [5, 7]
-    monkeypatch.setattr(hecke_desk, "reduction_primes", lambda e: itertools.repeat((5, 4)))
-    with pytest.raises(RuntimeError, match="not certified"):
-        build_algebra(2, 1, charge)
+    def refuse(*args):
+        raise AssertionError("the build reduced mod p")
+
+    monkeypatch.setattr(hecke_desk, "mod_p", refuse)
+    monkeypatch.setattr(hecke_desk, "reduction_primes", refuse)
+    rep = build_algebra(3, 3, charge)
+    assert (rep.words, rep.gens) == (expected.words, expected.gens)
 
 
 class _ClashEngine(hecke_desk._Engine):
@@ -821,8 +822,8 @@ class _ClashEngine(hecke_desk._Engine):
 
 
 def test_saturation_refuses_a_wrong_lift(monkeypatch):
-    # T_0 * 1 is solved first and lifts 2 mod 7 to 2; T_0 * t then guesses
-    # 2 t, which the exact combination check must refuse
+    # the columns of T_0 at 1 and at t agree mod 7 (2 and 9): the exact build
+    # keeps 9, where a guess lifted from 7 would give 2
     charge = Multicharge(2, (0,))
     monkeypatch.setattr(hecke_desk, "_Engine", _ClashEngine)
     monkeypatch.setattr(hecke_desk, "reduction_primes", lambda e: itertools.repeat((7, 6)))
@@ -856,19 +857,41 @@ def test_saturation_asks_each_generator_row_once(monkeypatch, l, n, charge):
     (3, 3, Multicharge(2, (0, 1, 2))),
     (2, 3, Multicharge(5, (0, 2))),
 ])
-def test_saturation_lifts_replace_most_exact_solves(monkeypatch, l, n, charge):
-    # one exact support solve per in-span product would be 325 and 97 here
-    solves = []
+def test_saturation_builds_one_span_tracker(monkeypatch, l, n, charge):
+    # one exact tracker per build: every product is expressed once, and each
+    # word, the identity first, inserted once
+    trackers, calls = [], collections.Counter()
 
     class Counting(SpanTracker):
-        def __init__(self, p=None):
-            if p is None:
-                solves.append(p)
-            super().__init__(p)
+        def __init__(self):
+            super().__init__()
+            trackers.append(self)
+
+        def insert(self, vec):
+            calls["insert"] += 1
+            return super().insert(vec)
+
+        def express(self, vec):
+            calls["express"] += 1
+            return super().express(vec)
 
     monkeypatch.setattr(hecke_desk._linalg, "SpanTracker", Counting)
-    build_algebra(l, n, charge)
-    assert 0 < len(solves) <= 10
+    rep = build_algebra(l, n, charge)
+    assert [tracker.dim for tracker in trackers] == [rep.dimension]
+    assert calls == {"insert": rep.dimension, "express": n * rep.dimension}
+
+
+def _record_trackers(monkeypatch) -> list:
+    """Every SpanTracker that hecke_desk makes from now on, in order."""
+    trackers = []
+
+    class Recording(SpanTracker):
+        def __init__(self):
+            super().__init__()
+            trackers.append(self)
+
+    monkeypatch.setattr(hecke_desk._linalg, "SpanTracker", Recording)
+    return trackers
 
 
 _ORDER_CASES = [
@@ -881,7 +904,7 @@ _ORDER_CASES = [
 @pytest.mark.parametrize("l, n, charge", _ORDER_CASES)
 def test_saturation_does_not_depend_on_the_label_order(monkeypatch, l, n, charge):
     # the order picks only each echelon row's pivot column: membership in
-    # the F_p span, the F_p coordinates and the exact ones are unique
+    # the span and the coordinates over the independent words are unique
     expected = build_algebra(l, n, charge, max_dim=384)
 
     def lexicographic(l, n):
@@ -899,15 +922,7 @@ def test_saturation_does_not_depend_on_the_label_order(monkeypatch, l, n, charge
 def test_saturation_in_degree_order_has_little_fill_in(monkeypatch, l, n, charge, per_word):
     # each echelon row's combination over the words holds its own word; in
     # lexicographic label order they held 1084, 1929 and 100 entries here
-    trackers = []
-
-    class Recording(SpanTracker):
-        def __init__(self, p=None):
-            super().__init__(p)
-            if p is not None:
-                trackers.append(self)
-
-    monkeypatch.setattr(hecke_desk._linalg, "SpanTracker", Recording)
+    trackers = _record_trackers(monkeypatch)
     rep = build_algebra(l, n, charge, max_dim=384)
     (tracker,) = trackers
     assert len(tracker._combos) == rep.dimension
@@ -972,19 +987,17 @@ def test_write_json_matches_dense_document(make):
     (2, 4, Multicharge(2, (0, 1))),
 ])
 def test_saturation_over_z_stores_cyc_entries(monkeypatch, l, n, charge):
-    # at phi(e) = 1 the saturation computes on ints, the exact solves' lifts
-    # included; rep.gens keeps Cyc entries of int coefficients: no bare int,
-    # no integral Fraction
-    lifted, lift_types = hecke_desk._lifted, set()
-
-    def recording(fp, lifts, elements, product):
-        lift_types.update(map(type, lifts.values()))
-        return lifted(fp, lifts, elements, product)
-
-    monkeypatch.setattr(hecke_desk, "_lifted", recording)
+    # at phi(e) = 1 the saturation computes on ints: the tracker holds no
+    # integral Fraction; rep.gens keeps Cyc entries of int coefficients: no
+    # bare int, no integral Fraction
+    trackers = _record_trackers(monkeypatch)
     assert type(hecke_desk._Engine(l, n, charge).q) is int
     rep = build_algebra(l, n, charge, max_dim=384)
-    assert lift_types == {int}
+    (tracker,) = trackers
+    stored = [x for table in (tracker._rows, tracker._combos)
+              for row in table.values() for x in row.values()]
+    assert int in {type(x) for x in stored}
+    assert not [x for x in stored if type(x) is Fraction and x.denominator == 1]
     entries = [x for rows in rep.gens for row in rows for x in row.values()]
     assert {type(x) for x in entries} == {Cyc}
     assert {type(c) for x in entries for c in x.coeffs} == {int}

@@ -73,32 +73,19 @@ def test_span_tracker_over_q_zeta3(run):
     _check_run(ncols, vectors, Cyc.zero(3), matrix_rank_cyc)
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    vector_runs(st.integers(-9, 9), st.integers(-1, 1)),
-    st.sampled_from([7, 2**61 - 1]),
-)
-def test_span_tracker_mod_p(run, p):
-    # entries stay below 9 * 2^7, so by Hadamard's bound no nonzero minor of
-    # at most 5 columns reaches 2^61 - 1: at that p the F_p tracker accepts
-    # exactly what the exact one does.  At p = 7, every expressed vector is
-    # its coordinates' combination mod p.
-    ncols, vectors = run
-    exact, modular, gens = SpanTracker(), SpanTracker(p), []
-    for v in vectors:
-        sparse = {c: x for c, x in enumerate(v) if x}
-        inserted = modular.insert(sparse)
-        if p > 7:
-            assert inserted == exact.insert({c: Fraction(x) for c, x in sparse.items()})
-        if inserted:
-            gens.append(v)
-        coords = modular.express(sparse)
-        assert all(0 < f < p for f in coords.values())
-        total = [0] * ncols
-        for k, f in coords.items():
-            total = [t + f * x for t, x in zip(total, gens[k])]
-        assert [(t - x) % p for t, x in zip(total, v)] == [0] * ncols
-    assert modular.dim == len(gens)
+def test_integral_results_stay_int_past_a_pivot_of_two():
+    # multipliers w[c] / 2 that are integral, and every row, combination and
+    # coordinate they leave integral, are ints: no Fraction(k, 1)
+    gens = [{0: 2, 1: 1}, {0: 4, 1: 3, 2: 1}, {0: 6, 1: 5, 2: 4}]
+    tracker = SpanTracker()
+    assert all(tracker.insert(v) for v in gens)
+    coords = tracker.express({0: 10, 1: 8, 2: 5})
+    assert coords == {1: 1, 2: 1}
+    stored = [x for table in (tracker._rows, tracker._combos) for row in table.values()
+              for x in row.values()]
+    rows = echelon(gens)[0]
+    assert {type(x) for x in [*stored, *coords.values()]} == {int}
+    assert {type(x) for row in rows.values() for x in row.values()} == {int}
 
 
 def dense_rref(rows, ncols):
