@@ -3,7 +3,8 @@ truthiness (Fraction, cyclotomic numbers), and over plain ints read as
 rationals: +-1 is its own inverse, another int pivot becomes a Fraction.
 
 Every library matrix is sparse dicts (column -> nonzero entry); the dense
-`rref`, `matrix_rank` and `mat_mul` serve only tests and the benchmark tracer.
+`rref`, `matrix_rank` and `mat_mul` serve only tests and the benchmark tracer,
+also over Q(zeta_e) as `cyclotomic.matrix_rank_cyc` and `mat_mul_cyc`.
 
 `echelon`, the exact forward elimination, never scales a row: the pivot's
 inverse enters only each step's multiplier, so entries stay in Z or Z[zeta_e]

@@ -70,7 +70,9 @@ def signatures(
 ) -> tuple[SignatureReport, ...]:
     """The i-signature of mp for every residue i in 0..e-1, from one listing
     of its addable and removable boxes put in order once; a box's residue is
-    its component's residue offset by col - row."""
+    its component's residue offset by col - row; ValueError for a lower level."""
+    if len(mp.components) < len(charge.s):  # a higher level fails at its first extra component
+        raise ValueError(f"level mismatch: {mp.level} vs {charge.level}")
     bases = [_charge_of(j, charge) for j in range(1, mp.level + 1)]
     marked = [("+", box) for box in addable_boxes(mp, charge)]
     marked += [("-", box) for box in removable_boxes(mp, charge)]

@@ -22,19 +22,17 @@ from ._rat import RAT
 _SCALARS = (int, Fraction)
 
 
-def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
-    """Exact division of integer polynomials (ascending coefficients)."""
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for k in range(len(out) - 1, -1, -1):
-        c = num[len(den) - 1 + k]
-        assert c % den[-1] == 0
-        q = c // den[-1]
-        out[k] = q
-        for j, d in enumerate(den):
-            num[j + k] -= q * d
-    assert all(v == 0 for v in num)
-    return out
+def divmod_monic(num: list, den: list) -> tuple[list, list]:
+    """(q, r) with num = q * den + r and deg r < deg den, by long division by
+    a monic den; ascending coefficients over any exact ring (ints, `Cyc`,
+    ints read mod p).  r has exactly len(den) - 1 entries, padded with int
+    zeros when num is shorter than den, and q is then empty."""
+    d, out = len(den) - 1, list(num)
+    for k in range(len(out) - 1, d - 1, -1):  # out[k] is then q[k - d]
+        q = out[k]
+        for j in range(d):
+            out[k - d + j] -= q * den[j]
+    return out[d:], out[:d] + [0] * (d - len(out))
 
 
 @lru_cache(maxsize=None)
@@ -42,13 +40,11 @@ def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
     """Coefficients of Phi_e, ascending, monic with integer entries."""
     if e < 1:
         raise ValueError("e must be positive")
-    if e == 1:
-        return (-1, 1)
-    poly = [0] * e + [1]
-    poly[0] = -1  # x^e - 1
+    poly = [-1] + [0] * (e - 1) + [1]  # x^e - 1, Phi_1 at e = 1
     for d in range(1, e):
         if e % d == 0:
-            poly = _poly_divexact(poly, list(cyclotomic_polynomial(d)))
+            poly, rem = divmod_monic(poly, cyclotomic_polynomial(d))
+            assert not any(rem)
     return tuple(poly)
 
 
@@ -306,30 +302,16 @@ def _mul_rows_rational(a: list, b: list, e: int) -> list:
     return out
 
 
-def sparse_rows(mat: list) -> list:
-    """The rows {column: nonzero entry} of a dense matrix."""
-    return [{c: x for c, x in enumerate(row) if x} for row in mat]
-
-
-def dense_rows(rows: list, ncols: int, zero: Cyc) -> list:
-    """The dense matrix of sparse rows, zero filled."""
-    return [[row.get(c, zero) for c in range(ncols)] for row in rows]
-
-
 def mat_mul_cyc(a: list, b: list) -> list:
-    """Dense matrix product over Q(zeta_e), by `mul_rows`; for the tests and
-    the benchmark tracer, as the Hecke side multiplies sparse rows."""
-    product = mul_rows(sparse_rows(a), sparse_rows(b))
-    return dense_rows(product, len(b[0]), Cyc.zero(b[0][0].e))
+    """`_linalg.mat_mul` over Q(zeta_e), for the tests and the benchmark tracer."""
+    return _linalg.mat_mul(a, b, Cyc.zero(b[0][0].e))
 
 
 def _nonzero_coeffs(x: Cyc) -> list[tuple]:
     return [(i, c) for i, c in enumerate(x.coeffs) if c]
 
 
-def matrix_rank_cyc(rows: list, ncols: int) -> int:
-    """Rank over Q(zeta_e), eliminating on the cyclotomic entries themselves."""
-    return _linalg.matrix_rank(rows, ncols)
+matrix_rank_cyc = _linalg.matrix_rank
 
 
 def _is_prime(n: int) -> bool:

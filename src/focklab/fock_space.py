@@ -91,11 +91,7 @@ class FockVector:
         return FockVector(out)
 
     def __sub__(self, other: "FockVector") -> "FockVector":
-        out = dict(self.terms)
-        for mp, c in other.terms.items():
-            prev = out.get(mp)
-            out[mp] = -c if prev is None else prev - c
-        return FockVector(out)
+        return self + (-other)
 
     def __neg__(self) -> "FockVector":
         return FockVector({mp: -c for mp, c in self.terms.items()})
@@ -158,22 +154,24 @@ def parse_vector(text: str, level: int | None = None) -> FockVector:
 
 def apply_e(i: int, v: FockVector, charge: Multicharge) -> FockVector:
     """Remove one residue-i box in every admissible way, extended linearly.
-    Raises ValueError for a residue outside 0..e-1."""
+    Raises ValueError for a residue outside 0..e-1 or a lower level."""
     return _move_boxes(removable_boxes, -1, i, v, charge)
 
 
 def apply_f(i: int, v: FockVector, charge: Multicharge) -> FockVector:
     """Add one residue-i box in every admissible way, extended linearly.
-    Raises ValueError for a residue outside 0..e-1."""
+    Raises ValueError for a residue outside 0..e-1 or a lower level."""
     return _move_boxes(addable_boxes, 1, i, v, charge)
 
 
 def _move_boxes(listing, step: int, i: int, v: FockVector, charge: Multicharge):
     """One pass per term of v, targets built by the trusted move: they keep v's
     level and Fraction sums, so the image is not re-validated; zero sums (only
-    across terms) are dropped."""
+    across terms) are dropped; a higher level raises at its first extra component."""
     if not 0 <= i < charge.e:
         raise ValueError(f"residue {i} out of 0..{charge.e - 1}")
+    if v.terms and (level := len(next(iter(v.terms)).components)) < len(charge.s):
+        raise ValueError(f"level mismatch: {level} vs {charge.level}")
     out: dict[Multipartition, Fraction] = {}
     for mp, c in v.terms.items():
         for box in listing(mp, charge, i):
@@ -256,14 +254,3 @@ def primitive_basis(n: int, charge: Multicharge) -> list[FockVector]:
             coords = tracker.express(row).items()
             basis.append(FockVector({mp: 1, **{gens[j]: -c for j, c in coords}}))
     return basis
-
-
-def verify_pieri(mp: Multipartition, charge: Multicharge) -> bool:
-    """Residue-summed operators match the unfiltered one-box rules."""
-    v = FockVector.basis(mp)
-    e_expected = FockVector({_with_component(mp, b, -1): 1 for b in removable_boxes(mp, charge)})
-    f_expected = FockVector({_with_component(mp, b, 1): 1 for b in addable_boxes(mp, charge)})
-    zero = FockVector.zero()
-    e_sum = sum((apply_e(i, v, charge) for i in range(charge.e)), zero)
-    f_sum = sum((apply_f(i, v, charge) for i in range(charge.e)), zero)
-    return e_sum == e_expected and f_sum == f_expected

@@ -46,7 +46,7 @@ from math import factorial
 from operator import mul
 
 from . import _linalg
-from .cyclotomic import Cyc, mod_p, mul_rows, reduction_primes
+from .cyclotomic import Cyc, divmod_monic, mod_p, mul_rows, reduction_primes
 from .multipartition import (
     Multicharge,
     Multipartition,
@@ -492,24 +492,23 @@ class CharacterSpectrum:
 def _minimal_polynomial(rows: list, one: Cyc) -> list:
     """Ascending minimal polynomial of z in A, where `rows` are L_z's sparse
     rows, by Krylov on the identity word: f(L_z) e_0 = f(z), and A acts
-    faithfully, so it is L_z's too."""
+    faithfully, so it is L_z's too.  Each z^k e_0 is reduced by its insert;
+    only the first dependent one, which the insert refuses, again by express."""
     tracker, vec, zero = _linalg.SpanTracker(), {0: one}, one * 0
-    while (coords := tracker.express(vec)) is None:
-        tracker.insert(vec)
+    while tracker.insert(vec):
         column = mul_rows(rows, [{0: vec[r]} if r in vec else {} for r in range(len(rows))])
         vec = {r: x[0] for r, x in enumerate(column) if x}
+    coords = tracker.express(vec)
     return [-coords.get(i, zero) for i in range(tracker.dim)] + [one]
 
 
 def _split_root(poly: list, c) -> tuple[int, list]:
     """The multiplicity a of c as a root of poly, and poly / (x - c)^a."""
     for a in count():
-        quotient = [poly[-1]]  # synthetic division; the last entry is poly(c)
-        for coeff in reversed(poly[:-1]):
-            quotient.append(coeff + c * quotient[-1])
-        if quotient.pop():
+        quotient, (value,) = divmod_monic(poly, [-c, 1])  # value = poly(c)
+        if value:
             return a, poly
-        poly = quotient[::-1]
+        poly = quotient
 
 
 def _idempotents(minimal: list, roots: dict, rest: bool, p: int, omega: int) -> dict:
@@ -522,15 +521,11 @@ def _idempotents(minimal: list, roots: dict, rest: bool, p: int, omega: int) -> 
     d = len(m) - 1
 
     def mul_mod(a: list, b: list) -> list:  # a * b mod m, deg m coefficients
-        out = [0] * max(len(a) + len(b) - 1, d)
+        out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             for j, y in enumerate(b):
                 out[i + j] += x * y
-        while len(out) > d:  # x^d = -(m_0 + m_1 x + ... + m_(d-1) x^(d-1))
-            f = out.pop() % p
-            for i, y in enumerate(m[:-1], len(out) - d):
-                out[i] -= f * y
-        return [x % p for x in out]
+        return [x % p for x in divmod_monic(out, m)[1]]
 
     pis, left = {}, [1] + [0] * (d - 1)
     for c, (a, g) in roots.items():
@@ -628,10 +623,12 @@ def central_characters(
     sums the dimensions d(i) of `joint_eigenspaces` on the J_i, exact by
     construction.  `spectral_support` fails at k when a tuple with None at k
     has d > 0: e_k has an eigenvalue that is no candidate's.
-    `spectral_mass` requires the d_chi to sum to l^n * n!.
+    `spectral_mass` requires the d_chi to sum to l^n * n!.  Another n, level
+    or e than rep's raises ValueError; another s is allowed.
     """
-    if n != rep.n:
-        raise ValueError(f"rep was built for n={rep.n}, asked for n={n}")
+    if (n, charge.level, charge.e) != (rep.n, rep.l, rep.charge.e):
+        raise ValueError(f"rep was built for n={rep.n}, l={rep.l}, e={rep.charge.e}; "
+                         f"asked for n={n}, l={charge.level}, e={charge.e}")
     candidates: dict[CentralCharacter, list[Multipartition]] = {}
     for mp in enumerate_multipartitions(n, rep.l):
         candidates.setdefault(a_poly(mp, charge), []).append(mp)

@@ -110,6 +110,18 @@ def test_signature_residue_out_of_range():
             signature(i, mp("[[1]]"), c)
 
 
+def test_signatures_refuse_a_level_below_the_charge():
+    # a level-1 shape at a level-2 charge has no second component to read:
+    # every signature and crystal move raises, as wt does
+    c = Multicharge(2, (0, 1))
+    with pytest.raises(ValueError, match="level mismatch: 1 vs 2"):
+        signatures(mp("[[1]]"), c)
+    for op in (signature, crystal_e, crystal_f):
+        for i in range(c.e):
+            with pytest.raises(ValueError, match="level mismatch: 1 vs 2"):
+                op(i, mp("[[1]]"), c)
+
+
 def test_crystal_e_examples():
     c = Multicharge(2, (0,))
     for i in range(2):

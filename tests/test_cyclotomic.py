@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, zip_longest
 from math import gcd
 
 import pytest
@@ -12,13 +12,12 @@ from focklab.cyclotomic import (
     Cyc,
     _is_prime,
     cyclotomic_polynomial,
-    dense_rows,
+    divmod_monic,
     mat_mul_cyc,
     matrix_rank_cyc,
     mod_p,
     mul_rows,
     reduction_primes,
-    sparse_rows,
 )
 
 KNOWN = {
@@ -32,6 +31,16 @@ KNOWN = {
     9: (1, 0, 0, 1, 0, 0, 1),
     12: (1, 0, -1, 0, 1),
 }
+
+
+def sparse_rows(mat: list) -> list:
+    """The rows {column: nonzero entry} of a dense matrix."""
+    return [{c: x for c, x in enumerate(row) if x} for row in mat]
+
+
+def dense_rows(rows: list, ncols: int, zero: Cyc) -> list:
+    """The dense matrix of sparse rows, zero filled."""
+    return [[row.get(c, zero) for c in range(ncols)] for row in rows]
 
 
 def test_cyclotomic_polynomials():
@@ -141,6 +150,52 @@ def test_equality_and_hash():
     assert Cyc.zeta(3) != Cyc.from_rational(1, 3)
     with pytest.raises(ValueError):
         Cyc.zeta(3) + Cyc.zeta(5)
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_add(a, b):
+    """a + b with trailing zeros stripped."""
+    out = [x + y for x, y in zip_longest(a, b, fillvalue=0)]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-9, 9), max_size=8), st.lists(st.integers(-9, 9), max_size=4))
+def test_divmod_monic_over_ints(num, den_low):
+    den = den_low + [1]
+    q, r = divmod_monic(num, den)
+    assert len(r) == len(den) - 1  # deg r < deg den, zero padded
+    assert len(q) == max(len(num) - len(den) + 1, 0)
+    assert _poly_add(_poly_mul(q, den), r) == _poly_add(num, [])
+
+
+def test_divmod_monic_cases():
+    # x^12 - 1 is the product of the Phi_d, d | 12: exact, remainder 0
+    num = [-1] + [0] * 11 + [1]
+    for d in (1, 2, 3, 4, 6):
+        num, r = divmod_monic(num, cyclotomic_polynomial(d))
+        assert r == [0] * (len(cyclotomic_polynomial(d)) - 1)
+    assert tuple(num) == cyclotomic_polynomial(12)
+    # a num shorter than den: q is empty, r is num padded to deg den entries
+    assert divmod_monic([5, 7], [1, 0, 0, 1]) == ([], [5, 7, 0])
+    assert divmod_monic([], [3, 1]) == ([], [0])
+    # over Q(zeta_3): num = (x - z)(x - z^2) * (x + 1/2) + 3z, by den = (x - z)(x - z^2)
+    z, one = Cyc.zeta(3), Cyc.one(3)
+    den = _poly_mul([-z, one], [-z * z, one])
+    assert den == [one, one, one]  # Phi_3
+    num = [x + y for x, y in zip(_poly_mul(den, [one / 2, one]), [3 * z, 0, 0, 0])]
+    assert divmod_monic(num, den) == ([one / 2, one], [3 * z, 0 * one])
+    q, (value,) = divmod_monic(num, [-z, 1])  # the remainder is num(z) = 3z
+    assert value == 3 * z and _poly_add(_poly_mul(q, [-z, 1]), [value]) == num
 
 
 def test_json_coefficients():

@@ -24,7 +24,6 @@ from focklab import (
     primitive_basis,
     residue,
     simple_root,
-    verify_pieri,
     wt,
 )
 from focklab.fock_space import operator_matrix, parse_vector
@@ -99,6 +98,18 @@ def test_operators_refuse_components_beyond_the_charge():
                 op(i, basis("[[1],[1]]"), short)
     with pytest.raises(ValueError, match=r"component 2 out of 1\.\.1"):
         apply_f(0, basis("[[1],[]]"), short)
+
+
+def test_operators_refuse_a_level_below_the_charge():
+    # as apply_h and wt do, rather than act as if the charge were shorter
+    c = Multicharge(2, (0, 1))
+    for op in (apply_e, apply_f, apply_h):
+        for i in range(c.e):
+            with pytest.raises(ValueError, match="level mismatch: 1 vs 2"):
+                op(i, basis("[[1]]"), c)
+            with pytest.raises(ValueError, match="level mismatch: 1 vs 3"):
+                op(i, basis("[[1]]") + basis("[[2]]"), Multicharge(2, (0, 1, 1)))
+    assert apply_e(0, FockVector.zero(), c) == FockVector.zero()
 
 
 def test_operators_refuse_a_residue_outside_0_to_e_minus_1():
@@ -180,13 +191,6 @@ def test_primitive_basis_matches_dense_oracle(charge):
     # equal vectors in the same order, ranks 0-6 (0-4 at level 3)
     for n in range(7 if charge.level < 3 else 5):
         assert primitive_basis(n, charge) == dense_primitive_basis(n, charge), n
-
-
-def test_verify_pieri_examples():
-    c = Multicharge(2, (0,))
-    assert verify_pieri(Multipartition.empty(1), c)
-    assert verify_pieri(parse_multipartition("[[2,1]]"), c)
-    assert verify_pieri(parse_multipartition("[[1],[1]]"), Multicharge(2, (0, 1)))
 
 
 @st.composite

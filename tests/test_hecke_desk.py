@@ -35,7 +35,6 @@ from focklab import (
 from focklab._linalg import SpanTracker, mat_mul, matrix_rank
 from focklab.cyclotomic import (
     Cyc,
-    dense_rows,
     matrix_rank_cyc,
     mod_p,
     mul_rows,
@@ -50,6 +49,7 @@ from focklab.hecke_desk import (
 from focklab.multipartition import Multipartition, remove_box
 from focklab.structure_analysis import AxiomReport
 from test_acceptance import specht_dimension
+from test_cyclotomic import dense_rows
 from test_linalg import realify
 
 
@@ -329,6 +329,39 @@ def test_spectrum_reports_witness_foreign_charge(hecke_reps):
         {"k": 1, "nilpotent": False},
         {"k": 2, "nilpotent": False},
     )
+
+
+def test_spectrum_refuses_a_charge_of_another_level_or_e(hecke_reps):
+    # a charge of level 3 would read the rank-2 shapes of level 2 and drop
+    # the third component; one over e = 4 mixes Q(zeta_3) and Q(zeta_4)
+    rep = hecke_reps(2, 2, 3)
+    with pytest.raises(ValueError, match="asked for n=2, l=3, e=3"):
+        central_characters(rep, 2, Multicharge(3, (0, 1, 2)))
+    with pytest.raises(ValueError, match="asked for n=2, l=2, e=4"):
+        central_characters(rep, 2, Multicharge(4, (0, 1)))
+
+
+@pytest.mark.parametrize("l,n,e", [(2, 2, 3), (1, 3, 2)])
+def test_minimal_polynomial_reduces_each_krylov_vector_once(hecke_reps, monkeypatch, l, n, e):
+    # deg + 1 inserts, the last one refused, and one express for the first
+    # dependent vector
+    calls = collections.Counter()
+
+    class Counting(SpanTracker):
+        def insert(self, vec):
+            calls["insert"] += 1
+            return super().insert(vec)
+
+        def express(self, vec):
+            calls["express"] += 1
+            return super().express(vec)
+
+    rep = hecke_reps(l, n, e)
+    monkeypatch.setattr(hecke_desk._linalg, "SpanTracker", Counting)
+    for k in range(n):
+        calls.clear()
+        minimal = _minimal_polynomial(symmetric_jm(rep, k + 1), rep.one())
+        assert calls == {"insert": len(minimal), "express": 1}, k
 
 
 @pytest.mark.parametrize("l,n,e", [(2, 2, 2), (1, 3, 2)])
@@ -1039,11 +1072,10 @@ def test_build_reaches_dim_384():
 
 
 # the dense-matrix helpers, kept for the tests and the benchmark tracer; the
-# two dense wrappers may name the helpers they are written with
+# dense wrapper may name the product it is written with
 DENSE_NAMES = frozenset({"rref", "kernel_basis", "matrix_rank", "mat_mul", "mat_mul_cyc",
                          "matrix_rank_cyc", "sparse_rows", "dense_rows", "operator_matrix"})
-DENSE_WRAPPERS = {"mat_mul_cyc": {"sparse_rows", "dense_rows"},
-                  "matrix_rank_cyc": {"matrix_rank"}}
+DENSE_WRAPPERS = {"mat_mul_cyc": {"mat_mul"}}
 
 
 def _names(nodes):
