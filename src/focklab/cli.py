@@ -139,27 +139,30 @@ def cmd_apply(args) -> int:
     return 0
 
 
+def _shape_counts(level: int, max_rank: int) -> list[int]:
+    """The number of level-`level` multipartitions of each rank 0..max_rank."""
+    single = [1] + [0] * max_rank
+    for part in range(1, max_rank + 1):
+        for total in range(part, max_rank + 1):
+            single[total] += single[total - part]
+    counts = [1] + [0] * max_rank
+    for _ in range(level):
+        counts = [sum(counts[k] * single[t - k] for k in range(t + 1))
+                  for t in range(max_rank + 1)]
+    return counts
+
+
+def _check_budget(predicted: int, unit: str) -> None:
+    if predicted > MAX_GRAPH_NODES:
+        raise UsageError(f"resource bound exceeded: {predicted} {unit} > {MAX_GRAPH_NODES}")
+
+
 def _check_node_budget(charge: Multicharge, max_rank: int) -> None:
     """Refuse, before any work, a negative rank bound or one whose predicted
     graph node count exceeds MAX_GRAPH_NODES."""
     if max_rank < 0:
         raise UsageError("max_rank must be nonnegative")
-    single = [0] * (max_rank + 1)
-    single[0] = 1
-    for part in range(1, max_rank + 1):
-        for total in range(part, max_rank + 1):
-            single[total] += single[total - part]
-    counts = [1] + [0] * max_rank
-    for _ in range(charge.level):
-        counts = [
-            sum(counts[k] * single[t - k] for k in range(t + 1))
-            for t in range(max_rank + 1)
-        ]
-    predicted = sum(counts)
-    if predicted > MAX_GRAPH_NODES:
-        raise UsageError(
-            f"resource bound exceeded: {predicted} nodes > {MAX_GRAPH_NODES}"
-        )
+    _check_budget(sum(_shape_counts(charge.level, max_rank)), "nodes")
 
 
 def cmd_crystal_graph(args) -> int:
@@ -182,6 +185,7 @@ def cmd_blocks(args) -> int:
     charge = _charge(args)
     if args.rank < 0:
         raise UsageError("rank must be nonnegative")
+    _check_budget(_shape_counts(charge.level, args.rank)[-1], "shapes")
     groups: dict = {}
     for mp in enumerate_multipartitions(args.rank, charge.level):
         groups.setdefault(wt(mp, charge), []).append(mp)
@@ -246,6 +250,8 @@ def cmd_verify(args) -> int:
     suite = args.suite
     if suite != "hecke":
         _check_node_budget(charge, args.max_rank)
+    if suite == "all":  # the Hecke arguments are refused before the other suites run
+        hecke_desk.checked_dimension(charge.level, args.n, charge)
     if suite in ("fock", "all"):
         _emit(
             "fock",

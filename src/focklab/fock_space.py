@@ -205,11 +205,6 @@ def depth(i: int, v: FockVector, charge: Multicharge) -> int | float:
         k += 1
 
 
-def in_filtration(i: int, bound: int, v: FockVector, charge: Multicharge) -> bool:
-    """Membership in the sub-bound depth filtration layer."""
-    return depth(i, v, charge) < bound
-
-
 def operator_matrix(
     i: int,
     charge: Multicharge,

@@ -13,6 +13,8 @@ as its exact coordinates.  When phi(e) = 1 it computes on ints, through the
 ring isomorphism Z[zeta_e] -> Z, and stores `Cyc` entries.  The closure
 must reach dimension l^n * n! exactly, and every defining relation must
 vanish as a matrix.  Nothing is trusted to the straightening rules alone.
+The rep stores only the charge, the words and the generator matrices: q =
+zeta_e and Q_j = zeta_e^(s_j) are read off the charge where a check needs them.
 
 Each check returns `AxiomReport`s: `check_relations` for the presentation,
 `check_jm` for the Jucys-Murphy twist, commutation and centrality,
@@ -62,21 +64,6 @@ DEFAULT_DIM_BOUND = 200
 CERTIFY_PRIMES = 3
 
 
-@dataclass(frozen=True)
-class HeckeParams:
-    """The Hecke parameters: q = zeta_e and the cyclotomic Q_j = zeta_e^(s_j)."""
-
-    q: Cyc
-    q_list: tuple[Cyc, ...]
-
-
-def params_from_charge(charge: Multicharge) -> HeckeParams:
-    return HeckeParams(
-        q=Cyc.zeta(charge.e),
-        q_list=tuple(Cyc.zeta(charge.e, sp) for sp in charge.s),
-    )
-
-
 def _swap_values(w: tuple[int, ...], a: int) -> tuple[int, ...]:
     # left multiplication by the simple reflection exchanging values a, a+1
     return tuple(a + 1 if x == a else a if x == a + 1 else x for x in w)
@@ -89,7 +76,7 @@ class _Engine:
         self.l = l
         self.n = n
         self.e = charge.e
-        q, one = params_from_charge(charge).q, Cyc.one(self.e)
+        q, one = Cyc.zeta(self.e), Cyc.one(self.e)
         # sigma[k - 1] = e_k(q_1..q_l), for J_0^l: q_j = zeta^(s_j) is the
         # residue exponential of the box (1, 1) of component j, so these are
         # the character values of the shape with one box per component
@@ -155,16 +142,25 @@ def _all_labels(l: int, n: int) -> list:
 
 @dataclass
 class FinDimAlgebraRep:
-    """Generator matrices of the left regular representation."""
+    """Generator matrices of the left regular representation of the Hecke
+    algebra of `charge`, with q = zeta_e and Q_j = zeta_e^(s_j)."""
 
-    l: int
-    n: int
     charge: Multicharge
-    params: HeckeParams
-    dimension: int
     words: tuple[tuple[int, ...], ...]
     gens: list  # per generator T_g, its rows {column: nonzero Cyc}
     _jm_cache: list | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def l(self) -> int:
+        return self.charge.level
+
+    @property
+    def n(self) -> int:
+        return len(self.gens)
+
+    @property
+    def dimension(self) -> int:
+        return len(self.words)
 
     def word_labels(self) -> list[str]:
         return [
@@ -184,17 +180,36 @@ class FinDimAlgebraRep:
         dump = json.JSONEncoder(separators=(",", ":")).encode
         head = {"e": self.charge.e, "s": list(self.charge.s), "l": self.l, "n": self.n,
                 "dimension": self.dimension, "words": self.word_labels()}
-        zero, cells = dump(self.zero().to_json()), {}
+        zero, cells, dim = dump(self.zero().to_json()), {}, self.dimension
         out.write(dump(head)[:-1] + ',"generators":[')
         for g, mat in enumerate(self.gens):
             out.write(",[" if g else "[")
             for r, row in enumerate(mat):
-                dense = [zero] * self.dimension
+                dense = [zero] * dim
                 for c, x in row.items():
                     dense[c] = cells.get(x.coeffs) or cells.setdefault(x.coeffs, dump(x.to_json()))
                 out.write((",[" if r else "[") + ",".join(dense) + "]")
             out.write("]")
         out.write("]}\n")
+
+
+def checked_dimension(l: int, n: int, charge: Multicharge, max_dim: int | None = None) -> int:
+    """l^n * n!, the dimension `build_algebra` must reach; ValueError unless l, n
+    and the bound (`max_dim`, else FOCK_MAX_DIM, else DEFAULT_DIM_BOUND) admit it."""
+    if l != charge.level:
+        raise ValueError(f"level mismatch: l={l} but charge has {charge.level}")
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    target = l**n * factorial(n)
+    if max_dim is None:
+        raw = os.environ.get("FOCK_MAX_DIM", str(DEFAULT_DIM_BOUND))
+        try:
+            max_dim = int(raw)
+        except ValueError:
+            raise ValueError(f"FOCK_MAX_DIM must be an integer, got {raw!r}") from None
+    if target > max_dim:
+        raise ValueError(f"dimension overflow: l^n*n! = {target} exceeds bound {max_dim}")
+    return target
 
 
 def build_algebra(
@@ -208,38 +223,14 @@ def build_algebra(
     its generator matrix column, one outside it joins the basis as a unit
     column.  The closure dimension must equal l^n * n!; else it raises.
     """
-    if l != charge.level:
-        raise ValueError(f"level mismatch: l={l} but charge has {charge.level}")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    target = l**n * factorial(n)
-    if max_dim is None:
-        raw = os.environ.get("FOCK_MAX_DIM", str(DEFAULT_DIM_BOUND))
-        try:
-            max_dim = int(raw)
-        except ValueError:
-            raise ValueError(f"FOCK_MAX_DIM must be an integer, got {raw!r}") from None
-    if target > max_dim:
-        raise ValueError(
-            f"dimension overflow: l^n*n! = {target} exceeds bound {max_dim}"
-        )
-
+    target = checked_dimension(l, n, charge, max_dim)
     words, gens = _saturate(_Engine(l, n, charge), target)
     if len(words) != target:
         raise RuntimeError(
             f"closure dimension {len(words)} != l^n*n! = {target}; "
             "generator rules and presentation are inconsistent"
         )
-
-    return FinDimAlgebraRep(
-        l=l,
-        n=n,
-        charge=charge,
-        params=params_from_charge(charge),
-        dimension=target,
-        words=tuple(words),
-        gens=gens,
-    )
+    return FinDimAlgebraRep(charge, tuple(words), gens)
 
 
 def _saturate(engine: _Engine, target: int):
@@ -308,7 +299,7 @@ def _scale(rows: list, f: Cyc) -> list:
 
 def check_relations(rep: FinDimAlgebraRep) -> list[AxiomReport]:
     """Evaluate every defining relation as a matrix identity, on sparse rows."""
-    gens, q, zero = rep.gens, rep.params.q, rep.zero()
+    gens, e, zero = rep.gens, rep.charge.e, rep.zero()
     witnesses: list[dict] = []
 
     def shifted(g: int, c: Cyc) -> list:  # T_g - c, on the diagonal only
@@ -326,11 +317,11 @@ def check_relations(rep: FinDimAlgebraRep) -> list[AxiomReport]:
                 return [{"relation": name, "row": r, "col": c, "entry": str(entry)}]
         return []
 
-    acc = reduce(mul_rows, [shifted(0, qp) for qp in rep.params.q_list])
+    acc = reduce(mul_rows, [shifted(0, Cyc.zeta(e, sj)) for sj in rep.charge.s])
     witnesses += witness("cyclotomic_T0", acc)
 
     for i in range(1, rep.n):
-        prod = mul_rows(shifted(i, -rep.one()), shifted(i, q))
+        prod = mul_rows(shifted(i, -rep.one()), shifted(i, Cyc.zeta(e)))
         witnesses += witness(f"quadratic_T{i}", prod)
 
     if rep.n >= 2:
@@ -353,7 +344,7 @@ def jm_elements(rep: FinDimAlgebraRep) -> list:
     q + 1), and the cyclotomic relation of T_0 has constant term +-prod_j Q_j
     != 0."""
     if rep._jm_cache is None:
-        gens, qinv = rep.gens, rep.params.q.inverse()
+        gens, qinv = rep.gens, Cyc.zeta(rep.charge.e, -1)
         jms = [gens[0]]
         for i in range(1, rep.n):
             jms.append(_scale(mul_rows(mul_rows(gens[i], jms[-1]), gens[i]), qinv))
@@ -408,7 +399,7 @@ def check_jm(rep: FinDimAlgebraRep) -> list[AxiomReport]:
     twist_bad = [
         {"i": i}
         for i in range(1, rep.n)
-        if applied(gens[i], jms[i - 1], gens[i]) != _scale(applied(jms[i]), rep.params.q)
+        if applied(gens[i], jms[i - 1], gens[i]) != _scale(applied(jms[i]), Cyc.zeta(rep.charge.e))
     ]
     commute_bad = [
         {"i": i, "j": j}
@@ -441,21 +432,6 @@ class CentralCharacter:
 
     e: int
     values: tuple[Cyc, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-    def poly_string(self) -> str:
-        terms = [f"z^{self.n}" if self.n > 1 else "z"]
-        for k, v in enumerate(self.values, start=1):
-            if not v:
-                continue
-            sign = -v if k % 2 == 1 else v
-            power = self.n - k
-            mono = "" if power == 0 else ("*z" if power == 1 else f"*z^{power}")
-            terms.append(f"+ ({sign}){mono}")
-        return " ".join(terms)
 
     def to_json(self) -> list[list[str]]:
         return [v.to_json() for v in self.values]

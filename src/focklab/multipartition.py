@@ -128,10 +128,6 @@ def parse_multipartition(text: str, level: int | None = None) -> Multipartition:
     return mp
 
 
-def format_multipartition(mp: Multipartition) -> str:
-    return mp.serialize()
-
-
 def boxes(mp: Multipartition) -> set[BoxCoord]:
     """All cells of the diagram; cardinality equals the rank."""
     out: set[BoxCoord] = set()

@@ -53,10 +53,6 @@ class AffineWeight:
         if self.e != other.e:
             raise ValueError(f"mixed lattice ranks {self.e} and {other.e}")
 
-    def delta_truncated(self) -> "AffineWeight":
-        """The same weight with the delta coordinate forgotten."""
-        return AffineWeight(self.lam, 0)
-
     def to_json(self) -> dict:
         return {"lambda": list(self.lam), "delta": self.delta}
 
@@ -71,11 +67,6 @@ def fundamental(i: int, e: int) -> AffineWeight:
     lam = [0] * e
     lam[i] = 1
     return AffineWeight(tuple(lam), 0)
-
-
-def fundamental_of_integer(n: int, e: int) -> AffineWeight:
-    """L_n for any integer n, read modulo e."""
-    return fundamental(n % e, e)
 
 
 def cartan_entry(i: int, j: int, e: int) -> int:
@@ -135,8 +126,3 @@ def wt(mp: Multipartition, charge: Multicharge) -> AffineWeight:
         lam[(i - 1) % e] += n_i
         lam[(i + 1) % e] += n_i
     return AffineWeight(tuple(lam), -counts[0])
-
-
-def level(w: AffineWeight) -> int:
-    """Pairing with the central element: the sum of fundamental coefficients."""
-    return sum(w.lam)

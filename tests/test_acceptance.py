@@ -41,7 +41,7 @@ from focklab import (
     symmetric_jm,
     wt,
 )
-from focklab.cyclotomic import mul_rows
+from focklab.cyclotomic import Cyc, mul_rows
 from focklab.structure_analysis import kernel_dimension_by_weight
 from focklab.weight_lattice import cartan_entry
 
@@ -239,7 +239,7 @@ def test_criterion_7_hecke_workbench(hecke_reps):
         assert relations.status == "pass", (l, n, e, relations.witnesses[:1])
         # sparse rows store no zero, so equal matrices have equal rows
         jms = jm_elements(rep)
-        q = rep.params.q
+        q = Cyc.zeta(rep.charge.e)
         for i in range(1, n):
             twisted = mul_rows(mul_rows(rep.gens[i], jms[i - 1]), rep.gens[i])
             scaled = [{c: x * q for c, x in row.items()} for row in jms[i]]

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from focklab import cli, enumerate_multipartitions, structure_analysis
 from focklab.cli import main
 
 
@@ -143,6 +144,27 @@ def test_blocks_examples(capsys):
     assert len(json.loads(out)["blocks"]) == 1
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("work started past a refused argument")
+
+
+def test_blocks_resource_bound(capsys, monkeypatch):
+    # level 2: 49 010 shapes of rank 22, 68 150 of rank 23; refused unenumerated
+    monkeypatch.setattr(cli, "enumerate_multipartitions", _refuse)
+    code = main(["--e", "2", "--s", "0,1", "blocks", "23"])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert captured.err == "error: resource bound exceeded: 68150 shapes > 50000\n"
+    code = main(["--e", "2", "--s", "0,1", "blocks", "-1"])
+    assert code == 2 and "rank must be nonnegative" in capsys.readouterr().err
+
+
+def test_shape_counts_match_enumeration():
+    for level in (1, 2, 3):
+        counted = [len(enumerate_multipartitions(r, level)) for r in range(7)]
+        assert cli._shape_counts(level, 6) == counted
+
+
 def test_verify_fock(capsys):
     code, out = run(capsys, "verify", "fock", "--e", "2", "--s", "0",
                     "--max-rank", "4")
@@ -273,6 +295,22 @@ def test_dim_bound_env(capsys, monkeypatch):
     monkeypatch.setenv("FOCK_MAX_DIM", "8")
     assert main(["--e", "2", "--s", "0,1", "--n", "2", "hecke-build"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("n, env, err", [
+    ("5", None, "error: dimension overflow: l^n*n! = 3840 exceeds bound 200\n"),
+    ("0", None, "error: n must be at least 1\n"),
+    ("2", "abc", "error: FOCK_MAX_DIM must be an integer, got 'abc'\n"),
+])
+def test_verify_all_refuses_hecke_arguments_before_any_suite(capsys, monkeypatch, n, env, err):
+    if env is None:
+        monkeypatch.delenv("FOCK_MAX_DIM", raising=False)
+    else:
+        monkeypatch.setenv("FOCK_MAX_DIM", env)
+    monkeypatch.setattr(structure_analysis, "check_fock_relations", _refuse)
+    code = main(["verify", "all", "--e", "2", "--s", "0,1", "--max-rank", "3", "--n", n])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and captured.err == err
 
 
 def test_dim_bound_env_names_the_variable(capsys, monkeypatch):

@@ -18,7 +18,6 @@ from focklab import (
     boxes,
     depth,
     enumerate_multipartitions,
-    in_filtration,
     pair_coroot,
     parse_multipartition,
     primitive_basis,
@@ -135,13 +134,6 @@ def test_depth_examples():
     assert depth(0, FockVector.zero(), c) == -math.inf
     assert depth(0, basis("[[1]]"), c) == 1
     assert depth(1, basis("[[2,2]]"), c) == 0
-
-
-def test_in_filtration_examples():
-    c = Multicharge(2, (0,))
-    assert in_filtration(0, 0, FockVector.zero(), c)
-    assert in_filtration(0, 2, basis("[[1]]"), c)
-    assert not in_filtration(0, 1, basis("[[1]]"), c)
 
 
 def test_primitive_basis_examples():

@@ -12,7 +12,6 @@ from focklab import (
     addable_boxes,
     boxes,
     enumerate_multipartitions,
-    format_multipartition,
     parse_multipartition,
     remove_box,
     removable_boxes,
@@ -173,7 +172,7 @@ def test_parse_errors():
 
 def test_canonical_form_strips_trailing_zeros():
     assert mp("[[2,1,0,0]]") == mp("[[2,1]]")
-    assert format_multipartition(mp("[[3,0],[0]]")) == "[[3],[]]"
+    assert mp("[[3,0],[0]]").serialize() == "[[3],[]]"
 
 
 def test_multicharge_json_roundtrip():
@@ -215,7 +214,7 @@ partitions = st.lists(st.integers(min_value=1, max_value=6), max_size=5).map(
 @given(st.lists(partitions, min_size=1, max_size=3))
 def test_serialization_roundtrip(components):
     m = Multipartition(tuple(components))
-    assert parse_multipartition(format_multipartition(m)) == m
+    assert parse_multipartition(m.serialize()) == m
 
 
 @given(st.lists(partitions, min_size=1, max_size=2), st.integers(0, 2))
