@@ -7,7 +7,8 @@ runs lives in the library (`structure_analysis`, `hecke_desk`) and returns
 one JSON line per report.  `verify` builds the crystal graph once per run
 and hands it to `check_crystal_axioms` and `compare_components`.  The one
 check of its own is `crystal.graph_determinism`, which builds a second
-graph and compares the serialized JSON.
+graph and compares the two by value.  Each subcommand declares the formats
+it writes; any other `--format` is refused before the charge is parsed.
 
 Output is deterministic byte-for-byte for identical invocations: fixed term
 and node orders, no timestamps.  Exit codes: 0 success, 1 verification
@@ -29,7 +30,7 @@ from .multipartition import (
     parse_multipartition,
 )
 from .structure_analysis import AxiomReport
-from .weight_lattice import wt
+from .weight_lattice import cartan_entry, wt
 
 MAX_GRAPH_NODES = 50_000
 
@@ -72,6 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_wt = sub.add_parser("wt", help="weight of a multipartition")
     _add_common(p_wt, suppress=True)
     p_wt.add_argument("multipartition", help="JSON like [[2,1],[1]]")
+    p_wt.set_defaults(run=cmd_wt, formats=("json", "text"))
 
     p_apply = sub.add_parser("apply", help="apply a Chevalley operator")
     _add_common(p_apply, suppress=True)
@@ -79,13 +81,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_apply.add_argument("i", type=int, help="residue index in 0..e-1")
     p_apply.add_argument("vector",
                          help="multipartition JSON or Fock vector JSON")
+    p_apply.set_defaults(run=cmd_apply, formats=("json", "text"))
 
     p_graph = sub.add_parser("crystal-graph", help="build the crystal graph")
     _add_common(p_graph, suppress=True)
+    p_graph.set_defaults(run=cmd_crystal_graph, formats=("json", "dot", "text"))
 
     p_blocks = sub.add_parser("blocks", help="group rank-n shapes by weight")
     _add_common(p_blocks, suppress=True)
     p_blocks.add_argument("rank", type=int)
+    p_blocks.set_defaults(run=cmd_blocks, formats=("json", "text"))
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     _add_common(p_verify, suppress=True)
@@ -93,10 +98,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "suite",
         choices=["fock", "crystal", "perfect", "components", "hecke", "all"],
     )
+    p_verify.set_defaults(run=cmd_verify, formats=("json",))
 
     p_hecke = sub.add_parser("hecke-build",
                              help="build the Hecke regular representation")
     _add_common(p_hecke, suppress=True)
+    p_hecke.set_defaults(run=cmd_hecke_build, formats=("json", "text"))
 
     return parser
 
@@ -106,14 +113,10 @@ def _charge(args) -> Multicharge:
         s = tuple(int(v) for v in str(args.s).split(","))
     except ValueError as exc:
         raise UsageError(f"bad multicharge {args.s!r}: {exc}") from exc
-    try:
-        return Multicharge(args.e, s)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return Multicharge(args.e, s)
 
 
-def cmd_wt(args) -> int:
-    charge = _charge(args)
+def cmd_wt(args, charge: Multicharge) -> int:
     mp = parse_multipartition(args.multipartition, level=charge.level)
     weight = wt(mp, charge)
     if args.format == "text":
@@ -123,8 +126,7 @@ def cmd_wt(args) -> int:
     return 0
 
 
-def cmd_apply(args) -> int:
-    charge = _charge(args)
+def cmd_apply(args, charge: Multicharge) -> int:
     if not 0 <= args.i < charge.e:
         raise UsageError(f"residue {args.i} out of 0..{charge.e - 1}")
     vector = fock_space.parse_vector(args.vector, level=charge.level)
@@ -157,16 +159,16 @@ def _check_budget(predicted: int, unit: str) -> None:
         raise UsageError(f"resource bound exceeded: {predicted} {unit} > {MAX_GRAPH_NODES}")
 
 
-def _check_node_budget(charge: Multicharge, max_rank: int) -> None:
+def _check_node_budget(charge: Multicharge, max_rank: int, reach: int = 0) -> None:
     """Refuse, before any work, a negative rank bound or one whose predicted
-    graph node count exceeds MAX_GRAPH_NODES."""
+    node count, the shapes of rank up to max_rank + reach, exceeds
+    MAX_GRAPH_NODES."""
     if max_rank < 0:
         raise UsageError("max_rank must be nonnegative")
-    _check_budget(sum(_shape_counts(charge.level, max_rank)), "nodes")
+    _check_budget(sum(_shape_counts(charge.level, max_rank + reach)), "nodes")
 
 
-def cmd_crystal_graph(args) -> int:
-    charge = _charge(args)
+def cmd_crystal_graph(args, charge: Multicharge) -> int:
     _check_node_budget(charge, args.max_rank)
     graph = build_graph(charge, args.max_rank, BoxOrder(args.order))
     if args.format == "dot":
@@ -181,8 +183,7 @@ def cmd_crystal_graph(args) -> int:
     return 0
 
 
-def cmd_blocks(args) -> int:
-    charge = _charge(args)
+def cmd_blocks(args, charge: Multicharge) -> int:
     if args.rank < 0:
         raise UsageError("rank must be nonnegative")
     _check_budget(_shape_counts(charge.level, args.rank)[-1], "shapes")
@@ -207,8 +208,7 @@ def cmd_blocks(args) -> int:
     return 0
 
 
-def cmd_hecke_build(args) -> int:
-    charge = _charge(args)
+def cmd_hecke_build(args, charge: Multicharge) -> int:
     rep = hecke_desk.build_algebra(charge.level, args.n, charge)
     if args.format == "text":
         print(f"dimension={rep.dimension} words={rep.word_labels()}")
@@ -243,12 +243,13 @@ def _suite_hecke(charge, n, failures) -> None:
     _emit("hecke", hecke_desk.check_block_weights(spectrum, n, charge), failures)
 
 
-def cmd_verify(args) -> int:
-    charge = _charge(args)
+def cmd_verify(args, charge: Multicharge) -> int:
     order = BoxOrder(args.order)
     failures: list[str] = []
     suite = args.suite
-    if suite != "hecke":
+    if suite in ("fock", "all"):  # the Serre sums ask images 1 - a_ij ranks up
+        _check_node_budget(charge, args.max_rank, 1 - cartan_entry(0, 1, charge.e))
+    elif suite != "hecke":
         _check_node_budget(charge, args.max_rank)
     if suite == "all":  # the Hecke arguments are refused before the other suites run
         hecke_desk.checked_dimension(charge.level, args.n, charge)
@@ -277,16 +278,10 @@ def cmd_verify(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "wt": cmd_wt,
-        "apply": cmd_apply,
-        "crystal-graph": cmd_crystal_graph,
-        "blocks": cmd_blocks,
-        "verify": cmd_verify,
-        "hecke-build": cmd_hecke_build,
-    }
     try:
-        code = handlers[args.command](args)
+        if args.format not in args.formats:
+            raise UsageError(f"{args.command} writes no {args.format} output")
+        code = args.run(args, _charge(args))
         sys.stdout.flush()  # a closed pipe shows here, not at exit
         return code
     except BrokenPipeError:  # the reader left: exit as SIGPIPE would, quietly

@@ -487,14 +487,13 @@ def _split_root(poly: list, c) -> tuple[int, list]:
         poly = quotient
 
 
-def _idempotents(minimal: list, roots: dict, rest: bool, p: int, omega: int) -> dict:
-    """pi_c mod p, c in `roots` or None, with pi_c(z) the idempotent onto a
-    generalized eigenspace of L_z, m = `minimal` of z: for m = (x - c)^a g,
-    roots[c] = (a, g), pi_c = 1 - (1 - g/g(c))^a mod m is 1 mod (x - c)^a
-    and 0 mod g, and pi_None = 1 - sum of the pi_c is kept when `rest`.
+def _idempotents(minimal: list, roots: dict, p: int, omega: int) -> dict:
+    """pi_c mod p, c in `roots`, with pi_c(z) the idempotent onto a generalized
+    eigenspace of L_z, m = `minimal` of z: for m = (x - c)^a g, roots[c] = (a,
+    g), pi_c = 1 - (1 - g/g(c))^a mod m is 1 mod (x - c)^a and 0 mod g.  By
+    CRT the pi_c sum to 1 exactly when m has no root outside `roots`.
     ZeroDivisionError when g(c) = 0 mod p."""
     m = [mod_p(x, p, omega) for x in minimal]
-    d = len(m) - 1
 
     def mul_mod(a: list, b: list) -> list:  # a * b mod m, deg m coefficients
         out = [0] * (len(a) + len(b) - 1)
@@ -503,7 +502,7 @@ def _idempotents(minimal: list, roots: dict, rest: bool, p: int, omega: int) -> 
                 out[i + j] += x * y
         return [x % p for x in divmod_monic(out, m)[1]]
 
-    pis, left = {}, [1] + [0] * (d - 1)
+    pis = {}
     for c, (a, g) in roots.items():
         x_c, g = mod_p(c, p, omega), [mod_p(x, p, omega) for x in g]
         g_c = sum(x * pow(x_c, i, p) for i, x in enumerate(g)) % p
@@ -514,32 +513,29 @@ def _idempotents(minimal: list, roots: dict, rest: bool, p: int, omega: int) -> 
         for _ in range(a):
             power = mul_mod(power, h)
         pis[c] = [(1 - power[0]) % p] + [-x % p for x in power[1:]]
-        left = [(x - y) % p for x, y in zip(left, pis[c])]
-    if rest:
-        pis[None] = left
     return pis
 
 
 def joint_eigenspaces(rep: FinDimAlgebraRep, mats: list, targets: list) -> dict:
     """Dimensions d_t > 0 of the joint generalized eigenspaces A e_t of the
     commuting right multiplications by z_k on the algebra A of `rep`, from
-    mats[k] = L_{z_k} as sparse rows, keyed by tuples t: t_k a value of
-    targets[k], or None for the other roots.
+    mats[k] = L_{z_k} as sparse rows, keyed by tuples t of `targets`, t_k an
+    eigenvalue of z_k.  They sum to dim A exactly when no z_k has a root
+    outside `targets`: the missing mass is that of the other roots.
 
     Exactly over Q(zeta_e), z_k gets its minimal polynomial m_k, split at
-    each target c into (x - c)^a g (`_split_root`); other roots exist when
-    the a sum to less than deg m_k.  The rest is over F_p, p = 1 (mod e):
-    the idempotent polynomials pi_{k,c} (`_idempotents`), e_t = prod_k
-    pi_{k,t_k}(z_k), idempotent as the z_k commute (`jm_commute`), and d_t =
-    tr R_{e_t} = dim A e_t (`_traces`), as R_f is idempotent with image A f.
-    That is d_t mod p, and d_t <= dim A < p.  A prime that does not reduce
-    the input, or where some g(c) = 0, is skipped; after CERTIFY_PRIMES
-    primes this raises RuntimeError."""
-    one, splits = rep.one(), []
-    for mat, values in zip(mats, targets):
+    each target c into (x - c)^a g (`_split_root`).  The rest is over F_p,
+    p = 1 (mod e): the idempotent polynomials pi_{k,c} (`_idempotents`),
+    e_t = prod_k pi_{k,t_k}(z_k), idempotent as the z_k commute
+    (`jm_commute`), and d_t = tr R_{e_t} = dim A e_t (`_traces`), as R_f is
+    idempotent with image A f.  That is d_t mod p, and d_t <= dim A < p.  A
+    prime that does not reduce the input, or where some g(c) = 0, is skipped;
+    after CERTIFY_PRIMES primes this raises RuntimeError."""
+    one, splits, targets = rep.one(), [], dict.fromkeys(targets)
+    for mat in mats:
         minimal = _minimal_polynomial(mat, one)
-        roots = {c: split for c in dict.fromkeys(values) if (split := _split_root(minimal, c))[0]}
-        splits.append((minimal, roots, sum(a for a, _ in roots.values()) < len(minimal) - 1))
+        roots = {c: split for c in targets if (split := _split_root(minimal, c))[0]}
+        splits.append((minimal, roots))
     for p, omega in islice(reduction_primes(rep.charge.e), CERTIFY_PRIMES):
         try:
             pis = [_idempotents(*split, p, omega) for split in splits]
@@ -557,7 +553,8 @@ def _traces(rep: FinDimAlgebraRep, mats: list, pis: list, p: int, omega: int) ->
     for the trace functional rho(x) = tr R_x = sum_i (b_i x)_i, one row
     vector per call: rho = V_0, V_j = e_j + sum V_i T_g over the words[i] =
     (g,) + words[j], from the last word to the first (the words are
-    breadth-first), each V_j a sparse dict: most are near the leaves."""
+    breadth-first), each V_j a sparse dict: most are near the leaves.  An
+    operator with no target root extends no prefix."""
 
     def apply(rows: list, v: list) -> list:
         return [sum(map(mul, vals, map(v.__getitem__, cols))) % p for cols, vals in rows]
@@ -568,7 +565,7 @@ def _traces(rep: FinDimAlgebraRep, mats: list, pis: list, p: int, omega: int) ->
         grown = {}
         for prefix, v in vectors.items():
             powers = [v]
-            for _ in range(max(map(len, pi_of.values())) - 1):
+            for _ in range(max(map(len, pi_of.values()), default=1) - 1):
                 powers.append(apply(rows, powers[-1]))
             for t, pi in pi_of.items():
                 w = [sum(map(mul, pi, col)) % p for col in zip(*powers)]
@@ -594,13 +591,14 @@ def central_characters(
     """Joint generalized eigenspaces of the symmetric Jucys-Murphy elements.
 
     Candidate characters chi are read off the rank-n shapes.  The e_k are
-    polynomials in the J_i, so d_t, t_k = e_k(zeta^(i_1), .., zeta^(i_n)) or
-    None where no candidate has that value (all None if i has a foreign root),
-    sums the dimensions d(i) of `joint_eigenspaces` on the J_i, exact by
-    construction.  `spectral_support` fails at k when a tuple with None at k
-    has d > 0: e_k has an eigenvalue that is no candidate's.
-    `spectral_mass` requires the d_chi to sum to l^n * n!.  Another n, level
-    or e than rep's raises ValueError; another s is allowed.
+    polynomials in the J_i, so d_t, t = e(zeta^(i_1), .., zeta^(i_n)), sums
+    the dimensions d(i) of `joint_eigenspaces` on the J_i, exact by
+    construction.  The d(i) fall short of dim A exactly when some J_i has a
+    root that is no zeta^r; then every e_k may have any eigenvalue.
+    `spectral_support` fails at k when that holds, or when some d_t > 0 has
+    a t_k that is no candidate's: e_k has an eigenvalue that is no
+    candidate's.  `spectral_mass` requires the d_chi to sum to l^n * n!.
+    Another n, level or e than rep's raises ValueError; another s is allowed.
     """
     if (n, charge.level, charge.e) != (rep.n, rep.l, rep.charge.e):
         raise ValueError(f"rep was built for n={rep.n}, l={rep.l}, e={rep.charge.e}; "
@@ -610,12 +608,12 @@ def central_characters(
         candidates.setdefault(a_poly(mp, charge), []).append(mp)
 
     e, values = rep.charge.e, [{char.values[k] for char in candidates} for k in range(n)]
-    sequences = joint_eigenspaces(rep, jm_elements(rep), [[Cyc.zeta(e, r) for r in range(e)]] * n)
+    sequences = joint_eigenspaces(rep, jm_elements(rep), [Cyc.zeta(e, r) for r in range(e)])
     dims: dict = {}
     for seq, d in sequences.items():
-        sym = (None,) * n if None in seq else _elementary(seq, rep.one())
-        t = tuple(x if x in vals else None for x, vals in zip(sym, values))
+        t = _elementary(seq, rep.one())
         dims[t] = dims.get(t, 0) + d
+    foreign = sum(dims.values()) < rep.dimension
     attained = tuple(
         AttainedCharacter(char, dims[char.values], tuple(members))
         for char, members in candidates.items()
@@ -624,7 +622,7 @@ def central_characters(
     support = [
         {"k": k + 1, "nilpotent": False}
         for k in range(n)
-        if any(t[k] is None for t in dims)
+        if foreign or any(t[k] not in values[k] for t in dims)
     ]
     total, dim = sum(a.dimension for a in attained), rep.dimension
     mass = [] if total == dim else [{"total_generalized_dim": total, "expected": dim}]

@@ -193,6 +193,39 @@ def test_verify_resource_bound(capsys, suite):
     assert elapsed < 1
 
 
+def test_verify_fock_budget_counts_the_serre_reach(capsys, monkeypatch):
+    # 38 045 shapes of rank <= 18 at level 2, but at e = 3 the Serre sums ask
+    # images up to rank 20: 80 377 shapes, refused before the sweep
+    monkeypatch.setattr(structure_analysis, "check_fock_relations", _refuse)
+    for suite in ("fock", "all"):
+        code = main(["--e", "3", "--s", "0,1", "verify", suite, "--max-rank", "18"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: resource bound exceeded: 80377 nodes > 50000\n"
+    assert sum(cli._shape_counts(2, 18)) == 38045
+
+
+@pytest.mark.parametrize("e", [2, 3])
+def test_fock_budget_reaches_the_highest_rank_the_sweep_asks(capsys, monkeypatch, e):
+    # the predictor counts shapes up to the rank of the last apply_f the
+    # Serre sums ask: max_rank + 1 - min a_ij, 3 ranks up at e = 2, 2 at e = 3
+    apply_f, shape_counts, asked, predicted = (
+        structure_analysis.apply_f, cli._shape_counts, [], [])
+
+    def recording_apply_f(i, v, charge):
+        asked.extend(mp.rank for mp in v.terms)
+        return apply_f(i, v, charge)
+
+    def recording_shape_counts(level, max_rank):
+        predicted.append(max_rank)
+        return shape_counts(level, max_rank)
+
+    monkeypatch.setattr(structure_analysis, "apply_f", recording_apply_f)
+    monkeypatch.setattr(cli, "_shape_counts", recording_shape_counts)
+    code, _ = run(capsys, "verify", "fock", "--e", str(e), "--s", "0", "--max-rank", "3")
+    assert code == 0 and predicted == [max(asked)] == [3 + {2: 3, 3: 2}[e]]
+
+
 def test_verify_hecke(capsys):
     code, out = run(capsys, "verify", "hecke", "--e", "2", "--s", "0,1",
                     "--n", "2")
@@ -273,6 +306,55 @@ def test_verify_graph_determinism_witnesses_a_different_rebuild(capsys, monkeypa
     assert [d for d in docs if d["status"] == "fail"] == [
         {"axiom": "crystal.graph_determinism", "status": "fail",
          "witnesses": [{"rebuilt_equal": False}]}]
+
+
+# the text output of every command that writes one
+TEXT_PINS = [
+    (("--e", "2", "--s", "0", "wt", "[[1]]"), "wt([[1]]) = (-1,2;-1)\n"),
+    (("--e", "2", "--s", "0", "apply", "f", "1", "[[1]]"), "1*[[1,1]] + 1*[[2]]\n"),
+    (("--e", "2", "--s", "0", "--max-rank", "2", "crystal-graph"),
+     "nodes=4 edges=2 boundary=3\n[[]] --0--> [[1]]\n[[1]] --1--> [[2]]\n"),
+    (("--e", "2", "--s", "0", "blocks", "3"),
+     "wt=(-1,2;-2): [[1,1,1]] [[3]]\nwt=(3,-2;-1): [[2,1]]\n"),
+    (("--e", "2", "--s", "0,1", "--n", "1", "hecke-build"),
+     "dimension=2 words=['Id', 'T0']\n"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", TEXT_PINS,
+                         ids=["wt", "apply", "crystal-graph", "blocks", "hecke-build"])
+def test_text_output(capsys, argv, expected):
+    code, out = run(capsys, "--format", "text", *argv)
+    assert code == 0 and out == expected
+
+
+_COMMANDS = {
+    "wt": ("wt", "[[1]]"),
+    "apply": ("apply", "f", "1", "[[1]]"),
+    "blocks": ("blocks", "3"),
+    "hecke-build": ("hecke-build",),
+    "verify": ("verify", "all"),
+}
+
+
+@pytest.mark.parametrize("command, fmt", [
+    ("wt", "dot"), ("apply", "dot"), ("blocks", "dot"), ("hecke-build", "dot"),
+    ("verify", "text"), ("verify", "dot"),
+])
+def test_unwritten_format_is_refused_before_any_work(capsys, monkeypatch, command, fmt):
+    # refused before the charge is parsed and before any library call
+    for owner, name in [
+        (cli, "_charge"), (cli, "wt"), (cli, "parse_multipartition"),
+        (cli, "enumerate_multipartitions"), (cli, "build_graph"),
+        (cli.fock_space, "parse_vector"), (cli.hecke_desk, "build_algebra"),
+        (cli.hecke_desk, "checked_dimension"),
+        (structure_analysis, "check_fock_relations"),
+    ]:
+        monkeypatch.setattr(owner, name, _refuse)
+    code = main(["--format", fmt, *_COMMANDS[command]])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {command} writes no {fmt} output\n"
 
 
 def test_unknown_suite_usage_error():

@@ -434,10 +434,8 @@ def _mul_mod(a, b, m):
 
 def exact_idempotents(minimal, values):
     """The idempotent polynomials over Q(zeta_e): pi_c = 1 - (1 - g/g(c))^a
-    mod m for m = (x - c)^a g, and pi_None = 1 - sum of the pi_c when
-    nonzero."""
+    mod m for m = (x - c)^a g."""
     one = minimal[-1]
-    rest = [one] + [one * 0] * (len(minimal) - 2)
     pis = {}
     for c in dict.fromkeys(values):
         a, g = _split_root(minimal, c)
@@ -447,9 +445,6 @@ def exact_idempotents(minimal, values):
             for _ in range(a):
                 power = _mul_mod(power, h, minimal)
             pis[c] = [1 - power[0]] + [-x for x in power[1:]]
-            rest = [x - y for x, y in zip(rest, pis[c])]
-    if any(rest):
-        pis[None] = rest
     return pis
 
 
@@ -459,8 +454,8 @@ def exact_idempotents(minimal, values):
 ])
 def test_idempotents_mod_p_match_exact_oracle(hecke_reps, monkeypatch, l, n, e, s):
     # the F_p idempotents that reach the traces are the images of the exact
-    # ones of the J_k at the targets zeta^r; every root of a J_k is one, so no
-    # pi_None, and a foreign charge shows only in the folded tuples
+    # ones of the J_k at the targets zeta^r; every root of a J_k is one, so
+    # they sum to 1, and a foreign charge shows only in the folded tuples
     rep, charge = hecke_reps(l, n, e), Multicharge(e, s)
     traces, seen = hecke_desk._traces, []
 
@@ -473,9 +468,11 @@ def test_idempotents_mod_p_match_exact_oracle(hecke_reps, monkeypatch, l, n, e, 
     ((pis, p, omega),) = seen
     zetas = [Cyc.zeta(e, r) for r in range(e)]
     for fp, jm in zip(pis, jm_elements(rep), strict=True):
-        exact = exact_idempotents(_minimal_polynomial(jm, rep.one()), zetas)
+        minimal = _minimal_polynomial(jm, rep.one())
+        exact = exact_idempotents(minimal, zetas)
         assert fp == {c: [mod_p(x, p, omega) for x in pi] for c, pi in exact.items()}
-        assert None not in fp
+        total = [sum(col, rep.zero()) for col in zip(*exact.values())]
+        assert total == [rep.one()] + [rep.zero()] * (len(minimal) - 2)
     support = spectrum.reports[1]
     assert support.witnesses == (({"k": 1, "nilpotent": False},) if s == (0, 0) else ())
 
@@ -488,7 +485,7 @@ def test_idempotents_raise_where_the_cofactor_vanishes_mod_p():
     roots = {one: _split_root(minimal, one)}
     assert roots[one] == (1, [-one * (1 + p), one])
     with pytest.raises(ZeroDivisionError):
-        hecke_desk._idempotents(minimal, roots, True, p, omega)
+        hecke_desk._idempotents(minimal, roots, p, omega)
 
 
 def _stabilized_power(m, ncols):
@@ -570,7 +567,7 @@ def test_joint_eigenspaces_of_last_jm_restrict(hecke_reps, l, n, e):
     rep = hecke_reps(l, n, e)
     zetas = [Cyc.zeta(e, i) for i in range(e)]
     last = jm_elements(rep)[-1]
-    dims = hecke_desk.joint_eigenspaces(rep, [last], [zetas])
+    dims = hecke_desk.joint_eigenspaces(rep, [last], zetas)
     expected = {}
     for mp in enumerate_multipartitions(n, l):
         for box in removable_boxes(mp, rep.charge):
@@ -580,6 +577,23 @@ def test_joint_eigenspaces_of_last_jm_restrict(hecke_reps, l, n, e):
     assert dims == expected
     if (l, n, e) == (2, 2, 3):
         assert [dims[(z,)] for z in zetas] == [3, 3, 2]
+
+
+@pytest.mark.parametrize("l,n,e", [(2, 2, 2), (1, 3, 2), (2, 2, 3), (3, 2, 2)])
+def test_joint_eigenspaces_count_only_the_targets(hecke_reps, l, n, e):
+    # every root of a J_i is a zeta^r, so the d(i) sum to dim A; with T_1
+    # scaled by 2, J_1 has other roots, which show only as missing mass
+    rep = hecke_reps(l, n, e)
+    zetas = [Cyc.zeta(e, r) for r in range(e)]
+    dims = hecke_desk.joint_eigenspaces(rep, jm_elements(rep), zetas)
+    assert sum(dims.values()) == rep.dimension
+    assert all(len(t) == n and set(t) <= set(zetas) for t in dims)
+    gens = list(rep.gens)
+    gens[1] = hecke_desk._scale(gens[1], 2)
+    bad = dataclasses.replace(rep, gens=gens, _jm_cache=None)
+    dims = hecke_desk.joint_eigenspaces(bad, jm_elements(bad), zetas)
+    assert sum(dims.values()) < rep.dimension
+    assert all(len(t) == n and set(t) <= set(zetas) for t in dims)
 
 
 def residue_tableaux(mp, charge):
@@ -603,7 +617,7 @@ def test_residue_sequence_dimensions(l, n, charge):
     # residue sequences i that the block spectrum sums
     rep = build_algebra(l, n, charge)
     zetas = [Cyc.zeta(charge.e, r) for r in range(charge.e)]
-    dims = hecke_desk.joint_eigenspaces(rep, jm_elements(rep), [zetas] * n)
+    dims = hecke_desk.joint_eigenspaces(rep, jm_elements(rep), zetas)
     expected = collections.Counter()
     for mp in enumerate_multipartitions(n, l):
         for seq, count in residue_tableaux(mp, charge).items():
@@ -709,8 +723,7 @@ def test_block_dimensions_match_cellular_formula(l, n, charge):
 
 def _spectrum_input(hecke_reps):
     rep = hecke_reps(2, 2, 3)
-    mats = [symmetric_jm(rep, k + 1) for k in range(rep.n)]
-    return rep, mats, [[Cyc.zeta(3, i) for i in range(3)]] * rep.n
+    return rep, jm_elements(rep), [Cyc.zeta(3, i) for i in range(3)]
 
 
 def _non_reducing(monkeypatch, count):
