@@ -159,7 +159,7 @@ def _check_budget(predicted: int, unit: str) -> None:
         raise UsageError(f"resource bound exceeded: {predicted} {unit} > {MAX_GRAPH_NODES}")
 
 
-def _check_node_budget(charge: Multicharge, max_rank: int, reach: int = 0) -> None:
+def _check_node_budget(charge: Multicharge, max_rank: int, reach: int) -> None:
     """Refuse, before any work, a negative rank bound or one whose predicted
     node count, the shapes of rank up to max_rank + reach, exceeds
     MAX_GRAPH_NODES."""
@@ -169,7 +169,7 @@ def _check_node_budget(charge: Multicharge, max_rank: int, reach: int = 0) -> No
 
 
 def cmd_crystal_graph(args, charge: Multicharge) -> int:
-    _check_node_budget(charge, args.max_rank)
+    _check_node_budget(charge, args.max_rank, 1)
     graph = build_graph(charge, args.max_rank, BoxOrder(args.order))
     if args.format == "dot":
         sys.stdout.write(graph.to_dot())
@@ -247,10 +247,9 @@ def cmd_verify(args, charge: Multicharge) -> int:
     order = BoxOrder(args.order)
     failures: list[str] = []
     suite = args.suite
-    if suite in ("fock", "all"):  # the Serre sums ask images 1 - a_ij ranks up
-        _check_node_budget(charge, args.max_rank, 1 - cartan_entry(0, 1, charge.e))
-    elif suite != "hecke":
-        _check_node_budget(charge, args.max_rank)
+    if suite != "hecke":  # crystal moves reach one rank up, the Serre sums 1 - a_ij
+        _check_node_budget(charge, args.max_rank,
+                           1 - cartan_entry(0, 1, charge.e) if suite in ("fock", "all") else 1)
     if suite == "all":  # the Hecke arguments are refused before the other suites run
         hecke_desk.checked_dimension(charge.level, args.n, charge)
     if suite in ("fock", "all"):

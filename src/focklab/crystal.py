@@ -8,8 +8,8 @@ then act at the rightmost surviving '-' (lowering) or the leftmost surviving
 shape itself, so orders are consistent along strings; both the ascending
 default and its descending mirror are supported.
 
-`signatures` applies the rule to every residue from one listing of the
-boxes; `signature` is one residue of it.
+`signatures` applies the rule to every residue from one walk over the rows,
+with no sort; `signature` is one residue of it.
 """
 
 from __future__ import annotations
@@ -23,9 +23,7 @@ from .multipartition import (
     Multipartition,
     _charge_of,
     _with_component,
-    addable_boxes,
     enumerate_multipartitions,
-    removable_boxes,
 )
 from .weight_lattice import AffineWeight, wt
 
@@ -36,11 +34,6 @@ class BoxOrder(enum.Enum):
 
     ASC = "asc"
     DESC = "desc"
-
-    def key(self, box: BoxCoord):
-        if self is BoxOrder.ASC:
-            return (box.comp, box.row, box.col)
-        return (-box.comp, -box.row, -box.col)
 
 
 @dataclass(frozen=True)
@@ -68,18 +61,23 @@ def signatures(
     charge: Multicharge,
     order: BoxOrder = BoxOrder.ASC,
 ) -> tuple[SignatureReport, ...]:
-    """The i-signature of mp for every residue i in 0..e-1, from one listing
-    of its addable and removable boxes put in order once; a box's residue is
-    its component's residue offset by col - row; ValueError for a lower level."""
+    """The i-signature of mp for each residue 0..e-1 from one walk, no sort:
+    each row gives its removable, then its addable box (the ASC order; DESC
+    reverses each residue's list); ValueError for another level."""
     if len(mp.components) < len(charge.s):  # a higher level fails at its first extra component
         raise ValueError(f"level mismatch: {mp.level} vs {charge.level}")
-    bases = [_charge_of(j, charge) for j in range(1, mp.level + 1)]
-    marked = [("+", box) for box in addable_boxes(mp, charge)]
-    marked += [("-", box) for box in removable_boxes(mp, charge)]
-    marked.sort(key=lambda sb: order.key(sb[1]))
-    by_residue: list[list[tuple[str, BoxCoord]]] = [[] for _ in range(charge.e)]
-    for sign, box in marked:
-        by_residue[(bases[box.comp - 1] + box.col - box.row) % charge.e].append((sign, box))
+    e = charge.e
+    by_residue: list[list[tuple[str, BoxCoord]]] = [[] for _ in range(e)]
+    for j, comp in enumerate(mp.components, start=1):
+        base = _charge_of(j, charge)
+        for a, (width, below) in enumerate(zip(comp + (0,), comp[1:] + (0, 0)), start=1):
+            if width > below:
+                by_residue[(base + width - a) % e].append(("-", BoxCoord(a, width, j)))
+            if a == 1 or comp[a - 2] > width:
+                by_residue[(base + width + 1 - a) % e].append(("+", BoxCoord(a, width + 1, j)))
+    if order is BoxOrder.DESC:
+        for symbols in by_residue:
+            symbols.reverse()
     reports = []
     for symbols in by_residue:
         stack: list[tuple[str, BoxCoord]] = []
@@ -117,10 +115,8 @@ def crystal_e(
     order: BoxOrder = BoxOrder.ASC,
 ) -> Multipartition | None:
     """Remove the good removable box, or None when epsilon_i = 0."""
-    sig = signature(i, mp, charge, order)
-    if sig.good_removable is None:
-        return None
-    return _with_component(mp, sig.good_removable, -1)
+    box = signature(i, mp, charge, order).good_removable
+    return None if box is None else _with_component(mp, box, -1)
 
 
 def crystal_f(
@@ -130,10 +126,8 @@ def crystal_f(
     order: BoxOrder = BoxOrder.ASC,
 ) -> Multipartition | None:
     """Add the good addable box, or None when phi_i = 0."""
-    sig = signature(i, mp, charge, order)
-    if sig.good_addable is None:
-        return None
-    return _with_component(mp, sig.good_addable, 1)
+    box = signature(i, mp, charge, order).good_addable
+    return None if box is None else _with_component(mp, box, 1)
 
 
 @dataclass(frozen=True)
@@ -156,25 +150,11 @@ class CrystalGraph:
     boundary: tuple[tuple[Multipartition, int, Multipartition], ...]
 
     def to_json(self) -> dict:
-        return {
-            "nodes": [
-                {
-                    "mp": mp.to_lists(),
-                    "wt": self.weights[mp].to_json(),
-                    "eps": list(self.eps[mp]),
-                    "phi": list(self.phi[mp]),
-                }
-                for mp in self.nodes
-            ],
-            "edges": [
-                {"from": a.to_lists(), "i": i, "to": b.to_lists()}
-                for a, i, b in self.edges
-            ],
-            "boundary": [
-                {"from": a.to_lists(), "i": i, "to": b.to_lists()}
-                for a, i, b in self.boundary
-            ],
-        }
+        def arrows(edges):
+            return [{"from": a.to_lists(), "i": i, "to": b.to_lists()} for a, i, b in edges]
+        nodes = [{"mp": mp.to_lists(), "wt": self.weights[mp].to_json(),
+                  "eps": list(self.eps[mp]), "phi": list(self.phi[mp])} for mp in self.nodes]
+        return {"nodes": nodes, "edges": arrows(self.edges), "boundary": arrows(self.boundary)}
 
     def to_dot(self) -> str:
         lines = ["digraph crystal {"]
@@ -238,5 +218,5 @@ def hw_elements(
         if all(v == 0 for v in graph.eps[mp]):
             out.setdefault((mp.rank, graph.weights[mp]), []).append(mp)
     for members in out.values():
-        members.sort(key=lambda mp: mp.serialize())
+        members.sort(key=Multipartition.serialize)
     return out

@@ -109,8 +109,8 @@ class Multipartition:
         return [list(c) for c in self.components]
 
     def serialize(self) -> str:
-        """Canonical JSON text, also the global sort key for enumeration."""
-        return json.dumps(self.to_lists(), separators=(",", ":"))
+        """Compact JSON text, joined directly; the enumeration sort key."""
+        return "[[" + "],[".join(",".join(map(str, c)) for c in self.components) + "]]"
 
     def __str__(self) -> str:
         return self.serialize()
@@ -258,5 +258,5 @@ def enumerate_multipartitions(n: int, level: int) -> tuple[Multipartition, ...]:
                     yield (p,) + rest
 
     result = [Multipartition(c) for c in gen(n, level)]
-    result.sort(key=lambda mp: mp.serialize())
+    result.sort(key=Multipartition.serialize)
     return tuple(result)

@@ -4,6 +4,9 @@ Weights are integer vectors over the fundamental weights L_0..L_{e-1} plus
 one explicit null-root coordinate delta; adjoining delta makes subtraction of
 simple roots well-defined (alpha_i = i-th Cartan column, plus delta when
 i = 0) and coroots pair delta to 0.
+
+`AffineWeight(...)` and `scaled` check a caller's coordinates; `wt`, `+`,
+`-` and negation build ints by construction, unchecked (`_trusted`).
 """
 
 from __future__ import annotations
@@ -33,18 +36,14 @@ class AffineWeight:
 
     def __add__(self, other: "AffineWeight") -> "AffineWeight":
         self._check(other)
-        return AffineWeight(
-            tuple(a + b for a, b in zip(self.lam, other.lam)), self.delta + other.delta
-        )
+        return _trusted(tuple(a + b for a, b in zip(self.lam, other.lam)), self.delta + other.delta)
 
     def __sub__(self, other: "AffineWeight") -> "AffineWeight":
         self._check(other)
-        return AffineWeight(
-            tuple(a - b for a, b in zip(self.lam, other.lam)), self.delta - other.delta
-        )
+        return _trusted(tuple(a - b for a, b in zip(self.lam, other.lam)), self.delta - other.delta)
 
     def __neg__(self) -> "AffineWeight":
-        return AffineWeight(tuple(-a for a in self.lam), -self.delta)
+        return _trusted(tuple(-a for a in self.lam), -self.delta)
 
     def scaled(self, k: int) -> "AffineWeight":
         return AffineWeight(tuple(k * a for a in self.lam), k * self.delta)
@@ -58,6 +57,14 @@ class AffineWeight:
 
     def __str__(self) -> str:
         return f"({','.join(str(a) for a in self.lam)};{self.delta})"
+
+
+def _trusted(lam: tuple[int, ...], delta: int) -> AffineWeight:
+    """AffineWeight(lam, delta) unchecked: e >= 2 int coordinates."""
+    out = object.__new__(AffineWeight)
+    object.__setattr__(out, "lam", lam)
+    object.__setattr__(out, "delta", delta)
+    return out
 
 
 def fundamental(i: int, e: int) -> AffineWeight:
@@ -101,11 +108,8 @@ def pair_coroot(i: int, w: AffineWeight) -> int:
 
 
 def lambda_s(charge: Multicharge) -> AffineWeight:
-    """L_{s_1} + ... + L_{s_l}; its level is the number of components."""
-    lam = [0] * charge.e
-    for s in charge.s:
-        lam[s % charge.e] += 1
-    return AffineWeight(tuple(lam), 0)
+    """L_{s_1} + ... + L_{s_l}, the weight of the empty shape."""
+    return wt(Multipartition.empty(charge.level), charge)
 
 
 def wt(mp: Multipartition, charge: Multicharge) -> AffineWeight:
@@ -114,15 +118,17 @@ def wt(mp: Multipartition, charge: Multicharge) -> AffineWeight:
         raise ValueError(f"level mismatch: {mp.level} vs {charge.level}")
     e = charge.e
     counts = [0] * e  # boxes of each residue, row by row
+    lam = [0] * e  # Lambda_s
     for comp, s in zip(mp.components, charge.s):
-        for row, width in enumerate(comp, start=1):
-            for r in range(s - row + 1, s - row + 1 + width):
+        lam[s % e] += 1
+        for width in comp:  # s: residue of the row's first box
+            for r in range(s, s + width):
                 counts[r % e] += 1
-    lam = list(lambda_s(charge).lam)
+            s -= 1
     # alpha_i = 2 L_i - L_{i-1} - L_{i+1} (+ delta if i = 0); at e = 2 the
     # two neighbours coincide, giving the -2 off-diagonal Cartan entry.
     for i, n_i in enumerate(counts):
         lam[i] -= 2 * n_i
         lam[(i - 1) % e] += n_i
         lam[(i + 1) % e] += n_i
-    return AffineWeight(tuple(lam), -counts[0])
+    return _trusted(tuple(lam), -counts[0])

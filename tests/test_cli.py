@@ -205,6 +205,34 @@ def test_verify_fock_budget_counts_the_serre_reach(capsys, monkeypatch):
     assert sum(cli._shape_counts(2, 18)) == 38045
 
 
+def test_graph_budget_counts_the_boundary_targets(capsys, monkeypatch):
+    # 38 045 shapes of rank <= 18 at level 2, but the boundary edges (and
+    # perfect's f-targets) reach rank 19: 55 535 shapes, refused before any work
+    monkeypatch.setattr(cli, "build_graph", _refuse)
+    monkeypatch.setattr(structure_analysis, "check_perfect_basis", _refuse)
+    for command in (["crystal-graph"], ["verify", "crystal"], ["verify", "components"],
+                    ["verify", "perfect"]):
+        code = main(["--e", "3", "--s", "0,1", "--max-rank", "18", *command])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: resource bound exceeded: 55535 nodes > 50000\n"
+    assert sum(cli._shape_counts(2, 19)) == 55535
+
+
+def test_graph_budget_reaches_the_highest_rank_built(capsys, monkeypatch):
+    # the predictor counts shapes up to the rank of the highest target built
+    shape_counts, predicted = cli._shape_counts, []
+
+    def recording_shape_counts(level, max_rank):
+        predicted.append(max_rank)
+        return shape_counts(level, max_rank)
+
+    monkeypatch.setattr(cli, "_shape_counts", recording_shape_counts)
+    code, out = run(capsys, "--e", "3", "--s", "0,1", "--max-rank", "4", "crystal-graph")
+    built = max(sum(map(sum, arrow["to"])) for arrow in json.loads(out)["boundary"])
+    assert code == 0 and predicted == [built] == [5]
+
+
 @pytest.mark.parametrize("e", [2, 3])
 def test_fock_budget_reaches_the_highest_rank_the_sweep_asks(capsys, monkeypatch, e):
     # the predictor counts shapes up to the rank of the last apply_f the

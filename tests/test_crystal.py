@@ -67,11 +67,18 @@ def test_signature_shape_invariant():
                         assert (sig.good_addable is not None) == (sig.phi > 0)
 
 
+def box_key(order, box):
+    """The box order as a sort key: (comp, row, col) ascending, or its mirror."""
+    if order is BoxOrder.ASC:
+        return (box.comp, box.row, box.col)
+    return (-box.comp, -box.row, -box.col)
+
+
 def signature_oracle(i, m, charge, order):
     """The signature rule for one residue, from its own filtered listing."""
     marked = [("+", box) for box in addable_boxes(m, charge, i)]
     marked += [("-", box) for box in removable_boxes(m, charge, i)]
-    marked.sort(key=lambda sb: order.key(sb[1]))
+    marked.sort(key=lambda sb: box_key(order, sb[1]))
     stack = []
     for sign, box in marked:
         if sign == "-" and stack and stack[-1][0] == "+":
@@ -90,17 +97,45 @@ def signature_oracle(i, m, charge, order):
     )
 
 
+def assert_signatures_match_oracle(m, charge):
+    for order in BoxOrder:
+        sigs = signatures(m, charge, order)
+        assert len(sigs) == charge.e
+        for i, sig in enumerate(sigs):
+            assert sig == signature_oracle(i, m, charge, order), (m, charge, order, i)
+            assert signature(i, m, charge, order) == sig
+
+
 def test_signatures_match_single_residue_oracle():
+    # charges with negative entries and entries above e wrap their residues
     for charge in (Multicharge(2, (0,)), Multicharge(3, (0, 1)),
-                   Multicharge(4, (0, 2)), Multicharge(3, (0, 1, 2))):
-        for n in range(6):
+                   Multicharge(4, (0, 2)), Multicharge(3, (0, 1, 2)),
+                   Multicharge(3, (-4, 7)), Multicharge(4, (5, -1, 2))):
+        for n in range(8):
             for m in enumerate_multipartitions(n, charge.level):
-                for order in BoxOrder:
-                    sigs = signatures(m, charge, order)
-                    assert len(sigs) == charge.e
-                    for i, sig in enumerate(sigs):
-                        assert sig == signature_oracle(i, m, charge, order)
-                        assert signature(i, m, charge, order) == sig
+                assert_signatures_match_oracle(m, charge)
+
+
+@st.composite
+def shape_and_charge(draw, max_rank=25):
+    """A shape of level 1..3 and rank <= max_rank, rows up to 12 wide (wider
+    than e; widths may repeat), and a charge of its level with e in 2..5."""
+    level = draw(st.integers(min_value=1, max_value=3))
+    budget, comps = max_rank, []
+    for _ in range(level):
+        kept = []
+        for part in sorted(draw(st.lists(st.integers(1, 12), max_size=6)), reverse=True):
+            if part <= budget:
+                kept.append(part)
+                budget -= part
+        comps.append(tuple(kept))
+    s = draw(st.lists(st.integers(-9, 9), min_size=level, max_size=level))
+    return Multipartition(tuple(comps)), Multicharge(draw(st.integers(2, 5)), tuple(s))
+
+
+@given(shape_and_charge())
+def test_signatures_match_oracle_on_random_shapes(case):
+    assert_signatures_match_oracle(*case)
 
 
 def test_signature_residue_out_of_range():
@@ -120,6 +155,13 @@ def test_signatures_refuse_a_level_below_the_charge():
         for i in range(c.e):
             with pytest.raises(ValueError, match="level mismatch: 1 vs 2"):
                 op(i, mp("[[1]]"), c)
+
+
+def test_signatures_refuse_a_level_above_the_charge():
+    # the walk reads s_j per component: the first one past the charge raises
+    for shape in ("[[1],[]]", "[[],[2,1]]", "[[1],[1],[1]]"):
+        with pytest.raises(ValueError, match=r"component 2 out of 1\.\.1"):
+            signatures(mp(shape), Multicharge(3, (0,)), BoxOrder.DESC)
 
 
 def test_crystal_e_examples():

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -148,6 +151,28 @@ def test_enumerate_unique_and_sorted():
             listed = [m.serialize() for m in enumerate_multipartitions(n, level)]
             assert listed == sorted(listed)
             assert len(listed) == len(set(listed))
+
+
+def test_serialize_is_compact_json_with_two_digit_parts():
+    for shape in ([[12, 3], [10]], [[10, 10, 1], [], [11]], [[]], [[], []], [[25]]):
+        m = Multipartition.from_lists(shape)
+        assert m.serialize() == json.dumps(m.to_lists(), separators=(",", ":"))
+    assert mp("[[12,3],[10]]").serialize() == "[[12,3],[10]]"
+
+
+@pytest.mark.parametrize("n, level, count, digest", [
+    (12, 1, 77, "03dd3cbb266fbf33879db84f9fc95b803438cc8a648ab80ebb013d36b48225f6"),
+    (10, 2, 481, "bbd46ee9a33d750b66a80749b92137effab2a13a19b048d35d567b5d4e8a3154"),
+])
+def test_enumeration_order_sorts_two_digit_parts_as_text(n, level, count, digest):
+    # the sort key is the JSON text, so a part "10" sorts before "2"
+    listed = [m.serialize() for m in enumerate_multipartitions(n, level)]
+    assert len(listed) == count
+    assert listed == sorted(json.dumps(m.to_lists(), separators=(",", ":"))
+                            for m in enumerate_multipartitions(n, level))
+    assert hashlib.sha256("\n".join(listed).encode()).hexdigest() == digest
+    ten, two = ("[[10,2]]", "[[2,2,2,2,2,2]]") if level == 1 else ("[[10],[]]", "[[2,2,2,2,2],[]]")
+    assert listed.index(ten) < listed.index(two)
 
 
 def test_parse_format_examples():

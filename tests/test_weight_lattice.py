@@ -134,6 +134,23 @@ def test_weight_arithmetic_and_json():
         w + AffineWeight((1, 0, 0), 0)
 
 
+def test_weight_sums_and_differences_equal_validated_weights():
+    # + and - build their result unchecked; it must equal a checked one
+    charge = Multicharge(3, (0, 1))
+    weights = [wt(m, charge) for n in range(4) for m in enumerate_multipartitions(n, 2)]
+    weights += [simple_root(1, 3), null_root(3).scaled(-2), -fundamental(2, 3)]
+    for a in weights:
+        for b in weights[::3]:
+            for got, lam, delta in (
+                (a + b, [x + y for x, y in zip(a.lam, b.lam)], a.delta + b.delta),
+                (a - b, [x - y for x, y in zip(a.lam, b.lam)], a.delta - b.delta),
+            ):
+                fresh = AffineWeight(tuple(lam), delta)
+                assert got == fresh and hash(got) == hash(fresh)
+                assert type(got.lam) is tuple and all(type(v) is int for v in (*got.lam, got.delta))
+                assert str(got) == str(fresh) and got.to_json() == fresh.to_json()
+
+
 @pytest.mark.parametrize("build", [
     lambda: AffineWeight((1.5, 0), 0.9),
     lambda: AffineWeight((1, 0), 0).scaled(0.5),
@@ -161,11 +178,11 @@ def wt_by_roots(m, charge) -> AffineWeight:
 def test_wt_matches_root_formula():
     charges = [
         Multicharge(e, s)
-        for e in (2, 3, 4)
+        for e in (2, 3, 4, 5)
         for s in ((0,), (e - 1,), (0, 1), (-1, 2), (0, 2, 5), (1, 1, -3))
     ]
     for charge in charges:
-        for n in range(7):
+        for n in range(9):
             for m in enumerate_multipartitions(n, charge.level):
                 assert wt(m, charge) == wt_by_roots(m, charge), (charge, m)
     with pytest.raises(ValueError, match="level mismatch"):
