@@ -142,11 +142,16 @@ def cmd_apply(args, charge: Multicharge) -> int:
 
 
 def _shape_counts(level: int, max_rank: int) -> list[int]:
-    """The number of level-`level` multipartitions of each rank 0..max_rank."""
-    single = [1] + [0] * max_rank
-    for part in range(1, max_rank + 1):
-        for total in range(part, max_rank + 1):
-            single[total] += single[total - part]
+    """The number of level-`level` multipartitions of each rank 0..max_rank;
+    refused uncounted once some p(r) <= p(max_rank) is over budget."""
+    single = [1]  # the partition numbers p(r), by Euler's pentagonal recurrence
+    for r in range(1, max_rank + 1):
+        p, k = 0, 1
+        while (g := k * (3 * k - 1) // 2) <= r:
+            p -= (-1) ** k * (single[r - g] + (single[r - g - k] if g + k <= r else 0))
+            k += 1
+        _check_budget(p, f"or more shapes of rank {max_rank}")
+        single.append(p)
     counts = [1] + [0] * max_rank
     for _ in range(level):
         counts = [sum(counts[k] * single[t - k] for k in range(t + 1))

@@ -19,8 +19,8 @@ zeta_e and Q_j = zeta_e^(s_j) are read off the charge where a check needs them.
 Each check returns `AxiomReport`s: `check_relations` for the presentation,
 `check_jm` for the Jucys-Murphy twist, commutation and centrality,
 `central_characters` for the block spectrum, and `check_block_weights` for
-the match between attained characters and affine weights of the rank-n
-shapes.  Every matrix here, from the saturation on, is a list of sparse rows
+the count of attained blocks against the weights of the rank-n shapes.
+Every matrix here, from the saturation on, is a list of sparse rows
 {column: nonzero entry}, multiplied by `mul_rows`; only `write_json`
 densifies, one row at a time.  The spectrum is one call of
 `joint_eigenspaces` on the JM elements J_i, which sums each block from its
@@ -43,7 +43,7 @@ import os
 from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import combinations, count, islice, permutations, product, repeat
+from itertools import accumulate, combinations, count, islice, permutations, product, repeat
 from math import factorial
 from operator import mul
 
@@ -77,10 +77,9 @@ class _Engine:
         self.n = n
         self.e = charge.e
         q, one = Cyc.zeta(self.e), Cyc.one(self.e)
-        # sigma[k - 1] = e_k(q_1..q_l), for J_0^l: q_j = zeta^(s_j) is the
-        # residue exponential of the box (1, 1) of component j, so these are
-        # the character values of the shape with one box per component
-        sigma = a_poly(Multipartition(((1,),) * l), charge).values
+        # sigma[k - 1] = e_k(Q_1..Q_l), Q_j = zeta^(s_j): J_0^l reduces
+        # through the cyclotomic relation prod_j (J_0 - Q_j) = 0
+        sigma = _elementary([Cyc.zeta(self.e, s_j) for s_j in charge.s], one)
         if Cyc.degree(self.e) == 1:  # Z[zeta_e] = Z: coefficients are ints
             q, one, sigma = q.coeffs[0], 1, tuple(x.coeffs[0] for x in sigma)
         self.q, self.qm1, self.sigma, self.one = q, q - 1, sigma, one
@@ -200,13 +199,15 @@ def checked_dimension(l: int, n: int, charge: Multicharge, max_dim: int | None =
         raise ValueError(f"level mismatch: l={l} but charge has {charge.level}")
     if n < 1:
         raise ValueError("n must be at least 1")
-    target = l**n * factorial(n)
     if max_dim is None:
         raw = os.environ.get("FOCK_MAX_DIM", str(DEFAULT_DIM_BOUND))
         try:
             max_dim = int(raw)
         except ValueError:
             raise ValueError(f"FOCK_MAX_DIM must be an integer, got {raw!r}") from None
+    if any(f > max_dim for f in accumulate(range(1, n + 1), mul)):  # k! <= n! <= l^n n!
+        raise ValueError(f"dimension overflow: l^n*n! >= {n}! exceeds bound {max_dim}")
+    target = l**n * factorial(n)
     if target > max_dim:
         raise ValueError(f"dimension overflow: l^n*n! = {target} exceeds bound {max_dim}")
     return target
@@ -460,7 +461,8 @@ class AttainedCharacter:
 
 @dataclass(frozen=True)
 class CharacterSpectrum:
-    dimension: int
+    """The attained blocks and the reports of `central_characters`."""
+
     attained: tuple[AttainedCharacter, ...]
     reports: tuple[AxiomReport, ...]
 
@@ -626,7 +628,7 @@ def central_characters(
     ]
     total, dim = sum(a.dimension for a in attained), rep.dimension
     mass = [] if total == dim else [{"total_generalized_dim": total, "expected": dim}]
-    return CharacterSpectrum(dim, attained, (
+    return CharacterSpectrum(attained, (
         AxiomReport("spectral_mass", tuple(mass)),
         AxiomReport("spectral_support", tuple(support)),
     ))
@@ -635,27 +637,11 @@ def central_characters(
 def check_block_weights(
     spectrum: CharacterSpectrum, n: int, charge: Multicharge
 ) -> list[AxiomReport]:
-    """Blocks against affine weights: one attained character per distinct
-    weight of the rank-n shapes, and two shapes share a character exactly
-    when they share a weight.
-    """
-    shapes = enumerate_multipartitions(n, charge.level)
-    chars = [a_poly(mp, charge) for mp in shapes]
-    weights = [wt(mp, charge) for mp in shapes]
-    distinct = len(set(weights))
-    witnesses = []
-    if len(spectrum.attained) != distinct:
-        witnesses.append(
-            {"attained_characters": len(spectrum.attained),
-             "distinct_weights": distinct}
-        )
-    for a in range(len(shapes)):
-        for b in range(a + 1, len(shapes)):
-            same_char = chars[a] == chars[b]
-            same_wt = weights[a] == weights[b]
-            if same_char != same_wt:
-                witnesses.append(
-                    {"mp1": shapes[a].to_lists(), "mp2": shapes[b].to_lists(),
-                     "same_character": same_char, "same_weight": same_wt}
-                )
-    return [AxiomReport("block_weights", tuple(witnesses))]
+    """The attained characters must be as many as the distinct weights of the
+    rank-n shapes.  That is the whole check: equal characters mean equal
+    residue multisets (the zeta^r, r mod e, are distinct), and so do equal
+    weights (the alpha_i are independent once delta is a coordinate)."""
+    attained = len(spectrum.attained)
+    distinct = len({wt(mp, charge) for mp in enumerate_multipartitions(n, charge.level)})
+    witness = {"attained_characters": attained, "distinct_weights": distinct}
+    return [AxiomReport("block_weights", () if attained == distinct else (witness,))]

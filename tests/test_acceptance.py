@@ -293,22 +293,23 @@ def test_criterion_9_determinism():
     src = os.path.dirname(os.path.dirname(focklab.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
 
-    def run(*argv: str) -> bytes:
+    def run(seed: str, *argv: str) -> bytes:
+        # each run its own string-hash seed, whatever the runner's environment fixes
         proc = subprocess.run(
             [sys.executable, "-m", "focklab", *argv],
             capture_output=True,
             check=True,
-            env={**os.environ, "PYTHONPATH": path},
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
         )
         return proc.stdout
 
     graph_args = ("--e", "2", "--s", "0,1", "--max-rank", "3", "crystal-graph")
-    assert run(*graph_args) == run(*graph_args)
+    assert run("1", *graph_args) == run("2", *graph_args)
     verify_args = (
         "--e", "2", "--s", "0", "--max-rank", "3", "--n", "2", "verify", "all",
     )
-    first = run(*verify_args)
-    assert first == run(*verify_args)
+    first = run("1", *verify_args)
+    assert first == run("2", *verify_args)
     assert first.strip(), "verify all produced no report lines"
     for line in first.decode().splitlines():
         json.loads(line)

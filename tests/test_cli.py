@@ -159,6 +159,47 @@ def test_blocks_resource_bound(capsys, monkeypatch):
     assert code == 2 and "rank must be nonnegative" in capsys.readouterr().err
 
 
+# p(42) = 53 174 is the first partition number over the budget
+_OVER = "resource bound exceeded: 53174 or more shapes of rank {} > 50000"
+_FACTORIAL = "dimension overflow: l^n*n! >= {}! exceeds bound {}"
+
+
+@pytest.mark.parametrize("env, argv, err", [
+    (None, "--e 2 --s 0,1 --max-rank 4000 crystal-graph", _OVER.format(4001)),
+    (None, "--e 2 --s 0,1 --max-rank 8000 crystal-graph", _OVER.format(8001)),
+    (None, "--e 2 --s 0,1,2,3 --max-rank 4000 crystal-graph", _OVER.format(4001)),
+    (None, "--e 2 --s 0,1 --max-rank 1000000000 verify crystal", _OVER.format(1000000001)),
+    (None, "--e 3 --s 0,1 --max-rank 1000000000 verify all", _OVER.format(1000000002)),
+    (None, "--e 2 --s 0 blocks 42", _OVER.format(42)),
+    (None, "--e 2 --s 0,1 blocks 8000", _OVER.format(8000)),
+    (None, "--e 2 --s 0,1 blocks 1000000000", _OVER.format(1000000000)),
+    (None, "--e 2 --s 0 --n 6 hecke-build", _FACTORIAL.format(6, 200)),
+    (None, "--e 2 --s 0 --n 20000 hecke-build", _FACTORIAL.format(20000, 200)),
+    (None, "--e 3 --s 0,1 --n 20000 verify all", _FACTORIAL.format(20000, 200)),
+    (None, "--e 2 --s 0 --n 1000000000 hecke-build", _FACTORIAL.format(1000000000, 200)),
+    ("1000000", "--e 2 --s 0 --n 10 hecke-build", _FACTORIAL.format(10, 1000000)),
+    ("1000000", "--e 3 --s 0,1 --n 1000000000 verify all",
+     _FACTORIAL.format(1000000000, 1000000)),
+])
+def test_refusal_forms_no_big_count(capsys, monkeypatch, env, argv, err):
+    # past the rank where p(r) alone, or the n where n! alone, exceeds the
+    # bound, the refusal is decided from that lower bound, whatever the size
+    if env is None:
+        monkeypatch.delenv("FOCK_MAX_DIM", raising=False)
+    else:
+        monkeypatch.setenv("FOCK_MAX_DIM", env)
+    for owner, name in [(cli, "enumerate_multipartitions"), (cli, "build_graph"),
+                        (cli.hecke_desk, "_saturate"),
+                        (structure_analysis, "check_fock_relations")]:
+        monkeypatch.setattr(owner, name, _refuse)
+    start = time.perf_counter()
+    code = main(argv.split())
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and captured.err == f"error: {err}\n"
+    assert elapsed < 0.5
+
+
 def test_shape_counts_match_enumeration():
     for level in (1, 2, 3):
         counted = [len(enumerate_multipartitions(r, level)) for r in range(7)]

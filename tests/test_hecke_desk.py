@@ -203,14 +203,31 @@ def test_a_poly_examples():
 
 
 def test_character_equals_weight_equivalence():
-    for charge in (Multicharge(2, (0,)), Multicharge(3, (0, 1))):
-        for n in range(5):
-            shapes = enumerate_multipartitions(n, charge.level)
-            for a in range(len(shapes)):
-                for b in range(a + 1, len(shapes)):
-                    same_char = a_poly(shapes[a], charge) == a_poly(shapes[b], charge)
-                    same_wt = wt(shapes[a], charge) == wt(shapes[b], charge)
-                    assert same_char == same_wt
+    # equal a_poly exactly when equal wt, at a fixed rank: both mean equal
+    # residue multisets, the theorem that lets check_block_weights only count
+    for e, s in [(2, (0,)), (3, (0, 1)), (2, (0, 1)), (3, (0, 1, 2)), (3, (-4, 7)),
+                 (4, (5, -1, 2)), (5, (0, 2)), (2, (0, 1, 0, 1))]:
+        charge = Multicharge(e, s)
+        for n in range(6):
+            by_char, by_wt = {}, {}
+            for mp in enumerate_multipartitions(n, charge.level):
+                by_char.setdefault(a_poly(mp, charge), set()).add(mp)
+                by_wt.setdefault(wt(mp, charge), set()).add(mp)
+            groups = [{frozenset(g) for g in by.values()} for by in (by_char, by_wt)]
+            assert groups[0] == groups[1], (charge, n)
+
+
+def test_engine_sigma_is_the_one_box_character():
+    # e_k(Q_1..Q_l) of the cyclotomic relation, as the character values of
+    # the shape with one box per component; ints where phi(e) = 1
+    for e in range(2, 8):
+        for s in [(0,), (-3,), (e + 1, -1), (2 * e, -e - 1, 1), (-7, 3, e, 9)]:
+            charge = Multicharge(e, s)
+            values = a_poly(Multipartition(((1,),) * charge.level), charge).values
+            if Cyc.degree(e) == 1:
+                values = tuple(x.coeffs[0] for x in values)
+            engine = hecke_desk._Engine(charge.level, 2, charge)
+            assert engine.sigma == values, (e, s)
 
 
 def test_central_characters_examples(hecke_reps):
@@ -235,11 +252,12 @@ def test_central_characters_examples(hecke_reps):
 
 
 def test_spectrum_reports_pass(hecke_reps):
+    assert [f.name for f in dataclasses.fields(CharacterSpectrum)] == ["attained", "reports"]
     for l, n, e in [(1, 2, 2), (2, 2, 3), (3, 2, 2)]:
         charge = Multicharge(e, tuple(range(l)))
         spectrum = central_characters(hecke_reps(l, n, e), n, charge)
         assert all(r.status == "pass" for r in spectrum.reports)
-        assert sum(a.dimension for a in spectrum.attained) == spectrum.dimension
+        assert sum(a.dimension for a in spectrum.attained) == l**n * math.factorial(n)
         weights = {wt(m, charge) for m in enumerate_multipartitions(n, l)}
         assert len(spectrum.attained) == len(weights)
 
@@ -532,7 +550,6 @@ def realified_spectrum(rep, n, charge):
         if sum(dim_r - rank for _, rank in powers.values()) != dim_r
     ]
     return CharacterSpectrum(
-        rep.dimension,
         tuple(attained),
         (AxiomReport("spectral_mass", tuple(mass)),
          AxiomReport("spectral_support", tuple(support))),
