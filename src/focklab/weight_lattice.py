@@ -119,10 +119,14 @@ def wt(mp: Multipartition, charge: Multicharge) -> AffineWeight:
     e = charge.e
     counts = [0] * e  # boxes of each residue, row by row
     lam = [0] * e  # Lambda_s
+    # each run of e residues in a row subtracts alpha_0 + ... + alpha_{e-1} = delta:
+    # O(e) per row, as fast as a box walk on small shapes, so every row takes it
+    turns = 0
     for comp, s in zip(mp.components, charge.s):
         lam[s % e] += 1
         for width in comp:  # s: residue of the row's first box
-            for r in range(s, s + width):
+            turns += width // e
+            for r in range(s, s + width % e):
                 counts[r % e] += 1
             s -= 1
     # alpha_i = 2 L_i - L_{i-1} - L_{i+1} (+ delta if i = 0); at e = 2 the
@@ -131,4 +135,4 @@ def wt(mp: Multipartition, charge: Multicharge) -> AffineWeight:
         lam[i] -= 2 * n_i
         lam[(i - 1) % e] += n_i
         lam[(i + 1) % e] += n_i
-    return _trusted(tuple(lam), -counts[0])
+    return _trusted(tuple(lam), -counts[0] - turns)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import ast
 import hashlib
 import json
@@ -39,6 +40,39 @@ def test_wt_parse_error(capsys):
 def test_flags_after_subcommand(capsys):
     code, out = run(capsys, "wt", "--e", "2", "--s", "0,1", "[[1],[1]]")
     assert code == 0 and json.loads(out) == {"lambda": [1, 1], "delta": -1}
+
+
+_WT_E2 = '{"lambda":[-1,2],"delta":-1}\n'
+_WT_E3 = '{"lambda":[-1,1,1],"delta":-1}\n'
+_WT_TEXT = "wt([[1]]) = (-1,2;-1)\n"
+
+
+@pytest.mark.parametrize("before, after, expected", [
+    ((), (), _WT_E2),  # neither: the defaults e = 2 and json
+    (("--e", "3"), (), _WT_E3),
+    ((), ("--e", "3"), _WT_E3),
+    (("--e", "3"), ("--e", "2"), _WT_E2),  # both: the flag after the subcommand wins
+    (("--e", "2"), ("--e", "3"), _WT_E3),
+    (("--format", "text"), (), _WT_TEXT),
+    ((), ("--format", "text"), _WT_TEXT),
+    (("--format", "text"), ("--format", "json"), _WT_E2),
+    (("--format", "json"), ("--format", "text"), _WT_TEXT),
+])
+def test_flag_after_subcommand_overrides_the_one_before(capsys, before, after, expected):
+    code, out = run(capsys, *before, "--s", "0", "wt", *after, "[[1]]")
+    assert code == 0 and out == expected
+
+
+@pytest.mark.parametrize("argv, expected", [
+    ("wt [[10000000000]]", '{"lambda":[1,0],"delta":-5000000000}\n'),
+    ("apply h 0 [[10000000000]]", '[{"coeff":"1","mp":[[10000000000]]}]\n'),
+])
+def test_wide_row_is_weighed_without_a_walk(capsys, argv, expected):
+    # a row takes its whole turns through the e residues at once
+    start = time.perf_counter()
+    code, out = run(capsys, "--e", "2", "--s", "0", *argv.split())
+    assert code == 0 and out == expected
+    assert time.perf_counter() - start < 0.5
 
 
 def test_apply_examples(capsys):
@@ -200,6 +234,22 @@ def test_refusal_forms_no_big_count(capsys, monkeypatch, env, argv, err):
     assert elapsed < 0.5
 
 
+@pytest.mark.parametrize("argv, rank", [("--max-rank 40 crystal-graph", 41), ("blocks 40", 40)])
+def test_long_multicharge_is_refused_from_the_level_bound(capsys, monkeypatch, argv, rank):
+    # C(l + r - 1, r) shapes of rank r have one-row components: at l = 10 000,
+    # 50 005 000 at r = 2, refused with no convolution over the components
+    for name in ("enumerate_multipartitions", "build_graph"):
+        monkeypatch.setattr(cli, name, _refuse)
+    start = time.perf_counter()
+    code = main(["--e", "3", "--s", ",".join(["0"] * 10_000), *argv.split()])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("error: resource bound exceeded: 50005000 or more shapes "
+                            f"of rank {rank} > 50000\n")
+    assert elapsed < 0.5
+
+
 def test_shape_counts_match_enumeration():
     for level in (1, 2, 3):
         counted = [len(enumerate_multipartitions(r, level)) for r in range(7)]
@@ -303,6 +353,27 @@ def test_verify_hecke(capsys):
     by_axiom = {doc["axiom"]: doc for doc in lines}
     assert by_axiom["hecke.relations"]["status"] == "pass"
     assert by_axiom["hecke.block_weights"]["status"] == "pass"
+
+
+def test_verify_hecke_streams_each_report_as_its_check_returns(capsys, monkeypatch):
+    def broken(rep):
+        raise RuntimeError("check_jm broke")
+
+    monkeypatch.setattr(cli.hecke_desk, "check_jm", broken)
+    with pytest.raises(RuntimeError, match="check_jm broke"):
+        main(["verify", "hecke", "--e", "2", "--s", "0,1", "--n", "2"])
+    printed = [json.loads(line)["axiom"] for line in capsys.readouterr().out.splitlines()]
+    assert printed == ["hecke.dimension", "hecke.relations"]
+
+
+def test_verify_suites_come_from_one_list(capsys):
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    suite = next(a for a in sub.choices["verify"]._actions if a.dest == "suite")
+    assert list(suite.choices) == [*cli.SUITES, "all"]
+    code, out = run(capsys, "verify", "all", "--e", "2", "--s", "0", "--max-rank", "2")
+    ran = [json.loads(line)["axiom"].partition(".")[0] for line in out.splitlines()]
+    assert code == 0 and list(dict.fromkeys(ran)) == list(cli.SUITES)
 
 
 def test_verify_perfect_is_informational(capsys):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from focklab import (
@@ -187,3 +189,15 @@ def test_wt_matches_root_formula():
                 assert wt(m, charge) == wt_by_roots(m, charge), (charge, m)
     with pytest.raises(ValueError, match="level mismatch"):
         wt(parse_multipartition("[[1]]"), Multicharge(3, (0, 1)))
+
+
+@pytest.mark.parametrize("e", [2, 3, 4, 5])
+def test_wt_of_wide_rows_matches_root_formula(e):
+    # rows of width e and more take their whole turns through the residues at once
+    for s in ((0,), (-7, e), (e + 2, -1, 2 * e)):
+        charge = Multicharge(e, s)
+        for w in range(5 * e + 4):
+            rows = sorted({w, w - 1, w // 2, e, 1} - {0, -1}, reverse=True)
+            comps = [rows[j:] for j in range(charge.level)]
+            m = parse_multipartition(json.dumps(comps))
+            assert wt(m, charge) == wt_by_roots(m, charge), (charge, comps)
