@@ -80,18 +80,23 @@ def signatures(
             symbols.reverse()
     reports = []
     for symbols in by_residue:
-        stack: list[tuple[str, BoxCoord]] = []
-        for sign, box in symbols:
-            if sign == "-" and stack and stack[-1][0] == "+":
+        stack: list[tuple[str, BoxCoord]] = []  # '-' * epsilon + '+' * phi
+        epsilon = 0
+        for symbol in symbols:
+            if symbol[0] == "+":
+                stack.append(symbol)
+            elif len(stack) > epsilon:
                 stack.pop()
             else:
-                stack.append((sign, box))
-        epsilon = sum(1 for sign, _ in stack if sign == "-")
+                stack.append(symbol)
+                epsilon += 1
         phi = len(stack) - epsilon
-        reports.append(SignatureReport(
+        report = object.__new__(SignatureReport)  # unchecked: the multipartition trust rule
+        report.__dict__.update(
             symbols=tuple(symbols), reduced=tuple(stack), epsilon=epsilon, phi=phi,
             good_removable=stack[epsilon - 1][1] if epsilon > 0 else None,
-            good_addable=stack[epsilon][1] if phi > 0 else None))
+            good_addable=stack[epsilon][1] if phi > 0 else None)
+        reports.append(report)
     return tuple(reports)
 
 
@@ -174,27 +179,24 @@ def build_graph(
     if max_rank < 0:
         raise ValueError("max_rank must be nonnegative")
     nodes: list[Multipartition] = []
-    for n in range(max_rank + 1):
-        nodes.extend(enumerate_multipartitions(n, charge.level))
-
     weights: dict[Multipartition, AffineWeight] = {}
     eps: dict[Multipartition, tuple[int, ...]] = {}
     phi: dict[Multipartition, tuple[int, ...]] = {}
     edges: list[tuple[Multipartition, int, Multipartition]] = []
     boundary: list[tuple[Multipartition, int, Multipartition]] = []
 
-    for mp in nodes:
-        weights[mp] = wt(mp, charge)
-        sigs = signatures(mp, charge, order)
-        eps[mp] = tuple(sig.epsilon for sig in sigs)
-        phi[mp] = tuple(sig.phi for sig in sigs)
-        for i, sig in enumerate(sigs):
-            if sig.good_addable is not None:
-                target = _with_component(mp, sig.good_addable, 1)
-                if target.rank <= max_rank:
-                    edges.append((mp, i, target))
-                else:
-                    boundary.append((mp, i, target))
+    for n in range(max_rank + 1):
+        shapes = enumerate_multipartitions(n, charge.level)
+        nodes.extend(shapes)
+        arrows = edges if n < max_rank else boundary  # every target has rank n + 1
+        for mp in shapes:
+            weights[mp] = wt(mp, charge)
+            sigs = signatures(mp, charge, order)
+            eps[mp] = tuple(sig.epsilon for sig in sigs)
+            phi[mp] = tuple(sig.phi for sig in sigs)
+            for i, sig in enumerate(sigs):
+                if sig.good_addable is not None:
+                    arrows.append((mp, i, _with_component(mp, sig.good_addable, 1)))
 
     return CrystalGraph(
         charge=charge,

@@ -4,8 +4,8 @@ subspaces.  `primitive_basis` and `kernel_dimension_by_weight` (in
 `structure_analysis`) reduce the same sparse rows, `_removal_rows`; the dense
 `operator_matrix` serves test oracles and the benchmark tracer only.
 
-e_i and f_i make one pass per term, moving each listed residue-i box by the
-trusted `multipartition._with_component`, with no second validation.  They
+e_i and f_i make one pass per term, moving each listed residue-i box
+unchecked under the trust rule of the `multipartition` docstring.  They
 never truncate, so sweeps on a finite slice are exact on basis vectors.
 Nothing is memoized across calls; the `structure_analysis` sweeps keep
 per-call rows of `apply_e`/`apply_f`, looked up at call time.
@@ -22,6 +22,7 @@ from . import _linalg
 from .multipartition import (
     Multicharge,
     Multipartition,
+    _moved,
     _with_component,
     addable_boxes,
     enumerate_multipartitions,
@@ -227,10 +228,10 @@ def _removal_rows(n: int, charge: Multicharge):
     e_i land in distinct weight spaces and their joint kernel is the kernel
     of e; across weights e mixes images, so callers reduce per weight."""
     codomain = enumerate_multipartitions(n - 1, charge.level) if n > 0 else ()
-    index = {mp: r for r, mp in enumerate(codomain)}
+    index = {mp.components: r for r, mp in enumerate(codomain)}
     for mp in enumerate_multipartitions(n, charge.level):
         yield mp, wt(mp, charge), {
-            index[_with_component(mp, box, -1)]: 1 for box in removable_boxes(mp, charge)}
+            index[_moved(mp.components, box, -1)]: 1 for box in removable_boxes(mp, charge)}
 
 
 def primitive_basis(n: int, charge: Multicharge) -> list[FockVector]:

@@ -4,8 +4,10 @@ cells, enumeration and serialization.
 Conventions: rows, columns and components are 1-based.  A box is the triple
 (row, col, comp) and belongs to the diagram of ``mp`` when
 ``0 < col <= mp.components[comp-1][row-1]``.  All values here are immutable
-and every operation is a pure function.  `add_box`/`remove_box` check a
-caller's box; a box the listings give moves by the trusted `_with_component`.
+and every operation is a pure function.  `Multipartition(...)`, `from_lists`,
+`parse_multipartition`, `add_box` and `remove_box` validate a caller's input;
+`_trusted`, `_moved`/`_with_component` on a listed box, `enumerate_multipartitions`
+and `crystal.signatures` build unchecked, their values canonical by construction.
 """
 
 from __future__ import annotations
@@ -211,17 +213,25 @@ def remove_box(mp: Multipartition, box: BoxCoord) -> Multipartition:
     return _with_component(mp, box, -1)
 
 
-def _with_component(mp: Multipartition, box: BoxCoord, step: int) -> Multipartition:
-    """mp with the box's row grown by `step` (1 adds it, -1 removes it),
-    unvalidated: canonical for a box the listings give (an emptied row, the
-    last, is dropped); `add_box`/`remove_box` check a caller's box first."""
-    a, _, j = box
-    comp = mp.components[j - 1]
-    width = (comp[a - 1] if a <= len(comp) else 0) + step
+def _trusted(components: tuple[tuple[int, ...], ...]) -> Multipartition:
+    """Multipartition(components) unchecked: parts canonical already."""
     out = object.__new__(Multipartition)
-    object.__setattr__(out, "components", mp.components[: j - 1] + (
-        comp[: a - 1] + ((width,) if width else ()) + comp[a:],) + mp.components[j:])
+    object.__setattr__(out, "components", components)
     return out
+
+
+def _moved(components: tuple[tuple[int, ...], ...], box: BoxCoord, step: int):
+    """components with the box's row grown by `step` (1 adds, -1 removes;
+    an emptied row, the last, is dropped)."""
+    a, _, j = box
+    comp = components[j - 1]
+    width = (comp[a - 1] if a <= len(comp) else 0) + step
+    return components[: j - 1] + (
+        comp[: a - 1] + ((width,) if width else ()) + comp[a:],) + components[j:]
+
+
+def _with_component(mp: Multipartition, box: BoxCoord, step: int) -> Multipartition:
+    return _trusted(_moved(mp.components, box, step))
 
 
 @lru_cache(maxsize=None)
@@ -257,6 +267,6 @@ def enumerate_multipartitions(n: int, level: int) -> tuple[Multipartition, ...]:
                 for rest in gen(remaining - head, comps_left - 1):
                     yield (p,) + rest
 
-    result = [Multipartition(c) for c in gen(n, level)]
+    result = [_trusted(c) for c in gen(n, level)]
     result.sort(key=Multipartition.serialize)
     return tuple(result)

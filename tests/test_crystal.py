@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -102,7 +103,11 @@ def assert_signatures_match_oracle(m, charge):
         sigs = signatures(m, charge, order)
         assert len(sigs) == charge.e
         for i, sig in enumerate(sigs):
-            assert sig == signature_oracle(i, m, charge, order), (m, charge, order, i)
+            # built unchecked: equal, hash-equal and as frozen as a dataclass-built one
+            expected = signature_oracle(i, m, charge, order)
+            assert sig == expected and hash(sig) == hash(expected), (m, charge, order, i)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                sig.epsilon = 0
             assert signature(i, m, charge, order) == sig
 
 

@@ -20,6 +20,7 @@ from focklab import (
     removable_boxes,
     residue,
 )
+from focklab.multipartition import _moved
 
 
 def mp(text: str) -> Multipartition:
@@ -250,19 +251,32 @@ def test_random_add_remove_roundtrip(components, e_shift):
         assert add_box(remove_box(m, box), box) == m
 
 
-@given(st.lists(partitions, min_size=1, max_size=3))
-def test_box_moves_are_canonical(components):
-    # add_box and remove_box skip validation: their results must be the
-    # multipartitions that validation builds, rows emptied by a removal gone
-    m = Multipartition(tuple(components))
+def assert_box_moves_are_canonical(m):
+    # enumeration, add_box and remove_box skip validation: their results must
+    # be the multipartitions that validation builds, rows emptied by a removal gone
     c = Multicharge(2, (0,) * m.level)
     moved = [add_box(m, box) for box in addable_boxes(m, c)]
     moved += [remove_box(m, box) for box in removable_boxes(m, c)]
-    for out in moved:
+    for out in [m, *moved]:
         validated = Multipartition(out.components)
         assert out == validated and hash(out) == hash(validated)
         assert out.components == validated.components
         assert all(part > 0 for comp in out.components for part in comp)
+    for box in removable_boxes(m, c):
+        assert _moved(m.components, box, -1) == remove_box(m, box).components
+
+
+@given(st.lists(partitions, min_size=1, max_size=3))
+def test_box_moves_are_canonical(components):
+    assert_box_moves_are_canonical(Multipartition(tuple(components)))
+
+
+def test_enumerated_box_moves_are_canonical():
+    # the same checks on every enumerated shape of levels 1-3, ranks 0-8
+    for level in (1, 2, 3):
+        for n in range(9):
+            for m in enumerate_multipartitions(n, level):
+                assert_box_moves_are_canonical(m)
 
 
 def canonical(box: BoxCoord) -> tuple[int, int, int]:
