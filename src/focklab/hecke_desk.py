@@ -192,19 +192,18 @@ class FinDimAlgebraRep:
         out.write("]}\n")
 
 
-def checked_dimension(l: int, n: int, charge: Multicharge, max_dim: int | None = None) -> int:
+def checked_dimension(l: int, n: int, charge: Multicharge) -> int:
     """l^n * n!, the dimension `build_algebra` must reach; ValueError unless l, n
-    and the bound (`max_dim`, else FOCK_MAX_DIM, else DEFAULT_DIM_BOUND) admit it."""
+    and the bound (FOCK_MAX_DIM, else DEFAULT_DIM_BOUND) admit it."""
     if l != charge.level:
         raise ValueError(f"level mismatch: l={l} but charge has {charge.level}")
     if n < 1:
         raise ValueError("n must be at least 1")
-    if max_dim is None:
-        raw = os.environ.get("FOCK_MAX_DIM", str(DEFAULT_DIM_BOUND))
-        try:
-            max_dim = int(raw)
-        except ValueError:
-            raise ValueError(f"FOCK_MAX_DIM must be an integer, got {raw!r}") from None
+    raw = os.environ.get("FOCK_MAX_DIM", str(DEFAULT_DIM_BOUND))
+    try:
+        max_dim = int(raw)
+    except ValueError:
+        raise ValueError(f"FOCK_MAX_DIM must be an integer, got {raw!r}") from None
     if any(f > max_dim for f in accumulate(range(1, n + 1), mul)):  # k! <= n! <= l^n n!
         raise ValueError(f"dimension overflow: l^n*n! >= {n}! exceeds bound {max_dim}")
     target = l**n * factorial(n)
@@ -213,9 +212,7 @@ def checked_dimension(l: int, n: int, charge: Multicharge, max_dim: int | None =
     return target
 
 
-def build_algebra(
-    l: int, n: int, charge: Multicharge, max_dim: int | None = None
-) -> FinDimAlgebraRep:
+def build_algebra(l: int, n: int, charge: Multicharge) -> FinDimAlgebraRep:
     """Saturate words from the identity into the regular representation.
 
     Left-multiplies known basis words by generators breadth-first and
@@ -224,7 +221,7 @@ def build_algebra(
     its generator matrix column, one outside it joins the basis as a unit
     column.  The closure dimension must equal l^n * n!; else it raises.
     """
-    target = checked_dimension(l, n, charge, max_dim)
+    target = checked_dimension(l, n, charge)
     words, gens = _saturate(_Engine(l, n, charge), target)
     if len(words) != target:
         raise RuntimeError(

@@ -13,11 +13,10 @@ for the image of each basis vector they meet once, as a row of (int id,
 coeff) pairs kept for one call, and form every product of the sweep (e_i f_j
 v - f_j e_i v - h_i v into one dict, the Pieri sums, the depth walks, the
 perfect-basis residuals) as flat loops over those rows.  Each Serre sum is
-evaluated grouped by leading letter, sum_a op_a(sum_k c_k suffix_k v), on
-suffix words kept per basis vector.  They look the operators up at call
-time, so rebinding them (a tracer, a fault-injection test) changes what is
-checked, depths included.  `check_crystal_axioms` and `compare_components`
-read a `CrystalGraph` they are given and build none.
+evaluated by Horner's rule in op_i (`_serre_sum`).  They look the operators
+up at call time, so rebinding them (a tracer, a fault-injection test)
+changes what is checked, depths included.  `check_crystal_axioms` and
+`compare_components` read a `CrystalGraph` they are given and build none.
 """
 
 from __future__ import annotations
@@ -82,7 +81,8 @@ def check_fock_relations(charge: Multicharge, max_rank: int) -> list[AxiomReport
     swept e_i, and the walk stops at the first value above the rank, so a
     faulty e_i that never lowers the rank is witnessed with depth rank + 1.
     Products are summed by `_add` over the basis images' rows, Serre sums
-    by `_serre_sum`.  Raises ValueError on a negative `max_rank`.
+    by Horner's rule in op_i (`_serre_sum`).  Raises ValueError on a
+    negative `max_rank`.
     """
     if max_rank < 0:
         raise ValueError("max_rank must be nonnegative")
@@ -91,7 +91,7 @@ def check_fock_relations(charge: Multicharge, max_rank: int) -> list[AxiomReport
     alphas = [simple_root(i, charge.e) for i in range(charge.e)]
     images = _BasisImages(charge)
     E, F = ([_Rows(images, op, i) for i in range(charge.e)] for op in "ef")
-    serre, suffixes = _serre_groups(charge.e)
+    serre = _serre_table(charge.e)
     for n in range(max_rank + 1):
         for mp in enumerate_multipartitions(n, charge.level):
             k = images.intern(mp)
@@ -123,9 +123,8 @@ def check_fock_relations(charge: Multicharge, max_rank: int) -> list[AxiomReport
                     total[t] = total.get(t, 0) + a
             if any(removed.values()) or any(added.values()):
                 bad["pieri"].append({"mp": mp.to_lists()})
-            words = [_serre_words(E, downs, suffixes), _serre_words(F, ups, suffixes)]
-            for (i, j), groups in serre.items():
-                sums = [_serre_sum(rows, w, groups) for rows, w in zip((E, F), words)]
+            for (i, j), coeffs in serre.items():
+                sums = [_serre_sum(rows, v, i, j, coeffs) for rows in (E, F)]
                 if any(c for total in sums for c in total.values()):
                     bad["serre"].append({"mp": mp.to_lists(), "i": i, "j": j})
     return [AxiomReport(axiom, tuple(found)) for axiom, found in bad.items()]
@@ -189,43 +188,23 @@ def _depth(rows: _Rows, vec, bound: int) -> int | float:
     return d
 
 
-def _serre_groups(e: int) -> tuple[dict, list]:
-    """{(i, j): groups} over i != j: the Serre sum sum_k (-1)^k C(m, k)
-    op_i^(m-k) op_j op_i^k, m = 1 - a_ij, with its words grouped by leading
-    letter a into (a, [(c_k, rest of word k), ...]); and the suffixes of
-    length >= 2 of those rests, shortest first."""
-    sums = {}
-    for i, j in permutations(range(e), 2):
-        m, groups = 1 - cartan_entry(i, j, e), {}
-        for k in range(m + 1):
-            word = (i,) * (m - k) + (j,) + (i,) * k
-            groups.setdefault(word[0], []).append(((-1) ** k * comb(m, k), word[1:]))
-        sums[i, j] = tuple(groups.items())
-    rests = {rest for groups in sums.values() for _, terms in groups for _, rest in terms}
-    return sums, sorted({rest[r:] for rest in rests for r in range(len(rest) - 1)}, key=len)
+def _serre_table(e: int) -> dict:
+    """{(i, j): (c_0, ..., c_m)} over i != j in `permutations` order: the
+    coefficients c_k = (-1)^k C(m, k) of the Serre sum
+    sum_k c_k op_i^(m-k) op_j op_i^k, m = 1 - a_ij."""
+    return {(i, j): tuple((-1) ** k * comb(m, k) for k in range(m + 1))
+            for i, j in permutations(range(e), 2) for m in [1 - cartan_entry(i, j, e)]}
 
 
-def _serre_words(rows: list[_Rows], ones: list[tuple], suffixes: list) -> dict:
-    """{letters: op_{a_1}...op_{a_r} v} on one basis vector v, from its images
-    `ones` under op_0, op_1, ... and the `suffixes` of `_serre_groups`."""
-    words = {(i,): dict(one) for i, one in enumerate(ones)}
-    for letters in suffixes:
-        words[letters] = _add({}, 1, rows[letters[0]], words[letters[1:]].items())
-    return words
-
-
-def _serre_sum(rows: list[_Rows], words: dict, groups: tuple) -> dict:
-    """One Serre sum on a basis vector v, sum_a op_a(sum_k c_k suffix_k v)
-    over `groups` of `_serre_groups`, on the `_serre_words` of v; zero
-    entries kept."""
-    total: dict = {}
-    for a, terms in groups:
-        inner: dict = {}
-        for c, suffix in terms:
-            for t, x in words[suffix].items():
-                inner[t] = inner.get(t, 0) + c * x
-        _add(total, 1, rows[a], inner.items())
-    return total
+def _serre_sum(rows: list[_Rows], v, i: int, j: int, coeffs: tuple) -> dict:
+    """One Serre sum on v (its (id, coeff) pairs) by Horner's rule in op_i:
+    acc = c_0 op_j v, then acc = op_i acc + c_k op_j op_i^k v for k = 1..m;
+    zero entries kept."""
+    acc, power = _add({}, coeffs[0], rows[j], v), v
+    for c in coeffs[1:]:
+        power = _add({}, 1, rows[i], power).items()
+        acc = _add(_add({}, 1, rows[i], acc.items()), c, rows[j], power)
+    return acc
 
 
 def check_crystal_axioms(graph: CrystalGraph) -> list[AxiomReport]:

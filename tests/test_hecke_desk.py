@@ -129,10 +129,11 @@ def test_identity_word_first(hecke_reps):
     assert rep.word_labels()[0] == "Id"
 
 
-def test_dimension_bound():
+def test_dimension_bound(monkeypatch):
     charge = Multicharge(2, (0, 1))
+    monkeypatch.setenv("FOCK_MAX_DIM", "7")
     with pytest.raises(ValueError):
-        build_algebra(2, 2, charge, max_dim=7)
+        build_algebra(2, 2, charge)
     with pytest.raises(ValueError):
         build_algebra(1, 2, Multicharge(2, (0, 1)))  # level mismatch
 
@@ -725,9 +726,10 @@ def test_trace_functional_follows_every_word_tree_edge(hecke_reps, l, n, e):
     (2, 4, Multicharge(5, (0, 2))),
     (2, 4, Multicharge(2, (0, 1))),
 ], ids=["3-3-2-s012", "3-3-2-s011", "2-3-4-s01", "2-2-5-s02", "2-4-5-s02", "2-4-2-s01"])
-def test_block_dimensions_match_cellular_formula(l, n, charge):
+def test_block_dimensions_match_cellular_formula(monkeypatch, l, n, charge):
     # each block B has dimension sum over B of (dim S^lambda)^2
-    rep = build_algebra(l, n, charge, max_dim=384)
+    monkeypatch.setenv("FOCK_MAX_DIM", "384")
+    rep = build_algebra(l, n, charge)
     spectrum = central_characters(rep, n, charge)
     assert all(r.status == "pass" for r in spectrum.reports)
     dims = [block.dimension for block in spectrum.attained]
@@ -963,7 +965,8 @@ _ORDER_CASES = [
 def test_saturation_does_not_depend_on_the_label_order(monkeypatch, l, n, charge):
     # the order picks only each echelon row's pivot column: membership in
     # the span and the coordinates over the independent words are unique
-    expected = build_algebra(l, n, charge, max_dim=384)
+    monkeypatch.setenv("FOCK_MAX_DIM", "384")
+    expected = build_algebra(l, n, charge)
 
     def lexicographic(l, n):
         return sorted(itertools.product(
@@ -971,7 +974,7 @@ def test_saturation_does_not_depend_on_the_label_order(monkeypatch, l, n, charge
 
     assert hecke_desk._all_labels(l, n) != lexicographic(l, n)
     monkeypatch.setattr(hecke_desk, "_all_labels", lexicographic)
-    rep = build_algebra(l, n, charge, max_dim=384)
+    rep = build_algebra(l, n, charge)
     assert (rep.words, rep.gens) == (expected.words, expected.gens)
 
 
@@ -981,7 +984,8 @@ def test_saturation_in_degree_order_has_little_fill_in(monkeypatch, l, n, charge
     # each echelon row's combination over the words holds its own word; in
     # lexicographic label order they held 1084, 1929 and 100 entries here
     trackers = _record_trackers(monkeypatch)
-    rep = build_algebra(l, n, charge, max_dim=384)
+    monkeypatch.setenv("FOCK_MAX_DIM", "384")
+    rep = build_algebra(l, n, charge)
     (tracker,) = trackers
     assert len(tracker._combos) == rep.dimension
     assert sum(map(len, tracker._combos.values())) <= per_word * rep.dimension
@@ -1049,7 +1053,8 @@ def test_saturation_over_z_stores_cyc_entries(monkeypatch, l, n, charge):
     # bare int, no integral Fraction
     trackers = _record_trackers(monkeypatch)
     assert type(hecke_desk._Engine(l, n, charge).q) is int
-    rep = build_algebra(l, n, charge, max_dim=384)
+    monkeypatch.setenv("FOCK_MAX_DIM", "384")
+    rep = build_algebra(l, n, charge)
     (tracker,) = trackers
     stored = [x for table in (tracker._rows, tracker._combos)
               for row in table.values() for x in row.values()]
@@ -1077,17 +1082,19 @@ class _Sha256Stream:
     (2, 4, Multicharge(2, (0, 1)),  # 3.6 MB
      "08d4b71d8736917a0c0909ada6d4dd0d3384e80c9b61c710e1523a36efc97cd4"),
 ], ids=["2-4-5", "2-4-2"])
-def test_write_json_byte_identity_at_dim_384(l, n, charge, digest):
+def test_write_json_byte_identity_at_dim_384(monkeypatch, l, n, charge, digest):
     # pinned before the saturation formed products from per-label rows; the
     # exact oracle stops at dim 162, and no CLI pin reaches the cyclotomic
     # saturation above dim 48
+    monkeypatch.setenv("FOCK_MAX_DIM", "384")
     out = _Sha256Stream()
-    build_algebra(l, n, charge, max_dim=384).write_json(out)
+    build_algebra(l, n, charge).write_json(out)
     assert out.hash.hexdigest() == digest
 
-def test_build_reaches_dim_384():
+def test_build_reaches_dim_384(monkeypatch):
     # above the default FOCK_MAX_DIM bound
-    rep = build_algebra(2, 4, Multicharge(2, (0, 1)), max_dim=384)
+    monkeypatch.setenv("FOCK_MAX_DIM", "384")
+    rep = build_algebra(2, 4, Multicharge(2, (0, 1)))
     assert rep.dimension == 384
     assert len(set(rep.words)) == 384
     (report,) = check_relations(rep)

@@ -338,18 +338,16 @@ def serre_sum_per_term(op, i, j, v, charge):
 
 
 def shared_serre_sums(op, v, charge):
-    """The sweep's Serre sums for op "e" or "f" on the basis vector v, grouped
-    by leading letter on shared suffix words, read back as Fock vectors."""
+    """The sweep's Serre sums for op "e" or "f" on the basis vector v, from
+    its coefficient table by Horner's rule, read back as Fock vectors."""
     images = structure_analysis._BasisImages(charge)
     rows = [structure_analysis._Rows(images, op, i) for i in range(charge.e)]
     (mp,) = v.terms
-    k = images.intern(mp)
-    serre, suffixes = structure_analysis._serre_groups(charge.e)
-    words = structure_analysis._serre_words(rows, [row[k] for row in rows], suffixes)
+    vec = ((images.intern(mp), 1),)
     return {
-        key: FockVector({images.mps[t]: c for t, c in
-                         structure_analysis._serre_sum(rows, words, groups).items()})
-        for key, groups in serre.items()
+        (i, j): FockVector({images.mps[t]: c for t, c in
+                            structure_analysis._serre_sum(rows, vec, i, j, coeffs).items()})
+        for (i, j), coeffs in structure_analysis._serre_table(charge.e).items()
     }
 
 
@@ -357,6 +355,7 @@ SERRE_CHARGES = (
     Multicharge(2, (0,)),  # m = 3
     Multicharge(3, (0, 1)),  # m = 2
     Multicharge(4, (0, 2)),  # m = 2 for neighbours, m = 1 otherwise
+    Multicharge(5, (0, -3, 7)),  # m = 1 and 2, a negative charge and one >= e
 )
 
 
@@ -375,36 +374,38 @@ def test_shared_serre_sums_match_per_term_oracle():
 
 
 def test_shared_serre_sums_witness_a_broken_f(monkeypatch):
-    # f_1 forgets the term [[2],[]] of f_1 [[1],[]]: still linear, but the
-    # Serre relations among the f_i now fail, and both evaluations agree
-    charge = Multicharge(3, (0, 1))
-    chosen = parse_multipartition("[[1],[]]")
-    lost = parse_multipartition("[[2],[]]")
-    assert apply_f(1, FockVector.basis(chosen), charge).coeff(lost) == 1
+    # f_1 forgets the term [[2],...] of f_1 [[1],...]: still linear, but the
+    # Serre relations among the f_i now fail at every m = 1 - a_ij of the
+    # charge, odd m included, and both evaluations agree on the nonzero sums
+    for charge in SERRE_CHARGES:
+        rest = [[]] * (charge.level - 1)
+        chosen, lost = (Multipartition.from_lists([[a], *rest]) for a in (1, 2))
+        assert apply_f(1, FockVector.basis(chosen), charge).coeff(lost) == 1
 
-    def broken_f(i, v, charge):
-        image = apply_f(i, v, charge)
-        if i != 1:
-            return image
-        return image - FockVector.basis(lost).scaled(v.coeff(chosen))
+        def broken_f(i, v, charge):
+            image = apply_f(i, v, charge)
+            if i != 1:
+                return image
+            return image - FockVector.basis(lost).scaled(v.coeff(chosen))
 
-    monkeypatch.setattr(structure_analysis, "apply_f", broken_f)
-    expected = []
-    nonzero = 0
-    for n in range(5):
-        for mp in enumerate_multipartitions(n, charge.level):
-            v = FockVector.basis(mp)
-            shared = shared_serre_sums("f", v, charge)
-            for i, j in shared:
-                f_sum = serre_sum_per_term(broken_f, i, j, v, charge)
-                e_sum = serre_sum_per_term(apply_e, i, j, v, charge)
-                assert shared[i, j] == f_sum
-                nonzero += not f_sum.is_zero()
-                if not (e_sum.is_zero() and f_sum.is_zero()):
-                    expected.append({"mp": mp.to_lists(), "i": i, "j": j})
-    assert nonzero > 0
-    reports = by_axiom(check_fock_relations(charge, 4))
-    assert list(reports["serre"].witnesses) == expected
+        monkeypatch.setattr(structure_analysis, "apply_f", broken_f)
+        expected = []
+        broken_m = set()
+        for n in range(5):
+            for mp in enumerate_multipartitions(n, charge.level):
+                v = FockVector.basis(mp)
+                shared = shared_serre_sums("f", v, charge)
+                for i, j in shared:
+                    f_sum = serre_sum_per_term(broken_f, i, j, v, charge)
+                    e_sum = serre_sum_per_term(apply_e, i, j, v, charge)
+                    assert shared[i, j] == f_sum
+                    if not f_sum.is_zero():
+                        broken_m.add(1 - cartan_entry(i, j, charge.e))
+                    if not (e_sum.is_zero() and f_sum.is_zero()):
+                        expected.append({"mp": mp.to_lists(), "i": i, "j": j})
+        assert broken_m == {1 - cartan_entry(0, j, charge.e) for j in range(1, charge.e)}
+        reports = by_axiom(check_fock_relations(charge, 4))
+        assert list(reports["serre"].witnesses) == expected
 
 
 def test_depth_walk_stops_above_the_rank(monkeypatch):
