@@ -49,20 +49,17 @@ def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _reduction_table(e: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """x^m mod Phi_e for m = d .. max(2d-2, e-1), where d = deg Phi_e."""
+def _powers(e: int) -> tuple[tuple[int, ...], ...]:
+    """x^m mod Phi_e for m = 0 .. max(2d-2, e-1), where d = deg Phi_e: every
+    degree that a product of two field elements or a power zeta^k, 0 <= k < e,
+    reaches.  Row m is the `divmod_monic` remainder of x * (row m-1), which is
+    x^m's, at O(d) a row where dividing x^m itself would take O(m d)."""
     phi = cyclotomic_polynomial(e)
     d = len(phi) - 1
-    top_power = max(2 * d - 2, e - 1, d)
-    reps: list[tuple[int, ...]] = []
-    current = [-c for c in phi[:d]]  # x^d
-    reps.append(tuple(current))
-    for _ in range(d, top_power):
-        shifted = [0] + current[:-1]
-        top = current[-1]
-        current = [shifted[j] + top * reps[0][j] for j in range(d)]
-        reps.append(tuple(current))
-    return tuple(reps), d
+    rows = [divmod_monic([1], phi)[1]]
+    for _ in range(max(2 * d - 2, e - 1)):
+        rows.append(divmod_monic([0] + rows[-1], phi)[1])
+    return tuple(map(tuple, rows))
 
 
 class Cyc:
@@ -106,11 +103,7 @@ class Cyc:
     @classmethod
     def zeta(cls, e: int, power: int = 1) -> "Cyc":
         """zeta_e^power, reduced into the field basis."""
-        d = cls.degree(e)
-        power %= e
-        coeffs = [0] * max(d, power + 1)
-        coeffs[power] = 1
-        return cls(e, _reduce(coeffs, e, d))
+        return cls(e, _powers(e)[power % e])
 
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
@@ -160,7 +153,7 @@ class Cyc:
                 for j, b in enumerate(o.coeffs):
                     if b:
                         conv[i + j] += a * b
-        return Cyc(self.e, _reduce(conv, self.e, d))
+        return Cyc(self.e, _fold(conv, self.e, d))
 
     __rmul__ = __mul__
 
@@ -180,7 +173,7 @@ class Cyc:
                 conv = [0] * e  # sigma_k(x): zeta_e -> zeta_e^k
                 for j, c in enumerate(self.coeffs):
                     conv[j * k % e] += c
-                conj = conj * Cyc(e, _reduce(conv, e, d))
+                conj = conj * Cyc(e, _fold(conv, e, d))
         norm = RAT((self * conj).coeffs[0])  # c / int norm would be a float
         return Cyc(e, tuple(c / norm for c in conj.coeffs))
 
@@ -244,17 +237,16 @@ class Cyc:
         return " + ".join(parts) if parts else "0"
 
 
-def _reduce(conv: list, e: int, d: int) -> tuple:
-    """Fold coefficients of degree >= d back via the reduction table."""
-    out = list(conv[:d])
-    if len(out) < d:
-        out += [0] * (d - len(out))
+def _fold(conv: list, e: int, d: int) -> tuple:
+    """conv mod Phi_e, for len(conv) >= d: each coefficient of degree m >= d
+    folds back through the row x^m mod Phi_e of `_powers`."""
+    out = conv[:d]
     if len(conv) > d:
-        reps, _ = _reduction_table(e)
+        powers = _powers(e)
         for m in range(d, len(conv)):
             c = conv[m]
             if c:
-                rep = reps[m - d]
+                rep = powers[m]
                 for j in range(d):
                     if rep[j]:
                         out[j] += c * rep[j]
@@ -284,7 +276,7 @@ def mul_rows(a: list, b: list) -> list:
                 for i, u in xs:
                     for m, v in ys:
                         conv[i + m] += u * v
-        out.append({j: Cyc(e, c) for j, conv in acc.items() if any(c := _reduce(conv, e, d))})
+        out.append({j: Cyc(e, c) for j, conv in acc.items() if any(c := _fold(conv, e, d))})
     return out
 
 

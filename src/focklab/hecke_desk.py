@@ -84,47 +84,40 @@ class _Engine:
             q, one, sigma = q.coeffs[0], 1, tuple(x.coeffs[0] for x in sigma)
         self.q, self.qm1, self.sigma, self.one = q, q - 1, sigma, one
 
-    def identity_element(self) -> dict:
-        return {((0,) * self.n, tuple(range(self.n))): self.one}
+    def mult_gen(self, g: int, label: tuple) -> dict:
+        """T_g (label) by the product rules, as {label: coefficient}."""
+        (exps, w), out = label, {}
 
-    def mult_gen(self, g: int, element: dict) -> dict:
-        out: dict = {}
-
-        def emit(label, coeff):
-            if label in out:
-                coeff = out.pop(label) + coeff
+        def emit(term, coeff):
+            if term in out:
+                coeff = out.pop(term) + coeff
             if coeff:
-                out[label] = coeff
+                out[term] = coeff
 
-        for (exps, w), c in element.items():
-            if g == 0:
-                a0 = exps[0] + 1
-                if a0 < self.l:
-                    emit(((a0,) + exps[1:], w), c)
-                else:
-                    for k in range(1, self.l + 1):
-                        sign = 1 if k % 2 == 1 else -1
-                        emit(
-                            ((self.l - k,) + exps[1:], w),
-                            c * self.sigma[k - 1] * sign,
-                        )
-                continue
+        if g == 0:
+            a0 = exps[0] + 1
+            if a0 < self.l:
+                return {((a0,) + exps[1:], w): self.one}
+            for k in range(1, self.l + 1):
+                sigma = self.sigma[k - 1]
+                emit(((self.l - k,) + exps[1:], w), sigma if k % 2 == 1 else -sigma)
+            return out
 
-            a, b = exps[g - 1], exps[g]
-            swapped = exps[:g - 1] + (b, a) + exps[g + 1:]
-            # main term: the generator passes the J-monomial and hits T_w
-            value = g - 1  # reflection exchanges values g-1, g
-            if w.index(value) < w.index(value + 1):
-                emit((swapped, _swap_values(w, value)), c)
-            else:
-                emit((swapped, w), c * self.qm1)
-                emit((swapped, _swap_values(w, value)), c * self.q)
-            # spawned terms keep the word and redistribute the exponent pair
-            if a != b:
-                hi, lo = max(a, b), min(a, b)
-                spawn = -(c * self.qm1) if a > b else c * self.qm1
-                for k in range(1, hi - lo + 1):
-                    emit((exps[:g - 1] + (hi - k, lo + k) + exps[g + 1:], w), spawn)
+        a, b = exps[g - 1], exps[g]
+        swapped = exps[:g - 1] + (b, a) + exps[g + 1:]
+        # main term: the generator passes the J-monomial and hits T_w
+        value = g - 1  # reflection exchanges values g-1, g
+        if w.index(value) < w.index(value + 1):
+            emit((swapped, _swap_values(w, value)), self.one)
+        else:
+            emit((swapped, w), self.qm1)
+            emit((swapped, _swap_values(w, value)), self.q)
+        # spawned terms keep the word and redistribute the exponent pair
+        if a != b:
+            hi, lo = max(a, b), min(a, b)
+            spawn = -self.qm1 if a > b else self.qm1
+            for k in range(1, hi - lo + 1):
+                emit((exps[:g - 1] + (hi - k, lo + k) + exps[g + 1:], w), spawn)
         return out
 
 
@@ -235,8 +228,8 @@ def _saturate(engine: _Engine, target: int):
     """(words, gens) of the greedy saturation, by one exact `SpanTracker`.
 
     Elements are sparse dicts over label indices (positions in `_all_labels`).
-    T_g x extends linearly the rows T_g (label k), each asked of `mult_gen` on
-    one term the first time; a unit constant adds its term unmultiplied.
+    T_g x extends linearly the rows T_g (label k), each asked of `mult_gen`
+    the first time; a unit constant adds its term unmultiplied.
 
     A product outside the span of the words joins them, so the words stay
     independent and a product inside has exactly one coordinate vector over
@@ -261,7 +254,7 @@ def _saturate(engine: _Engine, target: int):
         for k, c in vec.items():
             if (row := rows_g[k]) is None:
                 row = rows_g[k] = {index[lab]: one if x == one else x
-                                   for lab, x in engine.mult_gen(g, {labels[k]: one}).items()}
+                                   for lab, x in engine.mult_gen(g, labels[k]).items()}
             for j, x in row.items():
                 t = c if x is one else c * x
                 if s := out[j] + t if j in out else t:
@@ -272,7 +265,7 @@ def _saturate(engine: _Engine, target: int):
 
     tracker = _linalg.SpanTracker()
     words: list[tuple[int, ...]] = [()]
-    elements = [{index[lab]: c for lab, c in engine.identity_element().items()}]
+    elements = [{index[((0,) * engine.n, tuple(range(engine.n)))]: one}]
     tracker.insert(elements[0])
     queue: deque = deque((g, 0) for g in range(engine.n))
     while queue:

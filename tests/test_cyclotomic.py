@@ -297,17 +297,22 @@ def test_reduction_primes():
 
 # A Fraction-only reference for Q(zeta_e): coefficient lists reduced by long
 # division by Phi_e, inverses by solving x * y = 1 on the power basis.
-def ref_mul(a, b, e):
+def ref_fold(poly, e):
     phi, d = cyclotomic_polynomial(e), Cyc.degree(e)
-    out = [Fraction(0)] * (2 * d - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += Fraction(x) * Fraction(y)
+    out = list(map(Fraction, poly)) + [Fraction(0)] * (d - len(poly))
     for m in range(len(out) - 1, d - 1, -1):  # Phi_e is monic
         top, out[m] = out[m], Fraction(0)
         for j, c in enumerate(phi[:-1]):
             out[m - d + j] -= top * c
     return out[:d]
+
+
+def ref_mul(a, b, e):
+    out = [Fraction(0)] * (2 * Cyc.degree(e) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += Fraction(x) * Fraction(y)
+    return ref_fold(out, e)
 
 
 def ref_inverse(a, e):
@@ -331,6 +336,18 @@ def ref_power(a, k, e):
     for _ in range(abs(k)):
         out = ref_mul(out, base, e)
     return out
+
+
+@pytest.mark.parametrize("e", range(2, 31))
+def test_zeta_powers_match_long_division(e):
+    # where e - 1 > 2 phi(e) - 2 (every even e), some x^k mod Phi_e, k < e, lie
+    # past the degree a product reaches: only zeta and `inverse`'s Galois
+    # conjugates read them
+    for k in range(e):
+        assert list(Cyc.zeta(e, k).coeffs) == ref_fold([0] * k + [1], e)
+    for k in range(-2 * e, 2 * e + 1):
+        assert Cyc.zeta(e, k) == Cyc.zeta(e, k % e)
+        assert Cyc.zeta(e, k) * Cyc.zeta(e, -k) == 1
 
 
 def int_exactly_when_integral(x):

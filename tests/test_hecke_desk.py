@@ -786,26 +786,34 @@ def test_joint_eigenspaces_without_a_reducing_prime_raise(hecke_reps, monkeypatc
 
 def exact_saturation(l, n, charge):
     """The former exact path: one SpanTracker over Q(zeta_e) on the whole
-    ambient space, every product expressed over all the words, with `Cyc`
-    constants at every e (the build runs on ints when phi(e) = 1)."""
+    ambient space, from the identity label, T_g extended linearly from
+    `mult_gen(g, label)` and every product expressed over all the words, with
+    `Cyc` constants at every e (the build runs on ints when phi(e) = 1)."""
     engine = hecke_desk._Engine(l, n, charge)
     engine.q, engine.one = Cyc.zeta(charge.e), Cyc.one(charge.e)
     engine.qm1 = engine.q - 1
     engine.sigma = a_poly(Multipartition(((1,),) * l), charge).values
     index = {lab: k for k, lab in enumerate(hecke_desk._all_labels(l, n))}
-    one = Cyc.one(charge.e)
+    one, zero = Cyc.one(charge.e), Cyc.zero(charge.e)
     gens = [[{} for _ in index] for _ in range(n)]
 
     def sparse(element):
         return {index[lab]: c for lab, c in element.items()}
 
+    def times(g, element):  # T_g extended linearly from T_g (label)
+        out = {}
+        for label, c in element.items():
+            for lab, x in engine.mult_gen(g, label).items():
+                out[lab] = out.get(lab, zero) + c * x
+        return {lab: x for lab, x in out.items() if x}
+
     tracker = SpanTracker()
-    words, elements = [()], [engine.identity_element()]
+    words, elements = [()], [{((0,) * n, tuple(range(n))): one}]
     tracker.insert(sparse(elements[0]))
     queue = collections.deque((g, 0) for g in range(n))
     while queue:
         g, k = queue.popleft()
-        product = engine.mult_gen(g, elements[k])
+        product = times(g, elements[k])
         coords = tracker.express(sparse(product))
         if coords is None:
             tracker.insert(sparse(product))
@@ -836,10 +844,9 @@ class _FakeEngine(hecke_desk._Engine):
     """Level two, n = 1, with T_0 * 1 = 1 + 5x and T_0 * x = x on the labels
     1 and x = J_0: mod 5 the product looks like the word 1."""
 
-    def mult_gen(self, g, element):
+    def mult_gen(self, g, label):
         one, x = ((0,), (0,)), ((1,), (0,))
-        a, b = (element.get(lab, Cyc.zero(self.e)) for lab in (one, x))
-        return {lab: c for lab, c in ((one, a), (x, 5 * a + b)) if c}
+        return {one: self.one, x: 5 * self.one} if label == one else {x: self.one}
 
 
 def test_saturation_is_exact_where_a_prime_would_fail(monkeypatch):
@@ -870,15 +877,15 @@ def test_build_reduces_nothing_mod_p(monkeypatch):
 
 
 class _ClashEngine(hecke_desk._Engine):
-    """Level one, n = 2, on the labels 1 and t = T_1: T_0 (a + b t) =
-    2a + 9b t and T_1 (a + b t) = b + a t.  The columns of T_0 at 1 and at t
-    have exact coordinates 2 and 9, both 2 mod 7."""
+    """Level one, n = 2, on the labels 1 and t = T_1: T_0 1 = 2 * 1, T_0 t =
+    9t, and T_1 swaps 1 and t.  The columns of T_0 at 1 and at t have exact
+    coordinates 2 and 9, both 2 mod 7."""
 
-    def mult_gen(self, g, element):
+    def mult_gen(self, g, label):
         one, t = ((0, 0), (0, 1)), ((0, 0), (1, 0))
-        a, b = (element.get(lab, Cyc.zero(self.e)) for lab in (one, t))
-        image = ((one, 2 * a), (t, 9 * b)) if g == 0 else ((one, b), (t, a))
-        return {lab: c for lab, c in image if c}
+        if g == 0:
+            return {label: (2 if label == one else 9) * self.one}
+        return {t if label == one else one: self.one}
 
 
 def test_saturation_refuses_a_wrong_lift(monkeypatch):
@@ -900,17 +907,17 @@ def test_saturation_refuses_a_wrong_lift(monkeypatch):
 ])
 def test_saturation_asks_each_generator_row_once(monkeypatch, l, n, charge):
     # T_g x is the linear extension of the rows T_g (label): each is asked of
-    # mult_gen on one term, once per (g, label), so at most n * dim times
+    # mult_gen once per (g, label), so at most n * dim times
     calls = []
 
     class Counting(hecke_desk._Engine):
-        def mult_gen(self, g, element):
-            calls.append((g, tuple(element)))
-            return super().mult_gen(g, element)
+        def mult_gen(self, g, label):
+            calls.append((g, label))
+            return super().mult_gen(g, label)
 
     monkeypatch.setattr(hecke_desk, "_Engine", Counting)
     rep = build_algebra(l, n, charge)
-    assert calls and all(len(labels) == 1 for _, labels in calls)
+    assert calls
     assert len(set(calls)) == len(calls) <= n * rep.dimension
 
 @pytest.mark.parametrize("l, n, charge", [
