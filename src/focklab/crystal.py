@@ -63,7 +63,7 @@ def signatures(
 ) -> tuple[SignatureReport, ...]:
     """The i-signature of mp for each residue 0..e-1 from one walk, no sort:
     each row gives its removable, then its addable box (the ASC order; DESC
-    reverses each residue's list); ValueError for another level."""
+    reverses each residue's list); ValueError for another level or order."""
     if len(mp.components) < len(charge.s):  # a higher level fails at its first extra component
         raise ValueError(f"level mismatch: {mp.level} vs {charge.level}")
     e = charge.e
@@ -75,7 +75,9 @@ def signatures(
                 by_residue[(base + width - a) % e].append(("-", BoxCoord(a, width, j)))
             if a == 1 or comp[a - 2] > width:
                 by_residue[(base + width + 1 - a) % e].append(("+", BoxCoord(a, width + 1, j)))
-    if order is BoxOrder.DESC:
+    if order is not BoxOrder.ASC:
+        if order is not BoxOrder.DESC:
+            raise ValueError(f"order must be a BoxOrder, got {order!r}")
         for symbols in by_residue:
             symbols.reverse()
     reports = []

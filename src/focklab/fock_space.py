@@ -184,6 +184,8 @@ def _move_boxes(listing, step: int, i: int, v: FockVector, charge: Multicharge):
 
 def apply_h(i: int, v: FockVector, charge: Multicharge) -> FockVector:
     """Diagonal action: each basis term scaled by its coroot pairing."""
+    if not 0 <= i < charge.e:
+        raise ValueError(f"residue {i} out of 0..{charge.e - 1}")
     out: dict[Multipartition, Fraction] = {}
     for mp, c in v.terms.items():
         out[mp] = c * pair_coroot(i, wt(mp, charge))

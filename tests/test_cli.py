@@ -4,6 +4,7 @@ import argparse
 import ast
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -193,20 +194,22 @@ def test_blocks_resource_bound(capsys, monkeypatch):
     assert code == 2 and "rank must be nonnegative" in capsys.readouterr().err
 
 
-# p(42) = 53 174 is the first partition number over the budget
-_OVER = "resource bound exceeded: 53174 or more shapes of rank {} > 50000"
+# the first exact count over the budget: 68 150 shapes of rank 23 at level 2,
+# 64 960 of rank 13 at level 4; blocks' own top rank is checked as a whole
+_OVER = "resource bound exceeded: {} or more shapes of rank {} > 50000"
 _FACTORIAL = "dimension overflow: l^n*n! >= {}! exceeds bound {}"
 
 
 @pytest.mark.parametrize("env, argv, err", [
-    (None, "--e 2 --s 0,1 --max-rank 4000 crystal-graph", _OVER.format(4001)),
-    (None, "--e 2 --s 0,1 --max-rank 8000 crystal-graph", _OVER.format(8001)),
-    (None, "--e 2 --s 0,1,2,3 --max-rank 4000 crystal-graph", _OVER.format(4001)),
-    (None, "--e 2 --s 0,1 --max-rank 1000000000 verify crystal", _OVER.format(1000000001)),
-    (None, "--e 3 --s 0,1 --max-rank 1000000000 verify all", _OVER.format(1000000002)),
-    (None, "--e 2 --s 0 blocks 42", _OVER.format(42)),
-    (None, "--e 2 --s 0,1 blocks 8000", _OVER.format(8000)),
-    (None, "--e 2 --s 0,1 blocks 1000000000", _OVER.format(1000000000)),
+    (None, "--e 2 --s 0,1 --max-rank 4000 crystal-graph", _OVER.format(68150, 4001)),
+    (None, "--e 2 --s 0,1 --max-rank 8000 crystal-graph", _OVER.format(68150, 8001)),
+    (None, "--e 2 --s 0,1,2,3 --max-rank 4000 crystal-graph", _OVER.format(64960, 4001)),
+    (None, "--e 2 --s 0,1 --max-rank 1000000000 verify crystal",
+     _OVER.format(68150, 1000000001)),
+    (None, "--e 3 --s 0,1 --max-rank 1000000000 verify all", _OVER.format(68150, 1000000002)),
+    (None, "--e 2 --s 0 blocks 42", "resource bound exceeded: 53174 shapes > 50000"),
+    (None, "--e 2 --s 0,1 blocks 8000", _OVER.format(68150, 8000)),
+    (None, "--e 2 --s 0,1 blocks 1000000000", _OVER.format(68150, 1000000000)),
     (None, "--e 2 --s 0 --n 6 hecke-build", _FACTORIAL.format(6, 200)),
     (None, "--e 2 --s 0 --n 20000 hecke-build", _FACTORIAL.format(20000, 200)),
     (None, "--e 3 --s 0,1 --n 20000 verify all", _FACTORIAL.format(20000, 200)),
@@ -216,8 +219,8 @@ _FACTORIAL = "dimension overflow: l^n*n! >= {}! exceeds bound {}"
      _FACTORIAL.format(1000000000, 1000000)),
 ])
 def test_refusal_forms_no_big_count(capsys, monkeypatch, env, argv, err):
-    # past the rank where p(r) alone, or the n where n! alone, exceeds the
-    # bound, the refusal is decided from that lower bound, whatever the size
+    # past the first rank whose shape count alone, or the n where n! alone,
+    # exceeds the bound, the refusal is decided from that count, whatever the size
     if env is None:
         monkeypatch.delenv("FOCK_MAX_DIM", raising=False)
     else:
@@ -236,8 +239,8 @@ def test_refusal_forms_no_big_count(capsys, monkeypatch, env, argv, err):
 
 @pytest.mark.parametrize("argv, rank", [("--max-rank 40 crystal-graph", 41), ("blocks 40", 40)])
 def test_long_multicharge_is_refused_from_the_level_bound(capsys, monkeypatch, argv, rank):
-    # C(l + r - 1, r) shapes of rank r have one-row components: at l = 10 000,
-    # 50 005 000 at r = 2, refused with no convolution over the components
+    # at l = 10 000 there are 10 000 shapes of rank 1 and 50 015 000 of rank 2:
+    # refused there, with no count formed past that rank
     for name in ("enumerate_multipartitions", "build_graph"):
         monkeypatch.setattr(cli, name, _refuse)
     start = time.perf_counter()
@@ -245,15 +248,52 @@ def test_long_multicharge_is_refused_from_the_level_bound(capsys, monkeypatch, a
     elapsed = time.perf_counter() - start
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err == ("error: resource bound exceeded: 50005000 or more shapes "
+    assert captured.err == ("error: resource bound exceeded: 50015000 or more shapes "
                             f"of rank {rank} > 50000\n")
     assert elapsed < 0.5
 
 
 def test_shape_counts_match_enumeration():
-    for level in (1, 2, 3):
-        counted = [len(enumerate_multipartitions(r, level)) for r in range(7)]
-        assert cli._shape_counts(level, 6) == counted
+    for level, top in ((1, 10), (2, 10), (3, 10), (4, 8)):
+        counted = [len(enumerate_multipartitions(r, level)) for r in range(top + 1)]
+        assert cli._shape_counts(level, top) == counted
+
+
+def _lower_bound_shape_counts(level, max_rank):
+    # the earlier predictor: Euler's pentagonal recurrence for p(r), refusing
+    # once p(r) or C(level + r - 1, r) is over budget, then a level-fold
+    # convolution of the partition numbers
+    single = [1]
+    for r in range(1, max_rank + 1):
+        p, k = 0, 1
+        while (g := k * (3 * k - 1) // 2) <= r:
+            p -= (-1) ** k * (single[r - g] + (single[r - g - k] if g + k <= r else 0))
+            k += 1
+        cli._check_budget(max(p, math.comb(level + r - 1, r)), "shapes")
+        single.append(p)
+    counts = [1] + [0] * max_rank
+    for _ in range(level):
+        counts = [sum(counts[k] * single[t - k] for k in range(t + 1))
+                  for t in range(max_rank + 1)]
+    return counts
+
+
+def _accepts(shape_counts, level, max_rank, nodes):
+    try:
+        counts = shape_counts(level, max_rank)
+        cli._check_budget(sum(counts) if nodes else counts[-1], "shapes")
+    except ValueError:
+        return False
+    return True
+
+
+def test_exact_counts_refuse_what_the_lower_bounds_refused():
+    # node-sum mode (crystal-graph, verify) and top-rank mode (blocks)
+    for level in (*range(1, 8), 50, 300, 1000, 10_000):
+        for max_rank in (*range(70), 4000, 10**9):
+            for nodes in (True, False):
+                assert (_accepts(cli._shape_counts, level, max_rank, nodes)
+                        == _accepts(_lower_bound_shape_counts, level, max_rank, nodes))
 
 
 def test_verify_fock(capsys):

@@ -17,6 +17,7 @@ from focklab import (
     addable_boxes,
     apply_e,
     build_graph,
+    check_perfect_basis,
     crystal_e,
     crystal_f,
     depth,
@@ -167,6 +168,21 @@ def test_signatures_refuse_a_level_above_the_charge():
     for shape in ("[[1],[]]", "[[],[2,1]]", "[[1],[1],[1]]"):
         with pytest.raises(ValueError, match=r"component 2 out of 1\.\.1"):
             signatures(mp(shape), Multicharge(3, (0,)), BoxOrder.DESC)
+
+
+def test_an_order_that_is_no_box_order_is_refused():
+    # the string "desc" is not BoxOrder.DESC: refused, not read as ASC
+    c = Multicharge(2, (0,))
+    for call in (lambda order: build_graph(c, 3, order),
+                 lambda order: check_perfect_basis(c, 3, order),
+                 lambda order: signatures(mp("[[2,1]]"), c, order),
+                 lambda order: crystal_f(0, mp("[[1]]"), c, order)):
+        with pytest.raises(ValueError, match="order must be a BoxOrder, got 'desc'"):
+            call("desc")
+        call(BoxOrder("desc"))
+    graph = build_graph(c, 3, BoxOrder("desc"))
+    assert graph.order is BoxOrder.DESC and graph == build_graph(c, 3, BoxOrder.DESC)
+    assert graph.edges != build_graph(c, 3, BoxOrder.ASC).edges
 
 
 def test_crystal_e_examples():

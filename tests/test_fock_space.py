@@ -112,12 +112,14 @@ def test_operators_refuse_a_level_below_the_charge():
 
 
 def test_operators_refuse_a_residue_outside_0_to_e_minus_1():
-    # as apply_h and crystal.signature do, rather than return the zero vector
+    # as crystal.signature does, rather than return the zero vector: checked
+    # up front, so the zero vector is refused too
     c = Multicharge(2, (0,))
-    for op in (apply_e, apply_f):
-        for i in (5, -1):
-            with pytest.raises(ValueError, match=rf"residue {i} out of 0\.\.1"):
-                op(i, basis("[[1]]"), c)
+    for op in (apply_e, apply_f, apply_h):
+        for i in (5, 7, -1):
+            for v in (basis("[[1]]"), FockVector.zero()):
+                with pytest.raises(ValueError, match=rf"residue {i} out of 0\.\.1"):
+                    op(i, v, c)
 
 
 def test_apply_h_examples():
