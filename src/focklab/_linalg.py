@@ -57,12 +57,12 @@ def matrix_rank(rows: Sequence[Sequence], ncols: int) -> int:
 
 
 class SpanTracker:
-    """Incremental row space with bookkeeping over the inserted generators.
+    """Incremental row space with bookkeeping over its generators.
 
-    Vectors are sparse: dicts from column to nonzero entry.  `insert` adds a
-    vector as a new generator when it enlarges the span; `express` rewrites
-    any vector of the span as exact coordinates over the inserted generators,
-    again as a dict (generator index -> nonzero coefficient).
+    Vectors are sparse: dicts from column to nonzero entry.  `express`
+    reduces each vector once: a vector of the span gets exact coordinates
+    over the generators, again as a dict (generator index -> nonzero
+    coefficient); a vector outside it joins them as the next generator.
     """
 
     def __init__(self):
@@ -77,27 +77,22 @@ class SpanTracker:
         return len(self._rows)
 
     def insert(self, vec: dict) -> bool:
-        """Insert as a generator; False when already in the span."""
-        pc, w, combo = self._eliminate(vec)
+        """Insert as a generator, by `express`; False when already in the span."""
+        return self.express(vec) is None
+
+    def express(self, vec: dict) -> dict | None:
+        """Coordinates of vec over the generators, or None when vec is
+        outside the span, which it then joins as the next generator."""
+        w = {c: v for c, v in vec.items() if v}
+        pc, combo = _reduce(self._rows, self._pinvs, w, self._combos)
         if pc is None:
-            return False
+            return combo
         # the stored row is w = vec - sum combo[k] * gen_k
         row = {c: _integral(v) for c, v in w.items()}
         row_combo = {k: _integral(-v) for k, v in combo.items()}
         row_combo[len(self._rows)] = 1
         self._rows[pc], self._pinvs[pc], self._combos[pc] = row, _inverse(row[pc]), row_combo
-        return True
-
-    def express(self, vec: dict) -> dict | None:
-        """Coordinates of vec over the generators, or None if outside."""
-        pc, _, combo = self._eliminate(vec)
-        return combo if pc is None else None
-
-    def _eliminate(self, vec: dict) -> tuple:
-        """(c, w, combo): vec reduced to w by `_reduce`."""
-        w = {c: v for c, v in vec.items() if v}
-        pc, combo = _reduce(self._rows, self._pinvs, w, self._combos)
-        return pc, w, combo
+        return None
 
 
 def _reduce(rows: dict[int, dict], pinvs: dict, w: dict, combos: dict | None = None):

@@ -155,13 +155,13 @@ def parse_vector(text: str, level: int | None = None) -> FockVector:
 
 def apply_e(i: int, v: FockVector, charge: Multicharge) -> FockVector:
     """Remove one residue-i box in every admissible way, extended linearly.
-    Raises ValueError for a residue outside 0..e-1 or a lower level."""
+    Raises ValueError for a residue outside 0..e-1 or another level."""
     return _move_boxes(removable_boxes, -1, i, v, charge)
 
 
 def apply_f(i: int, v: FockVector, charge: Multicharge) -> FockVector:
     """Add one residue-i box in every admissible way, extended linearly.
-    Raises ValueError for a residue outside 0..e-1 or a lower level."""
+    Raises ValueError for a residue outside 0..e-1 or another level."""
     return _move_boxes(addable_boxes, 1, i, v, charge)
 
 
@@ -171,8 +171,9 @@ def _move_boxes(listing, step: int, i: int, v: FockVector, charge: Multicharge):
     across terms) are dropped; a higher level raises at its first extra component."""
     if not 0 <= i < charge.e:
         raise ValueError(f"residue {i} out of 0..{charge.e - 1}")
-    if v.terms and (level := len(next(iter(v.terms)).components)) < len(charge.s):
-        raise ValueError(f"level mismatch: {level} vs {charge.level}")
+    if v.terms and (level := len(next(iter(v.terms)).components)) != charge.level:
+        raise ValueError(f"level mismatch: {level} vs {charge.level}" if level < charge.level
+                         else f"component {charge.level + 1} out of 1..{charge.level}")
     out: dict[Multipartition, Fraction] = {}
     for mp, c in v.terms.items():
         for box in listing(mp, charge, i):
@@ -238,17 +239,16 @@ def _removal_rows(n: int, charge: Multicharge):
 
 def primitive_basis(n: int, charge: Multicharge) -> list[FockVector]:
     """Deterministic echelon basis of the joint kernel of all e_i on rank n:
-    each weight's `_removal_rows` enter one exact `SpanTracker` in order; a
-    shape mp whose row is sum_j c_j row(gen_j) over the shapes gen_j inserted
-    before it gives mp - sum_j c_j gen_j, the reduced-echelon kernel vector
-    of mp's free column in the stacked e_i matrices."""
+    one exact `SpanTracker` per weight `express`es its `_removal_rows` in
+    order; a shape mp whose row is sum_j c_j row(gen_j) over the shapes gen_j
+    that joined before it gives mp - sum_j c_j gen_j, the reduced-echelon
+    kernel vector of mp's free column in the stacked e_i matrices."""
     spans: dict[object, tuple[_linalg.SpanTracker, list[Multipartition]]] = {}
     basis = []
     for mp, weight, row in _removal_rows(n, charge):
         tracker, gens = spans.setdefault(weight, (_linalg.SpanTracker(), []))
-        if tracker.insert(row):
+        if (coords := tracker.express(row)) is None:
             gens.append(mp)
         else:
-            coords = tracker.express(row).items()
-            basis.append(FockVector({mp: 1, **{gens[j]: -c for j, c in coords}}))
+            basis.append(FockVector({mp: 1, **{gens[j]: -c for j, c in coords.items()}}))
     return basis

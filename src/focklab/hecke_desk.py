@@ -231,11 +231,11 @@ def _saturate(engine: _Engine, target: int):
     T_g x extends linearly the rows T_g (label k), each asked of `mult_gen`
     the first time; a unit constant adds its term unmultiplied.
 
-    A product outside the span of the words joins them, so the words stay
-    independent and a product inside has exactly one coordinate vector over
-    them: its column.  Columns in `_all_labels` order keep fill-in low.  The
-    order only picks each echelon row's pivot, so words and gens do not
-    depend on it.
+    Each product is `express`ed once: one outside the span of the words joins
+    them, so the words stay independent, and one inside has exactly one
+    coordinate vector over them: its column.  Columns in `_all_labels` order
+    keep fill-in low.  The order only picks each echelon row's pivot, so
+    words and gens do not depend on it.
 
     When phi(e) = 1, `engine` holds int constants: Cyc(e, (c,)) -> c is a
     ring isomorphism Z[zeta_e] -> Z, so the elimination is the same
@@ -272,7 +272,6 @@ def _saturate(engine: _Engine, target: int):
         g, k = queue.popleft()
         vec = times(g, elements[k])
         if (coords := tracker.express(vec)) is None:
-            tracker.insert(vec)
             coords = {len(words): one}
             queue.extend((h, len(words)) for h in range(engine.n))
             words.append((g,) + words[k])
@@ -460,13 +459,12 @@ class CharacterSpectrum:
 def _minimal_polynomial(rows: list, one: Cyc) -> list:
     """Ascending minimal polynomial of z in A, where `rows` are L_z's sparse
     rows, by Krylov on the identity word: f(L_z) e_0 = f(z), and A acts
-    faithfully, so it is L_z's too.  Each z^k e_0 is reduced by its insert;
-    only the first dependent one, which the insert refuses, again by express."""
+    faithfully, so it is L_z's too.  Each z^k e_0 is reduced once, by one
+    express: the first dependent one gives the coefficients."""
     tracker, vec, zero = _linalg.SpanTracker(), {0: one}, one * 0
-    while tracker.insert(vec):
+    while (coords := tracker.express(vec)) is None:
         column = mul_rows(rows, [{0: vec[r]} if r in vec else {} for r in range(len(rows))])
         vec = {r: x[0] for r, x in enumerate(column) if x}
-    coords = tracker.express(vec)
     return [-coords.get(i, zero) for i in range(tracker.dim)] + [one]
 
 

@@ -95,8 +95,9 @@ def test_operators_refuse_components_beyond_the_charge():
         for i in range(short.e):
             with pytest.raises(ValueError, match=r"component 2 out of 1\.\.1"):
                 op(i, basis("[[1],[1]]"), short)
-    with pytest.raises(ValueError, match=r"component 2 out of 1\.\.1"):
-        apply_f(0, basis("[[1],[]]"), short)
+    for op in (apply_e, apply_f, depth):
+        with pytest.raises(ValueError, match=r"component 2 out of 1\.\.1"):
+            op(0, basis("[[1],[]]"), short)
 
 
 def test_operators_refuse_a_level_below_the_charge():

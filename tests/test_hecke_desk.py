@@ -26,6 +26,7 @@ from focklab import (
     hecke_desk,
     jm_elements,
     parse_multipartition,
+    primitive_basis,
     removable_boxes,
     residue,
     symmetric_jm,
@@ -357,8 +358,8 @@ def test_spectrum_refuses_a_charge_of_another_level_or_e(hecke_reps):
 
 @pytest.mark.parametrize("l,n,e", [(2, 2, 3), (1, 3, 2)])
 def test_minimal_polynomial_reduces_each_krylov_vector_once(hecke_reps, monkeypatch, l, n, e):
-    # deg + 1 inserts, the last one refused, and one express for the first
-    # dependent vector
+    # deg + 1 calls of express, one per Krylov vector: deg of them add the
+    # vector, and the last, dependent one gives the coefficients
     calls = collections.Counter()
 
     class Counting(SpanTracker):
@@ -375,7 +376,7 @@ def test_minimal_polynomial_reduces_each_krylov_vector_once(hecke_reps, monkeypa
     for k in range(n):
         calls.clear()
         minimal = _minimal_polynomial(symmetric_jm(rep, k + 1), rep.one())
-        assert calls == {"insert": len(minimal), "express": 1}, k
+        assert calls == {"express": len(minimal)}, k
 
 
 @pytest.mark.parametrize("l,n,e", [(2, 2, 2), (1, 3, 2)])
@@ -815,8 +816,7 @@ def exact_saturation(l, n, charge):
         g, k = queue.popleft()
         product = times(g, elements[k])
         coords = tracker.express(sparse(product))
-        if coords is None:
-            tracker.insert(sparse(product))
+        if coords is None:  # the product joined the span as a new word
             coords = {len(words): one}
             queue.extend((h, len(words)) for h in range(n))
             words.append((g,) + words[k])
@@ -925,8 +925,8 @@ def test_saturation_asks_each_generator_row_once(monkeypatch, l, n, charge):
     (2, 3, Multicharge(5, (0, 2))),
 ])
 def test_saturation_builds_one_span_tracker(monkeypatch, l, n, charge):
-    # one exact tracker per build: every product is expressed once, and each
-    # word, the identity first, inserted once
+    # one exact tracker per build: the identity word is inserted, and then
+    # every product is expressed once; a new word joins the span by its express
     trackers, calls = [], collections.Counter()
 
     class Counting(SpanTracker):
@@ -945,7 +945,34 @@ def test_saturation_builds_one_span_tracker(monkeypatch, l, n, charge):
     monkeypatch.setattr(hecke_desk._linalg, "SpanTracker", Counting)
     rep = build_algebra(l, n, charge)
     assert [tracker.dim for tracker in trackers] == [rep.dimension]
-    assert calls == {"insert": rep.dimension, "express": n * rep.dimension}
+    assert calls == {"insert": 1, "express": n * rep.dimension + 1}
+
+
+@pytest.mark.parametrize("l, n, charge", [
+    (3, 3, Multicharge(2, (0, 1, 2))),
+    (2, 3, Multicharge(5, (0, 2))),
+])
+def test_span_trackers_reduce_each_vector_once(monkeypatch, l, n, charge):
+    # one `_reduce` per vector a tracker is given: the identity word and the
+    # n * dim products of the saturation, each Krylov vector of a minimal
+    # polynomial, and each rank-n shape's row in primitive_basis
+    calls, reduce_once = [], hecke_desk._linalg._reduce
+
+    def counting(*args):
+        calls.append(None)
+        return reduce_once(*args)
+
+    monkeypatch.setattr(hecke_desk._linalg, "_reduce", counting)
+    rep = build_algebra(l, n, charge)
+    assert len(calls) == n * rep.dimension + 1
+    for k in range(1, n + 1):
+        rows = symmetric_jm(rep, k)
+        calls.clear()
+        minimal = _minimal_polynomial(rows, rep.one())
+        assert len(calls) == len(minimal), k
+    calls.clear()
+    primitive_basis(n, charge)
+    assert len(calls) == len(enumerate_multipartitions(n, l))
 
 
 def _record_trackers(monkeypatch) -> list:

@@ -47,9 +47,7 @@ def _check_run(ncols, vectors, zero, rank):
     for seen, v in enumerate(vectors, start=1):
         sparse = {c: x for c, x in enumerate(v) if x}
         coords = tracker.express(sparse)
-        inserted = tracker.insert(sparse)
-        assert inserted == (coords is None)
-        if inserted:
+        if coords is None:  # v joined the generators: now it is in the span
             gens.append(v)
             coords = tracker.express(sparse)
         total = [zero] * ncols
@@ -308,19 +306,21 @@ def test_span_tracker_express_matches_dense_oracle(kind, data):
     ncols, vectors = data.draw(vector_runs(entries))
     tracker, gens = SpanTracker(), []
     for v in vectors:
-        sparse = {c: x for c, x in enumerate(v) if x}
+        sparse, dim = {c: x for c, x in enumerate(v) if x}, tracker.dim
         with terminates():
             coords = tracker.express(sparse)
-            inserted = tracker.insert(sparse)
-        assert (coords is None) == inserted
+        # a vector outside the span joins it, and only such a vector
+        assert tracker.dim == dim + (coords is None)
         assert (coords is not None) == _in_span(_field([v])[0], *dense_rref(_field(gens), ncols))
         if coords is not None:
             total = [zero] * ncols
             for k, f in coords.items():
                 total = [t + f * x for t, x in zip(total, gens[k])]
             assert total == v
-        if inserted:
+        else:
             gens.append(v)
+            with terminates():
+                assert tracker.insert(sparse) is False
     assert tracker.dim == len(gens) == len(dense_rref(_field(vectors), ncols)[1])
 
 
